@@ -497,41 +497,6 @@ def _rename_tensor(atom: TensorAtom, renames: Dict[str, str]) -> TensorAtom:
     return TensorAtom(TypeContext(entries), atom.data, atom.output)
 
 
-def _subst_tensor_atom(atom: TensorAtom, bindings: Dict[str, Term]):
-    """Apply index-valued bindings to a tensor atom; None declines.
-
-    Handles ground indices, index tensors, and symbolic slices.  When a
-    binding's value mentions another substituted name, the substituted
-    axes are renamed fresh first so values keep referring to outer scope.
-    """
-    todo = {n: v for n, v in bindings.items() if n in atom.context}
-    if not todo:
-        return None
-    for v in todo.values():
-        if isinstance(v, TensorLeaf):
-            if not isinstance(v.atom.output, Bounded):
-                return None
-        elif not isinstance(v, Slice):
-            return None
-    value_names = set()
-    for v in todo.values():
-        value_names.update(v.free_vars.names)
-    overlap = value_names & set(todo)
-    if overlap:
-        renames = {n: fresh_name(n) for n in todo}
-        atom = _rename_tensor(atom, renames)
-        todo = {renames[n]: v for n, v in todo.items()}
-    out = atom
-    for n, v in todo.items():
-        if isinstance(v, Slice):
-            out = tensor_slice(out, n, v.start, v.stop, v.stride)
-            if v.over != n:
-                out = _rename_tensor(out, {n: v.over})
-        else:
-            out = tensor_index(out, n, v.atom)
-    return out
-
-
 def _is_index_value(v: Term) -> bool:
     return (
         isinstance(v, TensorLeaf) and isinstance(v.atom.output, Bounded)

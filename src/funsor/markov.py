@@ -15,15 +15,8 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from .errors import BoundsError, InvalidMatching
-from .interp import (
-    cat_term,
-    flatten_product,
-    lift,
-    reduce_term,
-    subst_term,
-    var,
-)
-from .ops import ADD, REDUCE_OPS
+from .interp import cat_term, flatten_product, subst_term, var
+from .ops import REDUCE_OPS
 from .terms import MarkovProd, Slice, Term, fresh_name
 
 
@@ -116,17 +109,12 @@ def evaluate_markov(node: MarkovProd) -> Optional[Term]:
 
 
 def _elim(rvars: List[str], parts: List[Term]) -> Term:
-    op = REDUCE_OPS[_SCAN.elim]
-    if len(rvars) > 1 or len(parts) > 2:
-        from .optimize import contract
+    from .optimize import contract, contract_pair
 
+    op = REDUCE_OPS[_SCAN.elim]
+    if len(rvars) > 1 or len(parts) != 2:
         return contract(op, rvars, parts)
-    out = parts[0]
-    for p in parts[1:]:
-        out = lift(ADD, out, p)
-    for v in rvars:
-        out = reduce_term(op, v, out)
-    return out
+    return contract_pair(op, parts[0], parts[1], rvars)
 
 
 def _sequential(node: MarkovProd, T: int) -> Term:

@@ -29,7 +29,8 @@ from .interp import (
     reduce_term,
 )
 from .ops import ADD, REDUCE_OPS, ReduceOp
-from .terms import Apply, Reduce, Term
+from .tensor import tensor_contract
+from .terms import Apply, Reduce, TensorLeaf, Term
 
 
 def context_cost(ctx: TypeContext) -> float:
@@ -111,18 +112,29 @@ def greedy_plan(
     return plan
 
 
+def contract_pair(op: ReduceOp, a: Term, b: Term, rvars: Sequence[str]) -> Term:
+    """Reduce ``rvars`` out of ``a + b`` under the current interpretation.
+
+    Two real scalar tables go through ``tensor_contract`` without building
+    their union table; other factors are lifted and reduced by the rules.
+    """
+    if all(isinstance(p, TensorLeaf) and p.is_scalar_real() for p in (a, b)):
+        return TensorLeaf(tensor_contract(op, [a.atom, b.atom], rvars))
+    out = lift(ADD, a, b)
+    for v in rvars:
+        out = reduce_term(op, v, out)
+    return out
+
+
 def execute_plan(plan: ContractionPlan, parts: Sequence[Term]) -> Term:
     factors = list(parts)
     with interpretation(EXACT):
         for i, j, rvs in plan.steps:
-            fused = lift(ADD, factors[i], factors[j])
-            for v in rvs:
-                fused = reduce_term(plan.op, v, fused)
+            fused = contract_pair(plan.op, factors[i], factors[j], rvs)
             rest = [f for k, f in enumerate(factors) if k not in (i, j)]
             factors = [fused] + rest
+        # The steps fuse until one factor remains.
         out = factors[0]
-        for f in factors[1:]:
-            out = lift(ADD, out, f)
         for v in plan.final_vars:
             out = reduce_term(plan.op, v, out)
     return out

@@ -22,7 +22,7 @@ from .errors import (
     IndexOutOfRange,
     NameAbsent,
 )
-from .ops import LiftedOp, ReduceOp, TAKE
+from .ops import ADD, LiftedOp, ReduceOp, TAKE
 
 
 def logsumexp(data: np.ndarray, axis: int) -> np.ndarray:
@@ -230,6 +230,177 @@ def tensor_reduce(op: ReduceOp, atom: TensorAtom, name: str) -> TensorAtom:
     return TensorAtom(atom.context.remove(name), data, atom.output)
 
 
+# Scaled sums below this may be built from subnormal products, whose
+# absolute error (about 5e-324 each) is no longer negligible against them.
+_SCALED_FLOOR = 2.0 ** -900
+
+
+def _mul_sum(x: np.ndarray, y: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``sum(x * y, axes, keepdims=True)`` for broadcastable arrays, as one matmul.
+
+    Axes where both arrays are non-trivial and that are not summed become
+    the matmul batch; summed axes present in only one array are summed out
+    of it first.
+    """
+    own_x = tuple(a for a in axes if x.shape[a] > 1 and y.shape[a] == 1)
+    own_y = tuple(a for a in axes if y.shape[a] > 1 and x.shape[a] == 1)
+    if own_x:
+        x = x.sum(axis=own_x, keepdims=True)
+    if own_y:
+        y = y.sum(axis=own_y, keepdims=True)
+    nd = x.ndim
+    both = [a for a in axes if x.shape[a] > 1 and y.shape[a] > 1]
+    rest = [a for a in range(nd) if a not in axes]
+    batch = [a for a in rest if x.shape[a] > 1 and y.shape[a] > 1]
+    only_x = [a for a in rest if x.shape[a] > 1 and y.shape[a] == 1]
+    only_y = [a for a in rest if y.shape[a] > 1 and x.shape[a] == 1]
+
+    def sizes(arr, group):
+        return [arr.shape[a] for a in group]
+
+    def to_3d(arr, first, second):
+        used = batch + first + second
+        perm = used + [a for a in range(nd) if a not in used]
+        return arr.transpose(perm).reshape(
+            math.prod(sizes(arr, batch)),
+            math.prod(sizes(arr, first)),
+            math.prod(sizes(arr, second)),
+        )
+
+    prod = np.matmul(to_3d(x, only_x, both), to_3d(y, both, only_y))
+    order = batch + only_x + only_y
+    prod = prod.reshape(sizes(x, batch) + sizes(x, only_x) + sizes(y, only_y))
+    prod = prod.transpose(np.argsort(order))
+    out_shape = tuple(
+        x.shape[a] if a in only_x or a in batch else y.shape[a] if a in only_y else 1
+        for a in range(nd)
+    )
+    return prod.reshape(out_shape)
+
+
+def _contract_all(arrays: Sequence[np.ndarray], red: Sequence[int]) -> np.ndarray:
+    """Sum over ``red`` of the product of broadcastable arrays, left to right.
+
+    Each reduced axis is summed at the first step after which no later
+    operand mentions it; the result keeps every axis (reduced ones as 1).
+    """
+    acc = arrays[0]
+    for k in range(1, len(arrays)):
+        later = arrays[k + 1:]
+        now = [a for a in red if all(b.shape[a] == 1 for b in later)]
+        acc = _mul_sum(acc, arrays[k], now)
+    if len(arrays) == 1 and red:
+        acc = acc.sum(axis=tuple(red), keepdims=True)
+    return acc
+
+
+def _exact_cells(
+    arrays: Sequence[np.ndarray], red: Sequence[int], cells: Tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """Broadcast-path log-sum-exp for the listed cells only.
+
+    ``arrays`` keep their reduced axes last; ``cells`` index the leading
+    kept axes (empty when there are none: one cell).  The operands are
+    summed left to right and the reduced axes folded one at a time, as
+    ``tensor_apply`` then ``tensor_reduce`` do.
+    """
+    total = None
+    for arr in arrays:
+        idx = tuple(
+            c if arr.shape[a] > 1 else np.zeros_like(c) for a, c in enumerate(cells)
+        )
+        part = arr[idx] if idx else arr[np.newaxis]
+        total = part if total is None else total + part
+    for _ in red:
+        total = logsumexp(total, 1)
+    return total
+
+
+def tensor_contract(
+    op: ReduceOp, atoms: Sequence[TensorAtom], rvars: Sequence[str]
+) -> TensorAtom:
+    """Fold ``rvars`` out of the pointwise sum of real scalar atoms.
+
+    Equals reducing ``tensor_apply(ADD, atoms)`` one variable at a time,
+    without building that union table for ``logaddexp``: each operand is
+    shifted by its max over its reduced axes (zero where that max is not
+    finite), exponentiated, contracted by matrix products, and the log of
+    the result plus the shifts is the answer.  Cells whose operands hold
+    NaN or ``+inf`` over the reduced axes, and cells whose scaled sum fell
+    to underflow range while some term is finite, are recomputed on the
+    broadcast path.  ``max`` and ``add`` run the broadcast path itself
+    (the max-plus path).  Atoms are fused in the order given; callers plan
+    that order.
+    """
+    for a in atoms:
+        if not a.is_scalar_output():
+            raise FunsorTypeError(f"contraction needs real scalar tables, got {a!r}")
+    if op.name != "logaddexp" or not rvars:
+        out = atoms[0]
+        for a in atoms[1:]:
+            out = tensor_apply(ADD, [out, a])
+        for v in rvars:
+            out = tensor_reduce(op, out, v)
+        return out
+    union, arrays = align_atoms(atoms)
+    for v in rvars:
+        if v not in union:
+            raise NameAbsent(f"{v!r} not in context {union.pretty()}")
+    kept = union
+    for v in rvars:
+        kept = kept.remove(v)
+    # Reduced axes go last, in the order of ``rvars``.
+    perm = [union.names.index(n) for n in kept.names]
+    perm += [union.names.index(v) for v in rvars]
+    arrays = [arr.transpose(perm) for arr in arrays]
+    nk = len(kept)
+    red = list(range(nk, len(union)))
+    kept_shape = tuple(t.size for _, t in kept.entries)
+
+    with np.errstate(all="ignore"):
+        scaled = []
+        shift = 0.0
+        special = False
+        for arr in arrays:
+            own = tuple(a for a in red if arr.shape[a] > 1)
+            peak = np.max(arr, axis=own, keepdims=True) if own else arr
+            finite = np.isfinite(peak)
+            # A NaN or +inf anywhere over the reduced axes makes the cell
+            # NaN or +inf; np.max lets both through to the peak.
+            special = special | ~(finite | np.isneginf(peak))
+            peak = np.where(finite, peak, 0.0)
+            scaled.append(np.exp(arr - peak))
+            shift = shift + peak
+        total = _contract_all(scaled, red)
+        out = (np.log(total) + shift).reshape(kept_shape)
+        low = total < _SCALED_FLOOR
+        if np.any(low):
+            counts = _contract_all([np.isfinite(a).astype(np.float64) for a in arrays], red)
+            special = special | (low & (counts > 0))
+        suspect = np.broadcast_to(special, total.shape).reshape(kept_shape)
+        if np.any(suspect):
+            cells = np.nonzero(suspect) if nk else ()
+            exact = _exact_cells(arrays, red, cells)
+            out[cells] = exact if nk else exact[0]
+    return TensorAtom(kept, out, RealArray(()))
+
+
+def _is_rename(atom: TensorAtom, idx: TensorAtom) -> bool:
+    """Whether ``idx`` enumerates one variable absent from ``atom`` in order.
+
+    A name already in the atom's context would make the substitution a
+    diagonal, which needs the gather.
+    """
+    if len(idx.context) != 1:
+        return False
+    new, tp = idx.context.entries[0]
+    return (
+        new not in atom.context
+        and tp.size == idx.output.size
+        and bool(np.array_equal(idx.data, np.arange(tp.size)))
+    )
+
+
 def tensor_index(atom: TensorAtom, name: str, idx: TensorAtom) -> TensorAtom:
     """Substitute integer values for one context variable.
 
@@ -244,6 +415,11 @@ def tensor_index(atom: TensorAtom, name: str, idx: TensorAtom) -> TensorAtom:
         )
     rest = atom.context.remove(name)
     union = rest.union(idx.context)
+    if _is_rename(atom, idx):
+        # Relabel the axis and move it where the gather would put it (last
+        # batch axis), sharing the data.
+        axis = atom.context.names.index(name)
+        return TensorAtom(union, np.moveaxis(atom.data, axis, len(rest)), atom.output)
     bounds = tuple(t.size for _, t in union.entries)
 
     # Move the substituted axis first, align the remaining batch axes with

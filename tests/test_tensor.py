@@ -19,6 +19,7 @@ from funsor.tensor import (
     scalar_tensor,
     tensor_apply,
     tensor_cat,
+    tensor_contract,
     tensor_eval,
     tensor_index,
     tensor_reduce,
@@ -192,6 +193,159 @@ class TestIndexingAndShaping:
         assert out.context.typeof("t") == Bounded(3)
         np.testing.assert_allclose(out.data[:2], a.data)
         np.testing.assert_allclose(out.data[2], b.data)
+
+
+def broadcast_contract(op, atoms, rvars):
+    """The union table of the operands, folded one variable at a time."""
+    out = atoms[0]
+    for a in atoms[1:]:
+        out = tensor_apply(ADD, [out, a])
+    for v in rvars:
+        out = tensor_reduce(op, out, v)
+    return out
+
+
+def assert_same_table(got, want, rtol=1e-12):
+    assert got.context == want.context
+    _, (g, w) = align_atoms([got, want])
+    np.testing.assert_allclose(g, w, rtol=rtol, atol=1e-12)
+
+
+class TestContract:
+    @pytest.mark.parametrize("op", ["logaddexp", "max", "add"])
+    def test_two_operands_shared_batch_and_own_kept_axes(self, op):
+        rng = np.random.default_rng(20)
+        a = random_atom(rng, [("b", Bounded(3)), ("i", Bounded(4)), ("j", Bounded(5))])
+        b = random_atom(rng, [("j", Bounded(5)), ("b", Bounded(3)), ("k", Bounded(2))])
+        got = tensor_contract(REDUCE_OPS[op], [a, b], ["j"])
+        assert got.context.names == ("b", "i", "k")
+        assert_same_table(got, broadcast_contract(REDUCE_OPS[op], [a, b], ["j"]))
+
+    @pytest.mark.parametrize("op", ["logaddexp", "max"])
+    def test_three_operands_several_reduced_variables(self, op):
+        rng = np.random.default_rng(21)
+        a = random_atom(rng, [("i", Bounded(3)), ("j", Bounded(4))])
+        b = random_atom(rng, [("j", Bounded(4)), ("k", Bounded(5)), ("m", Bounded(2))])
+        c = random_atom(rng, [("k", Bounded(5)), ("l", Bounded(3)), ("n", Bounded(6))])
+        rvars = ["j", "k", "n"]
+        got = tensor_contract(REDUCE_OPS[op], [a, b, c], rvars)
+        assert_same_table(got, broadcast_contract(REDUCE_OPS[op], [a, b, c], rvars))
+
+    def test_reducing_everything_gives_a_scalar(self):
+        rng = np.random.default_rng(22)
+        a = random_atom(rng, [("i", Bounded(3)), ("j", Bounded(4))])
+        b = random_atom(rng, [("j", Bounded(4))])
+        op = REDUCE_OPS["logaddexp"]
+        got = tensor_contract(op, [a, b], ["i", "j"])
+        assert not got.context
+        want = np.logaddexp.reduce((a.data + b.data[None, :]).ravel())
+        np.testing.assert_allclose(got.data, want, rtol=1e-13)
+
+    def test_no_reduced_variable_is_the_plain_sum(self):
+        rng = np.random.default_rng(23)
+        a = random_atom(rng, [("i", Bounded(3))])
+        b = random_atom(rng, [("j", Bounded(2))])
+        got = tensor_contract(REDUCE_OPS["logaddexp"], [a, b], [])
+        want = tensor_apply(ADD, [a, b])
+        assert got.context.names == want.context.names
+        assert np.array_equal(got.data, want.data)
+
+    def test_all_neg_inf_rows_give_neg_inf(self):
+        rng = np.random.default_rng(24)
+        ad = rng.normal(size=(4, 5))
+        ad[1] = -np.inf
+        bd = rng.normal(size=(5, 3))
+        bd[:, 2] = -np.inf
+        ad[3, :2] = -np.inf
+        bd[2:, 0] = -np.inf
+        a = TensorAtom(TypeContext([("i", Bounded(4)), ("j", Bounded(5))]), ad)
+        b = TensorAtom(TypeContext([("j", Bounded(5)), ("k", Bounded(3))]), bd)
+        op = REDUCE_OPS["logaddexp"]
+        got = tensor_contract(op, [a, b], ["j"])
+        want = broadcast_contract(op, [a, b], ["j"])
+        assert np.array_equal(np.isneginf(got.data), np.isneginf(want.data))
+        assert np.isneginf(got.data[1]).all() and np.isneginf(got.data[:, 2]).all()
+        # (3, 0): every term pairs a -inf in one operand with a finite value.
+        assert np.isneginf(got.data[3, 0])
+        assert_same_table(got, want)
+
+    def test_nan_and_pos_inf_propagate_as_on_the_broadcast_path(self):
+        rng = np.random.default_rng(25)
+        ad = rng.normal(size=(4, 5))
+        bd = rng.normal(size=(5, 4))
+        ad[0, 1] = np.nan
+        ad[1, 2] = np.inf
+        ad[2, 3] = np.inf
+        bd[3, :] = -np.inf  # +inf meets -inf: NaN on the broadcast path
+        bd[0, 3] = np.inf
+        a = TensorAtom(TypeContext([("i", Bounded(4)), ("j", Bounded(5))]), ad)
+        b = TensorAtom(TypeContext([("j", Bounded(5)), ("k", Bounded(4))]), bd)
+        op = REDUCE_OPS["logaddexp"]
+        got = tensor_contract(op, [a, b], ["j"])
+        want = broadcast_contract(op, [a, b], ["j"])
+        assert np.isnan(got.data[0]).all() and np.isnan(got.data[2]).all()
+        assert np.isposinf(got.data[1]).all()
+        assert np.isposinf(got.data[3, 3])
+        assert_same_table(got, want)
+
+    def test_thousand_nat_range_does_not_underflow(self):
+        # Every term is exp(-1000) after shifting each operand by its own
+        # max, which underflows to 0; the answer is log(2) - 1000.
+        j = TypeContext([("j", Bounded(2))])
+        a = TensorAtom(j, np.array([0.0, -1000.0]))
+        b = TensorAtom(j, np.array([-1000.0, 0.0]))
+        op = REDUCE_OPS["logaddexp"]
+        got = tensor_contract(op, [a, b], ["j"])
+        np.testing.assert_allclose(got.data, np.log(2.0) - 1000.0, rtol=1e-15)
+        assert_same_table(got, broadcast_contract(op, [a, b], ["j"]))
+
+    def test_underflow_cells_recomputed_within_a_batch(self):
+        rng = np.random.default_rng(26)
+        ad = rng.normal(size=(3, 4, 6))
+        bd = rng.normal(size=(3, 6, 5))
+        ad[1, 2, :3] -= 1000.0
+        bd[1, 3:, :] -= 1000.0
+        ad[2] -= 800.0 * np.arange(6)
+        bd[2] += 800.0 * np.arange(6)[:, None] - 4000.0
+        a = TensorAtom(TypeContext([("t", Bounded(3)), ("i", Bounded(4)), ("j", Bounded(6))]), ad)
+        b = TensorAtom(TypeContext([("t", Bounded(3)), ("j", Bounded(6)), ("k", Bounded(5))]), bd)
+        op = REDUCE_OPS["logaddexp"]
+        got = tensor_contract(op, [a, b], ["j"])
+        assert np.isfinite(got.data).all()
+        assert_same_table(got, broadcast_contract(op, [a, b], ["j"]))
+
+    def test_rejects_non_scalar_and_absent_names(self):
+        vec = TensorAtom(TypeContext(), np.zeros(3), RealArray((3,)))
+        with pytest.raises(FunsorTypeError):
+            tensor_contract(REDUCE_OPS["logaddexp"], [vec], [])
+        a = TensorAtom(TypeContext([("i", Bounded(2))]), np.zeros(2))
+        with pytest.raises(NameAbsent):
+            tensor_contract(REDUCE_OPS["logaddexp"], [a], ["j"])
+
+
+class TestRename:
+    def test_arange_index_over_fresh_name_is_a_view(self):
+        rng = np.random.default_rng(27)
+        a = random_atom(rng, [("i", Bounded(3)), ("j", Bounded(4))])
+        idx = index_tensor(TypeContext([("x", Bounded(3))]), np.arange(3.0), 3)
+        out = tensor_index(a, "i", idx)
+        assert out.context.names == ("j", "x")
+        assert np.shares_memory(out.data, a.data)
+        np.testing.assert_array_equal(out.data, a.data.T)
+
+    def test_diagonal_and_permutation_keep_the_gather(self):
+        rng = np.random.default_rng(28)
+        a = random_atom(rng, [("i", Bounded(3)), ("j", Bounded(3))])
+        diag = tensor_index(
+            a, "i", index_tensor(TypeContext([("j", Bounded(3))]), np.arange(3.0), 3)
+        )
+        assert diag.context.names == ("j",)
+        np.testing.assert_array_equal(diag.data, np.diag(a.data))
+        perm = tensor_index(
+            a, "i", index_tensor(TypeContext([("x", Bounded(3))]), np.array([2.0, 0, 1]), 3)
+        )
+        assert not np.shares_memory(perm.data, a.data)
+        np.testing.assert_array_equal(perm.data, a.data[[2, 0, 1]].T)
 
 
 class TestEval:
