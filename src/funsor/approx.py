@@ -26,7 +26,6 @@ from .gaussian import (
     GaussianAtom,
     _chol_solve,
     _cholesky_jitter,
-    _expand_to,
     gaussian_log_normalizer,
 )
 from .interp import (
@@ -41,7 +40,14 @@ from .interp import (
     reduce_term,
 )
 from .ops import ADD, LOGADDEXP_REDUCE, SUB
-from .tensor import TensorAtom, logsumexp, tensor_apply, tensor_reduce, zeros_tensor
+from .tensor import (
+    TensorAtom,
+    align_array,
+    logsumexp,
+    tensor_apply,
+    tensor_reduce,
+    zeros_tensor,
+)
 from .terms import DeltaLeaf, GaussianLeaf, Reduce, TensorLeaf, Term
 
 
@@ -84,10 +90,8 @@ def moment_match(
     bounds = tuple(tp.size for _, tp in union.entries)
     d = g.dim
 
-    i_full = np.broadcast_to(_expand_to(g.info_vec, g.batch, union, 1), bounds + (d,))
-    p_full = np.broadcast_to(
-        _expand_to(g.precision, g.batch, union, 2), bounds + (d, d)
-    )
+    i_full = np.broadcast_to(align_array(g.info_vec, g.batch, union), bounds + (d,))
+    p_full = np.broadcast_to(align_array(g.precision, g.batch, union), bounds + (d, d))
     chol = _cholesky_jitter(p_full)
     mu = _chol_solve(chol, i_full[..., None])[..., 0]
     eye = np.broadcast_to(np.eye(d), bounds + (d, d))

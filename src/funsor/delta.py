@@ -57,39 +57,3 @@ def point_context(delta: DeltaAtom) -> TypeContext:
         TypeContext([(delta.name, delta.point.output)])
     )
 
-
-def delta_product_trigger(delta: DeltaAtom, other):
-    """Pin ``delta``'s variable inside a co-factor of a product.
-
-    Returns ``delta * other[name := point]`` as a term when the variable is
-    free in ``other``, or None to decline when it is not mentioned.
-    """
-    # Substitution machinery lives a layer up; import here to avoid a cycle.
-    from .interp import lift, subst_term, to_term
-    from .ops import ADD
-    from .terms import TensorLeaf, free_vars
-
-    other = to_term(other)
-    if delta.name not in free_vars(other):
-        return None
-    pinned = subst_term(other, {delta.name: TensorLeaf(delta.point)})
-    return lift(ADD, to_term(delta), pinned)
-
-
-def delta_sum_eliminate(delta: DeltaAtom, rest=None):
-    """Drop ``sum_v delta(v, p) * rest`` down to ``rest``.
-
-    Valid only when ``rest`` does not mention the variable (run
-    ``delta_product_trigger`` first otherwise); returns None to decline.
-    A lone delta integrates to one, so ``rest=None`` yields scalar 0.
-    """
-    from .interp import to_term
-    from .tensor import scalar_tensor
-    from .terms import free_vars
-
-    if rest is None:
-        return to_term(scalar_tensor(0.0))
-    rest = to_term(rest)
-    if delta.name in free_vars(rest):
-        return None
-    return rest

@@ -191,13 +191,3 @@ class TypeContext:
     def __repr__(self) -> str:
         return f"TypeContext{self.pretty()}"
 
-
-EMPTY_CONTEXT = TypeContext()
-
-
-def context_union(a: TypeContext, b: TypeContext) -> TypeContext:
-    return a.union(b)
-
-
-def context_remove(ctx: TypeContext, name: str) -> TypeContext:
-    return ctx.remove(name)

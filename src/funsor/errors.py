@@ -46,16 +46,8 @@ class ContextMismatch(FunsorError, TypeError):
     """Operands carry incompatible typing contexts."""
 
 
-class RealVarNotSupported(FunsorError):
-    """A real-typed variable appeared where only bounded integers are legal."""
-
-
 class RankDeficient(FunsorError):
     """A matrix that must be positive definite is singular or indefinite."""
-
-
-class MissingAssignment(FunsorError):
-    """Evaluation was requested without a value for some free variable."""
 
 
 class NotAffine(FunsorError):

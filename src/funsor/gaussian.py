@@ -27,7 +27,7 @@ from .errors import (
     NameAbsent,
     RankDeficient,
 )
-from .tensor import TensorAtom, tensor_cat, tensor_index
+from .tensor import TensorAtom, align_array, tensor_cat, tensor_index
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -190,28 +190,12 @@ def _aligned_params(
         cols = np.asarray(cols, dtype=np.int64)
         i_full = np.zeros(bounds + (dim,))
         p_full = np.zeros(bounds + (dim, dim))
-        i_view = _expand_to(g.info_vec, g.batch, union_batch, 1)
-        p_view = _expand_to(g.precision, g.batch, union_batch, 2)
-        i_full[..., cols] = i_view
-        p_full[(Ellipsis, cols[:, None], cols[None, :])] = p_view
+        i_full[..., cols] = align_array(g.info_vec, g.batch, union_batch)
+        p_full[(Ellipsis, cols[:, None], cols[None, :])] = align_array(
+            g.precision, g.batch, union_batch
+        )
         out.append((i_full, p_full))
     return dim, out
-
-
-def _expand_to(arr: np.ndarray, ctx: TypeContext, union: TypeContext, trailing: int):
-    """Permute batch axes into union order and insert singleton axes."""
-    names = ctx.names
-    present = [n for n, _ in union.entries if n in ctx]
-    perm = [names.index(n) for n in present]
-    nb = len(names)
-    arr = arr.transpose(tuple(perm) + tuple(range(nb, arr.ndim)))
-    idx = []
-    for n, _ in union.entries:
-        idx.append(slice(None) if n in ctx else np.newaxis)
-    idx.extend([slice(None)] * trailing)
-    view = arr[tuple(idx)]
-    bounds = tuple(tp.size for _, tp in union.entries)
-    return np.broadcast_to(view, bounds + arr.shape[nb:])
 
 
 def gaussian_fuse(a: GaussianAtom, b: GaussianAtom) -> GaussianAtom:
@@ -315,25 +299,25 @@ def gaussian_substitute(
     union = g.batch.union(value.context)
     bounds = tuple(t.size for _, t in union.entries)
     dv = len(v)
-    x = _expand_to(
+    x = align_array(
         value.data.reshape(value.data.shape[: len(value.context)] + (dv,)),
         value.context,
         union,
-        1,
     )
-    i_v = _expand_to(g.info_vec[..., v], g.batch, union, 1)
-    p_vv = _expand_to(g.precision[..., v[:, None], v[None, :]], g.batch, union, 2)
+    i_v = align_array(g.info_vec[..., v], g.batch, union)
+    p_vv = align_array(g.precision[..., v[:, None], v[None, :]], g.batch, union)
     t = np.einsum("...d,...d->...", i_v, x) - 0.5 * np.einsum(
         "...d,...de,...e->...", x, p_vv, x
     )
     const = TensorAtom(union, t)
     if len(u) == 0:
         return const, None
-    i_u = _expand_to(g.info_vec[..., u], g.batch, union, 1)
-    p_uv = _expand_to(g.precision[..., u[:, None], v[None, :]], g.batch, union, 2)
-    p_uu = _expand_to(g.precision[..., u[:, None], u[None, :]], g.batch, union, 2)
+    i_u = align_array(g.info_vec[..., u], g.batch, union)
+    p_uv = align_array(g.precision[..., u[:, None], v[None, :]], g.batch, union)
+    p_uu = align_array(g.precision[..., u[:, None], u[None, :]], g.batch, union)
     i_new = i_u - np.einsum("...uv,...v->...u", p_uv, x)
-    rest = GaussianAtom(union, g.reals.remove(name), i_new, np.ascontiguousarray(p_uu))
+    p_uu = np.broadcast_to(p_uu, bounds + (len(u), len(u)))
+    rest = GaussianAtom(union, g.reals.remove(name), i_new, p_uu)
     return const, rest
 
 
@@ -434,24 +418,22 @@ def gaussian_affine_substitute(
         nlo, nhi = new_offsets[n]
         m_map[..., np.arange(lo, hi), np.arange(nlo, nhi)] = 1.0
     vlo, vhi = old_offsets[name]
-    m_vec[..., vlo:vhi] = _expand_to(
+    m_vec[..., vlo:vhi] = align_array(
         const.data.reshape(const.data.shape[: len(const.context)] + (dv,)),
         const.context,
         union,
-        1,
     )
     for u_name, u_type, mat in coeffs:
         nlo, nhi = new_offsets[u_name]
-        block = _expand_to(
+        block = align_array(
             mat.data.reshape(mat.data.shape[: len(mat.context)] + (dv, u_type.num_elements)),
             mat.context,
             union,
-            2,
         )
         m_map[..., vlo:vhi, nlo:nhi] += block
 
-    i_old = _expand_to(g.info_vec, g.batch, union, 1)
-    p_old = _expand_to(g.precision, g.batch, union, 2)
+    i_old = align_array(g.info_vec, g.batch, union)
+    p_old = align_array(g.precision, g.batch, union)
     t = np.einsum("...d,...d->...", i_old, m_vec) - 0.5 * np.einsum(
         "...d,...de,...e->...", m_vec, p_old, m_vec
     )

@@ -11,9 +11,16 @@ interpretation.  Terms no rule claims are left as lazy syntax.
 The default interpretation is Exact, which evaluates products,
 substitutions and reductions of the atomic factors in closed form and
 leaves everything else lazy.  Lazy only pushes substitutions through
-non-atomic structure.  A thread-local stack makes the choice dynamically
-scoped; a fuel counter bounds rule applications per top-level evaluation
-(default 10000, overridable via the ``FUNSOR_FUEL`` environment variable).
+non-atomic structure, and its rule is the only code that pushes a
+substitution through ``Apply``, ``Subst``, ``Reduce``, ``MarkovProd`` and
+``Cat``; every interpretation falls back to it.  A bound variable that a
+substituted value would capture is renamed inside the same simultaneous
+substitution, so the rename is resolved by the current interpretation's
+rules like any other binding.
+
+A thread-local stack makes the choice dynamically scoped; a fuel counter
+bounds rule applications per top-level evaluation (default 10000,
+overridable via the ``FUNSOR_FUEL`` environment variable).
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ from .domains import Bounded, RealArray, TypeContext
 from .errors import (
     FuelExhausted,
     FunsorTypeError,
+    InvalidMatching,
     NotAffine,
     StackUnderflow,
 )
@@ -79,7 +87,6 @@ from .terms import (
     Term,
     Variable,
     fresh_name,
-    substitute,
 )
 
 DEFAULT_FUEL = 10_000
@@ -317,7 +324,12 @@ def subst_term(base, bindings: Dict[str, Term]) -> Term:
             raise FunsorTypeError(f"cannot bind {name!r} to {value!r}")
     if not coerced:
         return base
-    return dispatch(Subst(base, coerced))
+    node = Subst(base, coerced)
+    if isinstance(base, Variable):
+        # A bound variable is its value under every interpretation; no
+        # rule needs to fire (or spend fuel) for it.
+        return coerced[base.name]
+    return dispatch(node)
 
 
 def markov_term(timevar: str, step, body) -> Term:
@@ -378,6 +390,16 @@ _install_operators()
 # Normal form.
 
 
+def _chain_add(parts: Sequence[Term]) -> Term:
+    """Raw left-nested ``ADD`` of the parts; no parts is the scalar 0."""
+    if not parts:
+        return TensorLeaf(scalar_tensor(0.0))
+    out = parts[0]
+    for p in parts[1:]:
+        out = Apply(ADD, [out, p])
+    return out
+
+
 @dataclass
 class NormalForm:
     """A flat product: point masses, one tensor, one Gaussian, lazy rest."""
@@ -394,21 +416,7 @@ class NormalForm:
         if self.gaussian is not None:
             parts.append(GaussianLeaf(self.gaussian))
         parts.extend(self.lazy_rest)
-        if not parts:
-            return TensorLeaf(scalar_tensor(0.0))
-        out = parts[0]
-        for p in parts[1:]:
-            out = Apply(ADD, [out, p])
-        return out
-
-    @property
-    def parts_count(self) -> int:
-        return (
-            len(self.deltas)
-            + (self.tensor is not None)
-            + (self.gaussian is not None)
-            + len(self.lazy_rest)
-        )
+        return _chain_add(parts)
 
 
 def flatten_product(term: Term) -> List[Term]:
@@ -548,6 +556,9 @@ def affine_decompose(expr: Term):
     if not isinstance(out_tp, RealArray):
         return None
     dv = out_tp.num_elements
+    # Fold constant subterms once, so that each probe only pushes its
+    # bindings; a lazily built expression may hold unfolded constants.
+    expr = interpret(EXACT, expr)
 
     def probe(values: Dict[str, np.ndarray]) -> Optional[TensorAtom]:
         bindings = {
@@ -555,7 +566,7 @@ def affine_decompose(expr: Term):
             for n, tp in real_entries
         }
         with interpretation(EXACT):
-            ev = reinterpret(substitute(expr, bindings))
+            ev = subst_term(expr, bindings)
         if isinstance(ev, TensorLeaf):
             return ev.atom
         return None
@@ -610,15 +621,6 @@ def affine_substitute(g, name: str, expr):
 # Exact rules.
 
 
-def _chain_add(parts: Sequence[Term]) -> Term:
-    if not parts:
-        return TensorLeaf(scalar_tensor(0.0))
-    out = parts[0]
-    for p in parts[1:]:
-        out = Apply(ADD, [out, p])
-    return out
-
-
 def _h_variable(node: Variable) -> Optional[Term]:
     if isinstance(node.tp, Bounded):
         n = node.tp.size
@@ -645,28 +647,38 @@ def _h_product_normalize(node: Apply) -> Optional[Term]:
     return candidate
 
 
-def _overlap_renames(todo: Dict[str, Term]) -> Dict[str, str]:
+def _overlap_renames(ctx: TypeContext, node: Subst, todo: Dict[str, object]):
+    """Split an atom's bindings into the ones a rule resolves and the rest.
+
+    ``todo`` maps the names the rule resolves to its payloads.  Rules apply
+    those one at a time and hand the leftover bindings back to
+    ``subst_term``, so a value mentioning any bound name would be captured
+    by a later step.  In that case every bound name of the atom is renamed
+    fresh.  Returns the renames for the atom, then ``todo`` and the
+    leftover bindings, both keyed by the new names.
+    """
+    bindings = {n: v for n, v in node.bindings if n in ctx}
     value_names = set()
-    for v in todo.values():
+    for v in bindings.values():
         value_names.update(v.free_vars.names)
-    if value_names & set(todo):
-        return {n: fresh_name(n) for n in todo}
-    return {}
+    renames = {}
+    if not value_names.isdisjoint(bindings):
+        renames = {n: fresh_name(n) for n in bindings}
+    leftover = {renames.get(n, n): v for n, v in bindings.items() if n not in todo}
+    return renames, {renames.get(n, n): p for n, p in todo.items()}, leftover
 
 
-def _apply_index_bindings(
-    atom: TensorAtom, todo: Dict[str, Term], renames: Dict[str, str]
-) -> TensorAtom:
-    if renames:
-        atom = _rename_tensor(atom, renames)
+def _apply_index_bindings(atom: TensorAtom, todo: Dict[str, Term]) -> TensorAtom:
     for n, v in todo.items():
-        axis = renames.get(n, n)
-        if isinstance(v, Slice):
-            atom = tensor_slice(atom, axis, v.start, v.stop, v.stride)
-            if v.over != axis:
-                atom = _rename_tensor(atom, {axis: v.over})
+        if not isinstance(v, Slice):
+            atom = tensor_index(atom, n, v.atom)
+        elif v.over != n and v.over in atom.context:
+            # The slice runs along another axis of the atom: a diagonal.
+            atom = tensor_index(atom, n, v.to_tensor())
         else:
-            atom = tensor_index(atom, axis, v.atom)
+            atom = tensor_slice(atom, n, v.start, v.stop, v.stride)
+            if v.over != n:
+                atom = _rename_tensor(atom, {n: v.over})
     return atom
 
 
@@ -674,15 +686,16 @@ def _h_subst_tensor(node: Subst) -> Optional[Term]:
     base = node.base
     if not isinstance(base, TensorLeaf):
         return None
-    bindings = node.binding_map()
+    atom = base.atom
     todo = {
-        n: v for n, v in bindings.items()
-        if n in base.atom.context and _is_index_value(v)
+        n: v for n, v in node.bindings if n in atom.context and _is_index_value(v)
     }
     if not todo:
         return None
-    leftover = {n: v for n, v in bindings.items() if n not in todo}
-    out = TensorLeaf(_apply_index_bindings(base.atom, todo, _overlap_renames(todo)))
+    renames, todo, leftover = _overlap_renames(atom.context, node, todo)
+    if renames:
+        atom = _rename_tensor(atom, renames)
+    out = TensorLeaf(_apply_index_bindings(atom, todo))
     if leftover:
         return subst_term(out, leftover)
     return out
@@ -695,64 +708,38 @@ def _h_subst_gaussian(node: Subst) -> Optional[Term]:
     if not isinstance(base, GaussianLeaf):
         return None
     g = base.atom
-    bindings = node.binding_map()
-    batch_todo = {
-        n: v for n, v in bindings.items() if n in g.batch and _is_index_value(v)
-    }
-    real_todo: Dict[str, tuple] = {}
-    for n, v in bindings.items():
-        if n in g.reals:
+    todo: Dict[str, object] = {}
+    for n, v in node.bindings:
+        if n in g.batch and _is_index_value(v):
+            todo[n] = v
+        elif n in g.reals:
             if isinstance(v, TensorLeaf):
-                real_todo[n] = ("ground", v.atom)
+                todo[n] = ("ground", v.atom)
             else:
                 dec = affine_decompose(v)
                 if dec is not None:
-                    real_todo[n] = ("affine", dec)
-    if not batch_todo and not real_todo:
+                    todo[n] = ("affine", dec)
+    if not todo:
         return None
-    leftover = {
-        n: v for n, v in bindings.items()
-        if n not in batch_todo and n not in real_todo
-    }
-
-    applied = set(batch_todo) | set(real_todo)
-    value_fvs = set()
-    for v in batch_todo.values():
-        value_fvs.update(v.free_vars.names)
-    for kind, payload in real_todo.values():
-        if kind == "ground":
-            value_fvs.update(payload.context.names)
-        else:
-            const, coeffs = payload
-            value_fvs.update(const.context.names)
-            for un, _, mat in coeffs:
-                value_fvs.add(un)
-                value_fvs.update(mat.context.names)
-    renames = (
-        {n: fresh_name(n) for n in applied} if value_fvs & applied else {}
-    )
+    renames, todo, leftover = _overlap_renames(g.context, node, todo)
     if renames:
         g = gaussian_rename(g, renames)
-        batch_todo = {renames.get(n, n): v for n, v in batch_todo.items()}
-        real_todo = {renames.get(n, n): v for n, v in real_todo.items()}
 
+    batch_todo = {n: v for n, v in todo.items() if n in g.batch}
+    real_todo = {n: p for n, p in todo.items() if n not in batch_todo}
     if batch_todo:
-        info = _apply_index_bindings(g.info_atom(), batch_todo, {})
-        prec = _apply_index_bindings(g.precision_atom(), batch_todo, {})
+        info = _apply_index_bindings(g.info_atom(), batch_todo)
+        prec = _apply_index_bindings(g.precision_atom(), batch_todo)
         g = GaussianAtom(info.context, g.reals, info.data, prec.data)
 
-    consts: List[TensorAtom] = []
-    for n, (kind, payload) in real_todo.items():
-        if kind == "ground":
-            const, g = gaussian_substitute(g, n, payload)
-        else:
-            const_atom, coeffs = payload
-            const, g = gaussian_affine_substitute(g, n, const_atom, coeffs)
-        consts.append(const)
-
     tensor = None
-    for c in consts:
-        tensor = _fuse_tensor(tensor, c)
+    for n, (kind, value) in real_todo.items():
+        if kind == "ground":
+            const, g = gaussian_substitute(g, n, value)
+        else:
+            const, g = gaussian_affine_substitute(g, n, *value)
+        tensor = _fuse_tensor(tensor, const)
+
     parts: List[Term] = []
     if tensor is not None:
         parts.append(TensorLeaf(tensor))
@@ -785,30 +772,23 @@ def _h_subst_delta(node: Subst) -> Optional[Term]:
     if not isinstance(base, DeltaLeaf):
         return None
     d = base.atom
-    bindings = node.binding_map()
-    point = d.point
-    point_todo = {
-        n: v for n, v in bindings.items()
-        if n in point.context and _is_index_value(v)
+    todo = {
+        n: v for n, v in node.bindings if n in d.point.context and _is_index_value(v)
     }
-    if point_todo:
-        point = _apply_index_bindings(point, point_todo, _overlap_renames(point_todo))
-    name_value = bindings.get(d.name)
-    leftover = {
-        n: v for n, v in bindings.items()
-        if n not in point_todo and n != d.name
-    }
-    if name_value is not None and isinstance(name_value, TensorLeaf):
+    name_value = node.binding_map().get(d.name)
+    if isinstance(name_value, TensorLeaf):
+        todo[d.name] = name_value
+    if not todo:
+        return None
+    renames, todo, leftover = _overlap_renames(base.free_vars, node, todo)
+    name = renames.get(d.name, d.name)
+    point = _rename_tensor(d.point, renames) if renames else d.point
+    name_value = todo.pop(name, None)
+    point = _apply_index_bindings(point, todo)
+    if name_value is not None:
         out: Term = TensorLeaf(_delta_indicator(point, name_value.atom))
-    elif name_value is not None:
-        leftover[d.name] = name_value
-        if not point_todo:
-            return None
-        out = DeltaLeaf(DeltaAtom(d.name, point))
     else:
-        if not point_todo:
-            return None
-        out = DeltaLeaf(DeltaAtom(d.name, point))
+        out = DeltaLeaf(DeltaAtom(name, point))
     if leftover:
         return subst_term(out, leftover)
     return out
@@ -837,31 +817,23 @@ def _h_subst_cat(node: Subst) -> Optional[Term]:
     if not isinstance(base, Cat):
         return None
     bindings = node.binding_map()
-    counts = base.part_counts()
-    if base.over in bindings:
-        v = bindings[base.over]
-        if not (
-            isinstance(v, TensorLeaf)
-            and isinstance(v.atom.output, Bounded)
-            and not v.atom.context
-        ):
-            return None
-        k = int(v.atom.data)
-        inner = {n: w for n, w in bindings.items() if n != base.over}
-        offset = 0
-        for part, cnt in zip(base.parts, counts):
-            if k < offset + cnt:
-                idx = index_tensor(TypeContext(), np.float64(k - offset), cnt)
-                picked = subst_term(part, {base.over: TensorLeaf(idx)})
-                return subst_term(picked, inner) if inner else picked
-            offset += cnt
+    v = bindings.get(base.over)
+    if not (
+        isinstance(v, TensorLeaf)
+        and isinstance(v.atom.output, Bounded)
+        and not v.atom.context
+    ):
         return None
-    value_fvs = set()
-    for v in bindings.values():
-        value_fvs.update(v.free_vars.names)
-    if base.over in value_fvs:
-        return None
-    return cat_term(base.over, [subst_term(p, bindings) for p in base.parts])
+    k = int(v.atom.data)
+    inner = {n: w for n, w in bindings.items() if n != base.over}
+    offset = 0
+    for part, cnt in zip(base.parts, base.part_counts()):
+        if k < offset + cnt:
+            idx = index_tensor(TypeContext(), np.float64(k - offset), cnt)
+            picked = subst_term(part, {base.over: TensorLeaf(idx)})
+            return subst_term(picked, inner) if inner else picked
+        offset += cnt
+    return None
 
 
 def _h_reduce_tensor(node: Reduce) -> Optional[Term]:
@@ -1016,6 +988,19 @@ def _h_cat(node: Cat) -> Optional[Term]:
 # Lazy rules: push substitutions through structure, defer everything else.
 
 
+def _rename_binder(binder: str, body: Term, bindings: Dict[str, Term]):
+    """Step a bound name aside when a substituted value would capture it.
+
+    The rename joins the same simultaneous substitution as the other
+    bindings, so the current interpretation resolves it like any of them.
+    Returns the binder's name and the bindings to push into ``body``.
+    """
+    if all(binder not in v.free_vars for v in bindings.values()):
+        return binder, bindings
+    fresh = fresh_name(binder)
+    return fresh, {**bindings, binder: var(fresh, body.free_vars.typeof(binder))}
+
+
 def _h_lazy_subst(node: Subst) -> Optional[Term]:
     base = node.base
     bindings = {n: v for n, v in node.bindings if n in base.free_vars}
@@ -1032,16 +1017,13 @@ def _h_lazy_subst(node: Subst) -> Optional[Term]:
             if n not in inner and n in base.base.free_vars:
                 composed[n] = v
         return subst_term(base.base, composed)
+    value_fvs = set()
+    for v in bindings.values():
+        value_fvs.update(v.free_vars.names)
     if isinstance(base, Reduce):
-        from .terms import alpha_rename
-
-        if any(base.var in v.free_vars for v in bindings.values()):
-            base = alpha_rename(base, fresh_name(base.var))
-        return reduce_term(base.op, base.var, subst_term(base.body, bindings))
+        rvar, inner = _rename_binder(base.var, base.body, bindings)
+        return reduce_term(base.op, rvar, subst_term(base.body, inner))
     if isinstance(base, MarkovProd):
-        from .errors import InvalidMatching
-        from .terms import alpha_rename
-
         matched = set()
         for prev, curr in base.step:
             matched.add(prev)
@@ -1052,23 +1034,14 @@ def _h_lazy_subst(node: Subst) -> Optional[Term]:
                 f"cannot substitute matched names {sorted(hit)} under a"
                 " chained product; rename them first"
             )
-        value_fvs = set()
-        for v in bindings.values():
-            value_fvs.update(v.free_vars.names)
         if value_fvs & matched:
             raise InvalidMatching(
                 "substitution value mentions a matched name of a chained product"
             )
-        if base.timevar in value_fvs:
-            base = alpha_rename(base, fresh_name(base.timevar))
-        return markov_term(base.timevar, base.step, subst_term(base.body, bindings))
+        tv, inner = _rename_binder(base.timevar, base.body, bindings)
+        return markov_term(tv, base.step, subst_term(base.body, inner))
     if isinstance(base, Cat):
-        if base.over in bindings:
-            return None
-        value_fvs = set()
-        for v in bindings.values():
-            value_fvs.update(v.free_vars.names)
-        if base.over in value_fvs:
+        if base.over in bindings or base.over in value_fvs:
             return None
         return cat_term(base.over, [subst_term(p, bindings) for p in base.parts])
     return None

@@ -14,7 +14,7 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-from .errors import BoundsError, InvalidMatching
+from .errors import BoundsError
 from .interp import cat_term, flatten_product, subst_term, var
 from .ops import REDUCE_OPS
 from .terms import MarkovProd, Slice, Term, fresh_name
@@ -48,31 +48,6 @@ def scan_mode(mode: str, elim: str = "logaddexp", stats: Optional[Dict] = None):
         yield
     finally:
         _SCAN.mode, _SCAN.elim, _SCAN.stats = prev
-
-
-def validate_step(body: Term, timevar: str, step) -> None:
-    """Check that a step matching is legal for the given body.
-
-    Matched names must be pairwise distinct, must not include the time
-    variable, and each pair must name two identically typed free
-    variables of the body.
-    """
-    pairs = [tuple(p) for p in step]
-    names = [n for pair in pairs for n in pair]
-    if timevar in names:
-        raise InvalidMatching(f"time variable {timevar!r} cannot be matched")
-    if len(set(names)) != 2 * len(pairs):
-        raise InvalidMatching(f"matched names must be distinct: {pairs}")
-    ctx = body.free_vars
-    for prev, curr in pairs:
-        for n in (prev, curr):
-            if n not in ctx:
-                raise InvalidMatching(f"matched name {n!r} not free in body")
-        if ctx.typeof(prev) != ctx.typeof(curr):
-            raise InvalidMatching(
-                f"pair ({prev!r}, {curr!r}) must share one type, got"
-                f" {ctx.typeof(prev).pretty()} and {ctx.typeof(curr).pretty()}"
-            )
 
 
 def markov_sequential(body: Term, timevar: str, step) -> Term:

@@ -112,6 +112,20 @@ def observation_factor(H, R, y) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return info, prec, const
 
 
+def _gaussian_factor(
+    batch: TypeContext, reals: TypeContext, info, prec, const
+) -> Term:
+    """A quadratic factor plus its constant, as one lazy sum.
+
+    ``const`` is a table over ``batch`` (a scalar when ``batch`` is empty);
+    ``prec`` is broadcast over ``batch`` when it lacks the batch axes.
+    """
+    bounds = tuple(tp.size for _, tp in batch.entries)
+    prec = np.broadcast_to(prec, bounds + np.shape(prec)[-2:])
+    g = to_term(GaussianAtom(batch, reals, info, prec))
+    return lift("add", g, to_term(TensorAtom(batch, const)))
+
+
 def _log_rows(p: np.ndarray, what: str) -> np.ndarray:
     """Log of row-stochastic data; rows must sum to one within 1e-9."""
     sums = p.sum(axis=-1)
@@ -218,24 +232,11 @@ def kalman_factors(spec: KalmanSpec) -> Tuple[Term, Term, Optional[Term]]:
     T, m = spec.observations.shape
     reals = TypeContext([("prev", RealArray((n,))), ("curr", RealArray((n,)))])
     i_tr, p_tr, c_tr = conditional_gaussian(spec.F, np.zeros(n), spec.Q)
-    trans = lift(
-        "add",
-        to_term(GaussianAtom(TypeContext(), reals, i_tr, p_tr)),
-        to_term(float(c_tr)),
-    )
+    trans = _gaussian_factor(TypeContext(), reals, i_tr, p_tr, c_tr)
     t_ctx = TypeContext([("t", Bounded(T))])
     if spec.bias_cov is None:
         i_ob, p_ob, c_ob = observation_factor(spec.H, spec.R, spec.observations)
         obs_reals = TypeContext([("curr", RealArray((n,)))])
-        obs = lift(
-            "add",
-            to_term(
-                GaussianAtom(
-                    t_ctx, obs_reals, i_ob, np.broadcast_to(p_ob, (T, n, n))
-                )
-            ),
-            to_term(TensorAtom(t_ctx, c_ob)),
-        )
         bias_prior = None
     else:
         stacked = np.concatenate([spec.H, np.eye(m)], axis=1)
@@ -243,40 +244,15 @@ def kalman_factors(spec: KalmanSpec) -> Tuple[Term, Term, Optional[Term]]:
         obs_reals = TypeContext(
             [("curr", RealArray((n,))), ("bias", RealArray((m,)))]
         )
-        obs = lift(
-            "add",
-            to_term(
-                GaussianAtom(
-                    t_ctx, obs_reals, i_ob, np.broadcast_to(p_ob, (T, n + m, n + m))
-                )
-            ),
-            to_term(TensorAtom(t_ctx, c_ob)),
-        )
         i_b, p_b, c_b = dense_gaussian(np.zeros(m), spec.bias_cov)
-        bias_prior = lift(
-            "add",
-            to_term(
-                GaussianAtom(
-                    TypeContext(),
-                    TypeContext([("bias", RealArray((m,)))]),
-                    i_b,
-                    p_b,
-                )
-            ),
-            to_term(float(c_b)),
-        )
+        bias_reals = TypeContext([("bias", RealArray((m,)))])
+        bias_prior = _gaussian_factor(TypeContext(), bias_reals, i_b, p_b, c_b)
+    obs = _gaussian_factor(t_ctx, obs_reals, i_ob, p_ob, c_ob)
     body = lift("add", trans, obs)
     chain = markov_term("t", [("prev", "curr")], body)
     i_0, p_0, c_0 = dense_gaussian(spec.init_mean, spec.init_cov)
-    prior = lift(
-        "add",
-        to_term(
-            GaussianAtom(
-                TypeContext(), TypeContext([("prev", RealArray((n,)))]), i_0, p_0
-            )
-        ),
-        to_term(float(c_0)),
-    )
+    prev_reals = TypeContext([("prev", RealArray((n,)))])
+    prior = _gaussian_factor(TypeContext(), prev_reals, i_0, p_0, c_0)
     return prior, chain, bias_prior
 
 
@@ -358,23 +334,13 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
             s_t = f"s{t}"
             x_t = f"x{t}"
             s_ctx = TypeContext([(s_t, Bounded(K))])
+            x_reals = TypeContext([(x_t, RealArray((n,)))])
             if t == 0:
                 joint = lift(
                     "add", joint, to_term(TensorAtom(s_ctx, log_trans[0]))
                 )
-                joint = lift(
-                    "add",
-                    joint,
-                    to_term(
-                        GaussianAtom(
-                            TypeContext(),
-                            TypeContext([(x_t, RealArray((n,)))]),
-                            i_0,
-                            p_0,
-                        )
-                    ),
-                )
-                joint = lift("add", joint, to_term(float(c_0)))
+                init = _gaussian_factor(TypeContext(), x_reals, i_0, p_0, c_0)
+                joint = lift("add", joint, init)
             else:
                 pair_ctx = TypeContext(
                     [(f"s{t - 1}", Bounded(K)), (s_t, Bounded(K))]
@@ -385,28 +351,13 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
                 dyn_reals = TypeContext(
                     [(f"x{t - 1}", RealArray((n,))), (x_t, RealArray((n,)))]
                 )
-                joint = lift(
-                    "add",
-                    joint,
-                    to_term(GaussianAtom(s_ctx, dyn_reals, i_dyn, p_dyn)),
-                )
-                joint = lift("add", joint, to_term(TensorAtom(s_ctx, c_dyn)))
+                dyn = _gaussian_factor(s_ctx, dyn_reals, i_dyn, p_dyn, c_dyn)
+                joint = lift("add", joint, dyn)
             i_ob, p_ob, c_ob = observation_factor(
                 spec.H, spec.R, observations[t]
             )
-            joint = lift(
-                "add",
-                joint,
-                to_term(
-                    GaussianAtom(
-                        TypeContext(),
-                        TypeContext([(x_t, RealArray((n,)))]),
-                        i_ob,
-                        p_ob,
-                    )
-                ),
-            )
-            joint = lift("add", joint, to_term(float(c_ob)))
+            obs = _gaussian_factor(TypeContext(), x_reals, i_ob, p_ob, c_ob)
+            joint = lift("add", joint, obs)
             if t >= L:
                 joint = reduce_term("logaddexp", f"x{t - L}", joint)
                 joint = reduce_term("logaddexp", f"s{t - L}", joint)
@@ -489,10 +440,8 @@ def build_gmm(spec: GmmSpec) -> Term:
         zs = var("zs", RealArray((K, dz)))
         c_ctx = TypeContext([("c", Bounded(K))])
         cond_reals = TypeContext([("z", RealArray((dz,))), ("x", RealArray((dx,)))])
-        cond = lift(
-            "add",
-            to_term(GaussianAtom(c_ctx, cond_reals, spec.cond_info, spec.cond_prec)),
-            to_term(TensorAtom(c_ctx, c_c)),
+        cond = _gaussian_factor(
+            c_ctx, cond_reals, spec.cond_info, spec.cond_prec, c_c
         )
         weights = to_term(TensorAtom(c_ctx, np.full(K, -math.log(K))))
         prior = lift("add", to_term(prior_atom), to_term(float(c_z)))

@@ -141,24 +141,18 @@ def index_tensor(context: TypeContext, data, bound: int) -> TensorAtom:
     return TensorAtom(context, data, Bounded(bound))
 
 
-def _align_one(atom: TensorAtom, union: TypeContext, out_rank: int) -> np.ndarray:
-    """View of the atom's data permuted and padded to the union layout."""
-    names = atom.context.names
-    present = [n for n, _ in union.entries if n in atom.context]
-    perm = [names.index(n) for n in present]
-    batch_rank = len(names)
-    arr = atom.data.transpose(tuple(perm) + tuple(range(batch_rank, atom.data.ndim)))
-    idx = []
-    pos = 0
-    for n, _ in union.entries:
-        if n in atom.context:
-            idx.append(slice(None))
-            pos += 1
-        else:
-            idx.append(np.newaxis)
-    idx.extend([np.newaxis] * (out_rank - atom.out_rank))
-    idx.extend([slice(None)] * atom.out_rank)
-    return arr[tuple(idx)]
+def align_array(arr: np.ndarray, ctx: TypeContext, union: TypeContext) -> np.ndarray:
+    """View of ``arr`` with its batch axes laid out over ``union``.
+
+    The leading axes of ``arr`` are the batch axes named by ``ctx``; they
+    are permuted into ``union`` order, with a singleton axis for each
+    union name ``ctx`` lacks.  Trailing axes are kept as they are.
+    """
+    names = ctx.names
+    nb = len(names)
+    perm = [names.index(n) for n, _ in union.entries if n in ctx]
+    arr = arr.transpose(tuple(perm) + tuple(range(nb, arr.ndim)))
+    return arr[tuple(slice(None) if n in ctx else np.newaxis for n, _ in union.entries)]
 
 
 def align_atoms(atoms: Sequence[TensorAtom]):
@@ -171,7 +165,14 @@ def align_atoms(atoms: Sequence[TensorAtom]):
     for a in atoms:
         union = union.union(a.context)
     out_rank = max((a.out_rank for a in atoms), default=0)
-    return union, [_align_one(a, union, out_rank) for a in atoms]
+    views = []
+    for a in atoms:
+        view = align_array(a.data, a.context, union)
+        if a.out_rank < out_rank:
+            pad = range(len(union), len(union) + out_rank - a.out_rank)
+            view = np.expand_dims(view, tuple(pad))
+        views.append(view)
+    return union, views
 
 
 def _broadcast_full(arr: np.ndarray, union: TypeContext, trailing: Tuple[int, ...]):
@@ -204,12 +205,6 @@ def tensor_take(arr: TensorAtom, idx: TensorAtom) -> TensorAtom:
     grids = np.indices(tuple(tp.size for _, tp in union.entries), sparse=True)
     data = a[(*grids, i.astype(np.int64))]
     return TensorAtom(union, data, out_type)
-
-
-def align(a: TensorAtom, b: TensorAtom):
-    """Two-atom alignment: union context plus broadcast-ready views of both."""
-    union, (va, vb) = align_atoms([a, b])
-    return union, va, vb
 
 
 def tensor_reduce(op: ReduceOp, atom: TensorAtom, name: str) -> TensorAtom:
@@ -440,7 +435,7 @@ def tensor_index(atom: TensorAtom, name: str, idx: TensorAtom) -> TensorAtom:
     arr = arr.transpose(sub_perm)[tuple(expander)]
     arr = np.broadcast_to(arr, (tp.size,) + bounds + atom.out_shape)
 
-    iarr = _align_one(idx, union, 0)
+    iarr = align_array(idx.data, idx.context, union)
     iarr = np.broadcast_to(iarr, bounds).astype(np.int64)
     grids = np.indices(bounds, sparse=True)
     data = arr[(iarr, *grids)]
@@ -502,7 +497,6 @@ def tensor_cat(name: str, atoms: Sequence[TensorAtom]) -> TensorAtom:
 
     axis = union.names.index(name)
     pieces = []
-    out_rank = max(a.out_rank for a in atoms)
     out_shape = atoms[0].out_shape
     for a, count in zip(atoms, counts):
         # Give every part a `name` axis of its own count, then align.
@@ -517,7 +511,7 @@ def tensor_cat(name: str, atoms: Sequence[TensorAtom]) -> TensorAtom:
         part_union = TypeContext(
             [(n, lifted.context.typeof(n) if n == name else t) for n, t in union.entries]
         )
-        arr = _align_one(lifted, part_union, out_rank)
+        arr = align_array(lifted.data, lifted.context, part_union)
         bounds = tuple(t.size for _, t in part_union.entries)
         pieces.append(np.broadcast_to(arr, bounds + out_shape))
     data = np.concatenate(pieces, axis=axis)

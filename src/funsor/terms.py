@@ -432,88 +432,6 @@ def infer_type(term: Term) -> Tuple[TypeContext, FunsorType]:
     raise FunsorTypeError(f"not a term: {term!r}", term)
 
 
-def substitute(term: Term, bindings: Dict[str, Term]) -> Term:
-    """Capture-avoiding simultaneous substitution, pushed structurally.
-
-    Pushing stops at numeric leaves and index families, which are wrapped
-    in unevaluated ``Subst`` nodes for an interpretation to resolve.
-    """
-    bindings = {n: v for n, v in dict(bindings).items() if n in term.free_vars}
-    if not bindings:
-        return term
-    if isinstance(term, Variable):
-        return bindings.get(term.name, term)
-    if isinstance(term, Apply):
-        return Apply(term.op, [substitute(a, bindings) for a in term.args])
-    if isinstance(term, Subst):
-        inner = term.binding_map()
-        composed = {n: substitute(v, bindings) for n, v in inner.items()}
-        for n, v in bindings.items():
-            if n not in inner and n in term.base.free_vars:
-                composed[n] = v
-        return Subst(term.base, composed)
-    if isinstance(term, Reduce):
-        var, body = term.var, term.body
-        if any(var in v.free_vars for v in bindings.values()):
-            renamed = fresh_name(var)
-            body = substitute(body, {var: Variable(renamed, body.free_vars.typeof(var))})
-            var = renamed
-        inner = {n: v for n, v in bindings.items() if n != var}
-        return Reduce(term.op, var, substitute(body, inner)) if inner else Reduce(
-            term.op, var, body
-        )
-    if isinstance(term, MarkovProd):
-        matched = {n for pair in term.step for n in pair}
-        hit = matched & set(bindings)
-        if hit:
-            raise InvalidMatching(
-                f"cannot substitute matched boundary names {sorted(hit)} through"
-                " a Markov product"
-            )
-        captured = {
-            n
-            for n, v in bindings.items()
-            if matched & set(v.free_vars.names)
-        }
-        if captured:
-            raise InvalidMatching(
-                f"substitution values for {sorted(captured)} capture matched names"
-            )
-        timevar, body = term.timevar, term.body
-        if any(timevar in v.free_vars for v in bindings.values()):
-            renamed = fresh_name(timevar)
-            body = substitute(
-                body, {timevar: Variable(renamed, body.free_vars.typeof(timevar))}
-            )
-            timevar = renamed
-        inner = {n: v for n, v in bindings.items() if n != timevar}
-        body = substitute(body, inner) if inner else body
-        return MarkovProd(timevar, term.step, body)
-    if isinstance(term, Cat):
-        over = term.over
-        blocked = over in bindings or any(
-            over in v.free_vars for v in bindings.values()
-        )
-        if not blocked:
-            return Cat(over, [substitute(p, bindings) for p in term.parts])
-    return Subst(term, bindings)
-
-
-def alpha_rename(term: Term, new_name: str) -> Term:
-    """Rename a binder (the reduced variable or the time variable)."""
-    if isinstance(term, Reduce):
-        tp = term.body.free_vars.typeof(term.var)
-        return Reduce(term.op, new_name, substitute(term.body, {term.var: Variable(new_name, tp)}))
-    if isinstance(term, MarkovProd):
-        tp = term.body.free_vars.typeof(term.timevar)
-        return MarkovProd(
-            new_name,
-            term.step,
-            substitute(term.body, {term.timevar: Variable(new_name, tp)}),
-        )
-    raise FunsorTypeError(f"nothing to rename on {type(term).__name__}", term)
-
-
 def _pretty_atom_data(atom: TensorAtom) -> str:
     if atom.data.size <= 8:
         return np.array2string(atom.data, separator=",", precision=6)

@@ -7,8 +7,6 @@ from funsor.domains import (
     RealArray,
     TypeContext,
     check_user_name,
-    context_remove,
-    context_union,
     is_discrete,
     is_real,
 )
@@ -85,20 +83,20 @@ class TestTypeContext:
     def test_union_appends_new_names(self):
         a = TypeContext([("x", Bounded(2))])
         b = TypeContext([("x", Bounded(2)), ("y", Bounded(3))])
-        assert context_union(a, b).names == ("x", "y")
-        assert context_union(b, a).names == ("x", "y")
+        assert a.union(b).names == ("x", "y")
+        assert b.union(a).names == ("x", "y")
 
     def test_union_conflict(self):
         a = TypeContext([("x", Bounded(2))])
         b = TypeContext([("x", RealArray(()))])
         with pytest.raises(TypeConflict):
-            context_union(a, b)
+            a.union(b)
 
     def test_remove(self):
         c = TypeContext([("x", Bounded(2)), ("y", Bounded(3))])
-        assert context_remove(c, "x").names == ("y",)
+        assert c.remove("x").names == ("y",)
         with pytest.raises(NameAbsent):
-            context_remove(c, "z")
+            c.remove("z")
 
     def test_restrict_keeps_order(self):
         c = TypeContext([("a", Bounded(2)), ("b", Bounded(3)), ("c", Bounded(4))])

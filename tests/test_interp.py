@@ -18,6 +18,7 @@ from funsor.interp import (
     interpret,
     interpretation,
     lift,
+    markov_term,
     normalize,
     pop_interpretation,
     push_interpretation,
@@ -27,8 +28,17 @@ from funsor.interp import (
     to_term,
     var,
 )
-from funsor.tensor import TensorAtom, scalar_tensor
-from funsor.terms import Apply, DeltaLeaf, GaussianLeaf, Reduce, TensorLeaf
+from funsor.tensor import TensorAtom, align_atoms, scalar_tensor
+from funsor.terms import (
+    Apply,
+    DeltaLeaf,
+    GaussianLeaf,
+    Reduce,
+    Slice,
+    Subst,
+    TensorLeaf,
+    Variable,
+)
 
 
 def table(entries, data):
@@ -142,6 +152,25 @@ class TestFuel:
         node = interpret(EXACT, lift("add", to_term(1.0), to_term(1.0)))
         np.testing.assert_allclose(node.atom.data, 2.0)
 
+    def test_renaming_probes_spend_no_fuel(self, monkeypatch):
+        # A sequential Kalman step spends about 9 rule applications; probing
+        # each renamed state coordinate must not add one more per probe.
+        from funsor.markov import scan_mode
+        from funsor.models import KalmanSpec, build_kalman
+
+        monkeypatch.setenv("FUNSOR_FUEL", "2000")
+        rng = np.random.default_rng(7)
+        spec = KalmanSpec(
+            F=0.9 * np.eye(3),
+            Q=np.eye(3),
+            H=rng.normal(size=(2, 3)),
+            R=np.eye(2),
+            observations=rng.normal(size=(150, 2)),
+        )
+        with scan_mode("sequential"):
+            out = interpret(EXACT, build_kalman(spec))
+        assert np.isfinite(out.atom.data)
+
 
 class TestNormalForm:
     def test_sum_collapses_to_one_tensor(self):
@@ -225,6 +254,14 @@ class TestSubstSemantics:
         np.testing.assert_allclose(perm, want)
 
 
+    def test_slice_along_another_free_axis_takes_the_diagonal(self):
+        data = np.arange(8.0).reshape(4, 2)
+        base = table([("t", Bounded(4)), ("k", Bounded(2))], data)
+        out = subst_term(base, {"t": Slice("k", 0, 4, 2, 4)})
+        assert out.atom.context.names == ("k",)
+        np.testing.assert_allclose(out.atom.data, [0.0, 5.0])
+
+
 class TestAffine:
     def test_decompose_recognizes_affine(self):
         with interpretation(LAZY):
@@ -240,6 +277,16 @@ class TestAffine:
         assert [name for name, _, _ in coeffs] == ["a"]
         _, _, coeff = coeffs[0]
         np.testing.assert_allclose(coeff.data.reshape(()), 2.0)
+
+    def test_decompose_folds_lazy_constants(self):
+        with interpretation(LAZY):
+            const = TensorAtom(TypeContext(), np.array([1.0, 2.0]), RealArray((2,)))
+            expr = lift(
+                "add", var("b", RealArray((2,))), lift("add", to_term(const), const)
+            )
+        const_out, coeffs = affine_decompose(expr)
+        np.testing.assert_allclose(const_out.data, [2.0, 4.0])
+        np.testing.assert_allclose(coeffs[0][2].data, np.eye(2))
 
     def test_decompose_declines_nonlinear(self):
         with interpretation(LAZY):
@@ -270,3 +317,93 @@ class TestAffine:
             expr = lift("mul", a, a)
         with pytest.raises(NotAffine):
             affine_substitute(g, "x", expr)
+
+
+def batch_table(entries, rng):
+    ctx = TypeContext(entries)
+    return TensorAtom(ctx, rng.normal(size=tuple(tp.size for _, tp in ctx.entries)))
+
+
+def over_i(values, output=RealArray(())):
+    ctx = TypeContext([("i", Bounded(2))])
+    return TensorLeaf(TensorAtom(ctx, np.asarray(values), output))
+
+
+class TestCaptureAvoidance:
+    """A substituted value's free names are never captured by names the
+    rules bind while resolving the same substitution."""
+
+    def test_exact_reduce_keeps_outer_variable(self):
+        rng = np.random.default_rng(4)
+        g = GaussianAtom(
+            TypeContext([("i", Bounded(2))]),
+            TypeContext([("x", RealArray(()))]),
+            rng.normal(size=(2, 1)),
+            np.ones((2, 1, 1)),
+        )
+        t = batch_table([("i", Bounded(2)), ("j", Bounded(2))], rng)
+
+        def substituted():
+            r = reduce_term("logaddexp", "i", lift("add", to_term(g), to_term(t)))
+            return subst_term(r, {"j": var("i", Bounded(2))})
+
+        with interpretation(EXACT):
+            got = substituted()
+        with interpretation(LAZY):
+            lazy = substituted()
+        want = interpret(EXACT, lazy)
+        assert set(got.free_vars.names) == {"i", "x"}
+        for iv in range(2):
+            for xv in (-0.5, 1.0):
+                point = {"i": iv, "x": xv}
+                a = interpret(EXACT, subst_term(got, point))
+                b = interpret(EXACT, subst_term(want, point))
+                np.testing.assert_allclose(a.atom.data, b.atom.data, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["tensor", "gaussian", "delta"])
+    def test_composed_substitution_keeps_both_names(self, kind):
+        rng = np.random.default_rng(5)
+        if kind == "tensor":
+            t = batch_table([("i", Bounded(2)), ("j", Bounded(2))], rng)
+            leaf, name, value = TensorLeaf(t), "j", over_i([1.0, 0.0], Bounded(2))
+        elif kind == "gaussian":
+            g = GaussianAtom(
+                TypeContext([("i", Bounded(2))]),
+                TypeContext([("x", RealArray(()))]),
+                rng.normal(size=(2, 1)),
+                np.ones((2, 1, 1)),
+            )
+            leaf, name, value = GaussianLeaf(g), "x", over_i([0.5, -1.0])
+        else:
+            d = DeltaAtom("y", over_i([0.5, -1.0]).atom)
+            leaf, name, value = DeltaLeaf(d), "y", over_i([0.5, 2.0])
+        inner = Subst(leaf, {"i": Variable("i#9", Bounded(2))})
+        out = subst_term(inner, {name: value})
+        assert set(out.free_vars.names) == {"i", "i#9"}
+        # Cell (i#9=a, i=b) is the leaf at i=a with the value taken at i=b.
+        for a in range(2):
+            for b in range(2):
+                got = interpret(EXACT, subst_term(out, {"i#9": a, "i": b}))
+                want = interpret(
+                    EXACT, subst_term(leaf, {"i": a, name: subst_term(value, {"i": b})})
+                )
+                np.testing.assert_allclose(got.atom.data, want.atom.data)
+
+    def test_markov_timevar_capture(self):
+        rng = np.random.default_rng(6)
+        ctx = [
+            ("t", Bounded(4)),
+            ("prev", Bounded(2)),
+            ("curr", Bounded(2)),
+            ("c", Bounded(2)),
+        ]
+        with interpretation(LAZY):
+            node = markov_term("t", [("prev", "curr")], to_term(batch_table(ctx, rng)))
+        out = subst_term(node, {"c": var("t", Bounded(2))})
+        assert set(out.free_vars.names) == {"t", "prev", "curr"}
+        for k in range(2):
+            want = interpret(EXACT, subst_term(node, {"c": k})).atom
+            got = subst_term(out, {"t": k}).atom
+            assert got.context == want.context
+            _, (a, b) = align_atoms([got, want])
+            np.testing.assert_allclose(a, b, rtol=1e-12)

@@ -20,6 +20,7 @@ from funsor.interp import (
     lift,
     markov_term,
     reduce_term,
+    subst_term,
     to_term,
 )
 from funsor.markov import (
@@ -27,7 +28,6 @@ from funsor.markov import (
     markov_parallel,
     markov_sequential,
     scan_mode,
-    validate_step,
 )
 from funsor.tensor import TensorAtom
 from funsor.terms import (
@@ -36,7 +36,6 @@ from funsor.terms import (
     TensorLeaf,
     Variable,
     free_vars,
-    substitute,
 )
 
 
@@ -62,28 +61,31 @@ def max_compose(a, b):
 
 
 class TestValidateStep:
+    """Step matchings are checked by the ``MarkovProd`` constructor."""
+
     def test_accepts_legal_matching(self):
         rng = np.random.default_rng(0)
         body = chain_body(rng, 4, 2)
-        validate_step(body, "t", (("prev", "curr"),))
+        node = MarkovProd("t", (("prev", "curr"),), body)
+        assert set(free_vars(node).names) == {"prev", "curr"}
 
     def test_rejects_timevar_in_matching(self):
         rng = np.random.default_rng(0)
         body = chain_body(rng, 4, 2)
         with pytest.raises(InvalidMatching):
-            validate_step(body, "t", (("t", "curr"),))
+            MarkovProd("t", (("t", "curr"),), body)
 
     def test_rejects_repeated_names(self):
         rng = np.random.default_rng(0)
         body = chain_body(rng, 4, 2)
         with pytest.raises(InvalidMatching):
-            validate_step(body, "t", (("prev", "prev"),))
+            MarkovProd("t", (("prev", "prev"),), body)
 
     def test_rejects_unbound_names(self):
         rng = np.random.default_rng(0)
         body = chain_body(rng, 4, 2)
         with pytest.raises(InvalidMatching):
-            validate_step(body, "t", (("prev", "elsewhere"),))
+            MarkovProd("t", (("prev", "elsewhere"),), body)
 
     def test_rejects_mismatched_types(self):
         rng = np.random.default_rng(0)
@@ -92,7 +94,7 @@ class TestValidateStep:
         )
         body = TensorLeaf(TensorAtom(ctx, rng.normal(size=(3, 2, 4))))
         with pytest.raises(InvalidMatching):
-            validate_step(body, "t", (("prev", "curr"),))
+            MarkovProd("t", (("prev", "curr"),), body)
 
 
 class TestSequential:
@@ -214,10 +216,10 @@ class TestSubstitutionGuard:
     def test_matched_names_are_protected(self):
         rng = np.random.default_rng(9)
         node = MarkovProd("t", (("prev", "curr"),), chain_body(rng, 3, 2))
-        with pytest.raises(InvalidMatching):
-            substitute(node, {"prev": Variable("curr", Bounded(2))})
-        with pytest.raises(InvalidMatching):
-            substitute(node, {"prev": Variable("fresh", Bounded(2))})
+        with interpretation(LAZY), pytest.raises(InvalidMatching):
+            subst_term(node, {"prev": Variable("curr", Bounded(2))})
+        with interpretation(LAZY), pytest.raises(InvalidMatching):
+            subst_term(node, {"prev": Variable("fresh", Bounded(2))})
 
     def test_side_variables_substitute_freely(self):
         rng = np.random.default_rng(10)
@@ -231,7 +233,8 @@ class TestSubstitutionGuard:
         )
         body = TensorLeaf(TensorAtom(ctx, rng.normal(size=(3, 2, 2, 2))))
         node = MarkovProd("t", (("prev", "curr"),), body)
-        out = substitute(node, {"cond": Variable("side", Bounded(2))})
+        with interpretation(LAZY):
+            out = subst_term(node, {"cond": Variable("side", Bounded(2))})
         assert isinstance(out, MarkovProd)
         assert sorted(free_vars(out).names) == ["curr", "prev", "side"]
 

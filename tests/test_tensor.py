@@ -12,7 +12,6 @@ from funsor.errors import FunsorTypeError, IndexOutOfRange, NameAbsent, TypeConf
 from funsor.ops import ADD, LOGADDEXP, MUL, REDUCE_OPS
 from funsor.tensor import (
     TensorAtom,
-    align,
     align_atoms,
     index_tensor,
     logsumexp,
@@ -64,7 +63,7 @@ class TestAlignment:
         rng = np.random.default_rng(0)
         a = random_atom(rng, [("i", Bounded(2)), ("j", Bounded(3))])
         b = random_atom(rng, [("j", Bounded(3)), ("k", Bounded(4))])
-        union, va, vb = align(a, b)
+        union, (va, vb) = align_atoms([a, b])
         assert union.names == ("i", "j", "k")
         assert va.shape == (2, 3, 1)
         assert vb.shape == (1, 3, 4)
@@ -92,7 +91,7 @@ class TestAlignment:
         a = TensorAtom(TypeContext([("i", Bounded(2))]), np.zeros(2))
         b = TensorAtom(TypeContext([("i", Bounded(3))]), np.zeros(3))
         with pytest.raises(TypeConflict):
-            align(a, b)
+            align_atoms([a, b])
 
 
 class TestPointwise:

@@ -7,6 +7,7 @@ from funsor.delta import DeltaAtom
 from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import FunsorTypeError, InvalidMatching
 from funsor.gaussian import GaussianAtom
+from funsor.interp import EXACT, LAZY, interpret, interpretation, subst_term
 from funsor.ops import ADD, LOGADDEXP_REDUCE, REDUCE_OPS
 from funsor.tensor import TensorAtom, scalar_tensor
 from funsor.terms import (
@@ -18,11 +19,9 @@ from funsor.terms import (
     Subst,
     TensorLeaf,
     Variable,
-    alpha_rename,
     free_vars,
     infer_type,
     pretty,
-    substitute,
 )
 
 
@@ -127,7 +126,8 @@ class TestSubstitution:
         # swapping two variables must not chain through each other
         x, y = Variable("x", RealArray(())), Variable("y", RealArray(()))
         node = Apply(ADD, (x, Apply(ADD, (y, y))))
-        swapped = substitute(node, {"x": y, "y": x})
+        with interpretation(LAZY):
+            swapped = subst_term(node, {"x": y, "y": x})
         assert set(free_vars(swapped).names) == {"x", "y"}
         # positionally: x + (y + y) becomes y + (x + x)
         assert pretty(swapped) == pretty(Apply(ADD, (y, Apply(ADD, (x, x)))))
@@ -136,14 +136,16 @@ class TestSubstitution:
         t = table([("i", Bounded(2)), ("j", Bounded(2))], np.arange(4.0).reshape(2, 2))
         inner = Reduce(LOGADDEXP_REDUCE, "j", t)
         # substituting the bound name is a no-op: it is not free
-        same = substitute(inner, {"j": Variable("k", Bounded(2))})
+        with interpretation(LAZY):
+            same = subst_term(inner, {"j": Variable("k", Bounded(2))})
         assert same is inner
 
     def test_capture_is_avoided(self):
         t = table([("i", Bounded(2)), ("j", Bounded(2))], np.arange(4.0).reshape(2, 2))
         inner = Reduce(LOGADDEXP_REDUCE, "j", t)
         # the incoming value mentions j, so the binder must step aside
-        out = substitute(inner, {"i": Variable("j", Bounded(2))})
+        with interpretation(LAZY):
+            out = subst_term(inner, {"i": Variable("j", Bounded(2))})
         assert free_vars(out).names == ("j",)
         assert isinstance(out, Reduce) and out.var != "j"
 
@@ -154,18 +156,36 @@ class TestSubstitution:
 
 
 class TestAlphaRename:
+    """A binder a substituted value would capture is renamed within the
+    same substitution; the value's free name stays free outside."""
+
     def test_reduce_binder_rename(self):
-        t = table([("i", Bounded(2)), ("j", Bounded(3))], np.zeros((2, 3)))
+        data = np.arange(6.0).reshape(2, 3)
+        t = table([("i", Bounded(2)), ("j", Bounded(3))], data)
         node = Reduce(LOGADDEXP_REDUCE, "i", t)
-        renamed = alpha_rename(node, "k")
-        assert isinstance(renamed, Reduce) and renamed.var == "k"
-        assert free_vars(renamed).names == ("j",)
+        with interpretation(LAZY):
+            renamed = subst_term(node, {"j": Variable("i", Bounded(3))})
+        assert isinstance(renamed, Reduce) and renamed.var != "i"
+        assert free_vars(renamed).names == ("i",)
+        out = interpret(EXACT, renamed).atom
+        np.testing.assert_allclose(out.data, np.logaddexp.reduce(data, axis=0))
 
     def test_markov_timevar_rename(self):
-        node = MarkovProd("t", (("prev", "curr"),), chain_body())
-        renamed = alpha_rename(node, "u")
-        assert renamed.timevar == "u"
-        assert set(free_vars(renamed).names) == {"prev", "curr"}
+        rng = np.random.default_rng(3)
+        ctx = TypeContext(
+            [
+                ("t", Bounded(4)),
+                ("prev", Bounded(2)),
+                ("curr", Bounded(2)),
+                ("c", Bounded(2)),
+            ]
+        )
+        body = TensorLeaf(TensorAtom(ctx, rng.normal(size=(4, 2, 2, 2))))
+        node = MarkovProd("t", (("prev", "curr"),), body)
+        with interpretation(LAZY):
+            renamed = subst_term(node, {"c": Variable("t", Bounded(2))})
+        assert isinstance(renamed, MarkovProd) and renamed.timevar != "t"
+        assert set(free_vars(renamed).names) == {"prev", "curr", "t"}
 
 
 class TestStructuralEquality:
