@@ -112,7 +112,7 @@ def moment_match(
         eye2 = np.broadcast_to(np.eye(d), cov2.shape)
         prec2 = _chol_solve(chol2, eye2)
     prec2 = 0.5 * (prec2 + np.swapaxes(prec2, -1, -2))
-    info2 = np.einsum("...de,...e->...d", prec2, mu2)
+    info2 = (prec2 @ mu2[..., None])[..., 0]
 
     matched = GaussianAtom(union.remove(v), g.reals, info2, prec2)
     norm2 = gaussian_log_normalizer(matched)

@@ -12,6 +12,14 @@ semidefinite.  Semidefiniteness is checked with a jittered Cholesky
 factorization: on failure the factorization is retried once with
 ``1e-10 * mean(diag) * I`` added, and a second failure raises
 ``RankDeficient``.  The same policy drives every solve.
+
+Batched matrix products and matrix-vector products use ``@`` on stacked
+arrays (BLAS); affine substitution forms ``M' P M`` and ``M' (i - P m)``
+with ``P m`` computed once.  Binding a real variable to a fresh variable
+of its type is a relabel: ``gaussian_rename`` (and ``reorder_like``,
+which only permutes) build their results from the already-validated
+arrays without rerunning the constructor's checks.  Every atom built
+from new numbers is checked.
 """
 from __future__ import annotations
 
@@ -98,6 +106,9 @@ class GaussianAtom:
             raise ContextMismatch(f"precision asymmetric beyond tolerance ({asym:.3e})")
         p = (p + np.swapaxes(p, -1, -2)) / 2.0
         _cholesky_jitter(p)
+        self._fill(batch, reals, i, p)
+
+    def _fill(self, batch: TypeContext, reals: TypeContext, i: np.ndarray, p: np.ndarray):
         p.setflags(write=False)
         i.setflags(write=False)
         object.__setattr__(self, "batch", batch)
@@ -105,6 +116,18 @@ class GaussianAtom:
         object.__setattr__(self, "info_vec", i)
         object.__setattr__(self, "precision", p)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _relabelled(cls, batch: TypeContext, reals: TypeContext, info_vec, precision):
+        """An atom over parameters a checked atom already holds, relabelled.
+
+        Renaming variables, or permuting batch axes and real blocks
+        together, keeps shapes, symmetry and definiteness, so the
+        constructor's checks are skipped.
+        """
+        self = object.__new__(cls)
+        self._fill(batch, reals, np.ascontiguousarray(info_vec), np.ascontiguousarray(precision))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianAtom is immutable")
@@ -167,7 +190,7 @@ def reorder_like(g: GaussianAtom, template: GaussianAtom) -> GaussianAtom:
         cols.extend(range(lo, hi))
     i = i[..., cols]
     p = p[..., cols, :][..., :, cols]
-    return GaussianAtom(template.batch, template.reals, i, p)
+    return GaussianAtom._relabelled(template.batch, template.reals, i, p)
 
 
 def _aligned_params(
@@ -225,9 +248,7 @@ def gaussian_eval(g: GaussianAtom, assignment: Dict[str, np.ndarray]) -> np.ndar
             )
         parts.append(v.reshape(-1))
     x = np.concatenate(parts) if parts else np.zeros(0)
-    ix = np.einsum("...d,d->...", g.info_vec, x)
-    qx = np.einsum("d,...de,e->...", x, g.precision, x)
-    return ix - 0.5 * qx
+    return g.info_vec @ x - 0.5 * ((g.precision @ x) @ x)
 
 
 def gaussian_log_normalizer(g: GaussianAtom) -> TensorAtom:
@@ -235,7 +256,7 @@ def gaussian_log_normalizer(g: GaussianAtom) -> TensorAtom:
     chol = _cholesky_jitter(g.precision)
     logdet = _chol_logdet(chol)
     mean = _chol_solve(chol, g.info_vec[..., None])[..., 0]
-    quad = np.einsum("...d,...d->...", g.info_vec, mean)
+    quad = np.sum(g.info_vec * mean, axis=-1)
     w = 0.5 * g.dim * LOG_2PI - 0.5 * logdet + 0.5 * quad
     return TensorAtom(g.batch, w)
 
@@ -269,13 +290,11 @@ def gaussian_marginalize(
     chol = _cholesky_jitter(p_vv)
     logdet = _chol_logdet(chol)
     x = _chol_solve(chol, i_v[..., None])[..., 0]
-    quad = np.einsum("...d,...d->...", i_v, x)
+    quad = np.sum(i_v * x, axis=-1)
     dv = len(v)
     w = TensorAtom(g.batch, 0.5 * dv * LOG_2PI - 0.5 * logdet + 0.5 * quad)
-    i_new = i_u - np.einsum("...uv,...v->...u", p_uv, x)
-    p_new = p_uu - np.einsum(
-        "...uv,...vw->...uw", p_uv, _chol_solve(chol, np.swapaxes(p_uv, -1, -2))
-    )
+    i_new = i_u - (p_uv @ x[..., None])[..., 0]
+    p_new = p_uu - p_uv @ _chol_solve(chol, np.swapaxes(p_uv, -1, -2))
     rest = GaussianAtom(g.batch, g.reals.remove(name), i_new, p_new)
     return w, rest
 
@@ -306,16 +325,15 @@ def gaussian_substitute(
     )
     i_v = align_array(g.info_vec[..., v], g.batch, union)
     p_vv = align_array(g.precision[..., v[:, None], v[None, :]], g.batch, union)
-    t = np.einsum("...d,...d->...", i_v, x) - 0.5 * np.einsum(
-        "...d,...de,...e->...", x, p_vv, x
-    )
+    p_x = (p_vv @ x[..., None])[..., 0]
+    t = np.sum(i_v * x, axis=-1) - 0.5 * np.sum(x * p_x, axis=-1)
     const = TensorAtom(union, t)
     if len(u) == 0:
         return const, None
     i_u = align_array(g.info_vec[..., u], g.batch, union)
     p_uv = align_array(g.precision[..., u[:, None], v[None, :]], g.batch, union)
     p_uu = align_array(g.precision[..., u[:, None], u[None, :]], g.batch, union)
-    i_new = i_u - np.einsum("...uv,...v->...u", p_uv, x)
+    i_new = i_u - (p_uv @ x[..., None])[..., 0]
     p_uu = np.broadcast_to(p_uu, bounds + (len(u), len(u)))
     rest = GaussianAtom(union, g.reals.remove(name), i_new, p_uu)
     return const, rest
@@ -434,12 +452,12 @@ def gaussian_affine_substitute(
 
     i_old = align_array(g.info_vec, g.batch, union)
     p_old = align_array(g.precision, g.batch, union)
-    t = np.einsum("...d,...d->...", i_old, m_vec) - 0.5 * np.einsum(
-        "...d,...de,...e->...", m_vec, p_old, m_vec
-    )
-    shifted = i_old - np.einsum("...de,...e->...d", p_old, m_vec)
-    i_new = np.einsum("...dn,...d->...n", m_map, shifted)
-    p_new = np.einsum("...dn,...de,...em->...nm", m_map, p_old, m_map)
+    p_m = (p_old @ m_vec[..., None])[..., 0]
+    t = np.sum(i_old * m_vec, axis=-1) - 0.5 * np.sum(m_vec * p_m, axis=-1)
+    shifted = i_old - p_m
+    m_t = np.swapaxes(m_map, -1, -2)
+    i_new = (m_t @ shifted[..., None])[..., 0]
+    p_new = m_t @ p_old @ m_map
     const_out = TensorAtom(union, t)
     return const_out, GaussianAtom(union, new_reals, i_new, p_new)
 
@@ -448,7 +466,7 @@ def gaussian_rename(g: GaussianAtom, mapping: Dict[str, str]) -> GaussianAtom:
     """Relabel batch and real variables without touching parameters."""
     batch = TypeContext([(mapping.get(n, n), t) for n, t in g.batch.entries])
     reals = TypeContext([(mapping.get(n, n), t) for n, t in g.reals.entries])
-    return GaussianAtom(batch, reals, g.info_vec, g.precision)
+    return GaussianAtom._relabelled(batch, reals, g.info_vec, g.precision)
 
 
 def gaussian_scale(g: GaussianAtom, k: float) -> GaussianAtom:

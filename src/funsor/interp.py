@@ -451,7 +451,9 @@ def normal_form_from_parts(parts: Sequence[Term]) -> NormalForm:
     tensor: Optional[TensorAtom] = None
     gaussian: Optional[GaussianAtom] = None
     lazy: List[Term] = []
-    for p in parts:
+
+    def absorb(p: Term):
+        nonlocal tensor, gaussian
         if isinstance(p, TensorLeaf) and p.is_scalar_real():
             tensor = _fuse_tensor(tensor, p.atom)
         elif isinstance(p, GaussianLeaf):
@@ -461,8 +463,12 @@ def normal_form_from_parts(parts: Sequence[Term]) -> NormalForm:
         else:
             lazy.append(p)
 
+    for p in parts:
+        absorb(p)
+
     # Point masses trigger substitution of their point into every other
-    # factor that mentions their variable.
+    # factor that mentions their variable.  A lazy factor is substituted
+    # under the current interpretation and its parts are absorbed again.
     changed = True
     while changed:
         changed = False
@@ -483,10 +489,13 @@ def normal_form_from_parts(parts: Sequence[Term]) -> NormalForm:
                 if j != k and name in e.point.context:
                     deltas[j] = DeltaAtom(e.name, tensor_index(e.point, name, d.point))
                     changed = True
-            for j, t in enumerate(lazy):
-                if name in t.free_vars:
-                    lazy[j] = Subst(t, {name: TensorLeaf(d.point)})
-                    changed = True
+            hit = [t for t in lazy if name in t.free_vars]
+            if hit:
+                lazy[:] = [t for t in lazy if name not in t.free_vars]
+                for t in hit:
+                    for p in flatten_product(subst_term(t, {name: TensorLeaf(d.point)})):
+                        absorb(p)
+                changed = True
     return NormalForm(tuple(deltas), tensor, gaussian, tuple(lazy))
 
 
@@ -708,12 +717,22 @@ def _h_subst_gaussian(node: Subst) -> Optional[Term]:
     if not isinstance(base, GaussianLeaf):
         return None
     g = base.atom
+    # A real bound to a variable (of its own type, as ``Subst`` checked)
+    # whose name is fresh to the atom and targeted by no other binding is a
+    # relabel; anything else would merge or collide blocks.
+    targets = [v.name for n, v in node.bindings if n in g.reals and isinstance(v, Variable)]
     todo: Dict[str, object] = {}
     for n, v in node.bindings:
         if n in g.batch and _is_index_value(v):
             todo[n] = v
         elif n in g.reals:
-            if isinstance(v, TensorLeaf):
+            if (
+                isinstance(v, Variable)
+                and v.name not in g.context
+                and targets.count(v.name) == 1
+            ):
+                todo[n] = ("rename", v.name)
+            elif isinstance(v, TensorLeaf):
                 todo[n] = ("ground", v.atom)
             else:
                 dec = affine_decompose(v)
@@ -732,8 +751,15 @@ def _h_subst_gaussian(node: Subst) -> Optional[Term]:
         prec = _apply_index_bindings(g.precision_atom(), batch_todo)
         g = GaussianAtom(info.context, g.reals, info.data, prec.data)
 
+    # Relabel before the other real bindings: an affine value may mention
+    # a relabel's target, and its coefficients then add onto that block.
+    relabels = {n: value for n, (kind, value) in real_todo.items() if kind == "rename"}
+    if relabels:
+        g = gaussian_rename(g, relabels)
     tensor = None
     for n, (kind, value) in real_todo.items():
+        if kind == "rename":
+            continue
         if kind == "ground":
             const, g = gaussian_substitute(g, n, value)
         else:

@@ -56,8 +56,8 @@ def conditional_gaussian(M, offset, noise) -> Tuple[np.ndarray, np.ndarray, np.n
     dz = M.shape[-1]
     sinv_m = np.linalg.solve(noise, M)
     sinv_b = np.linalg.solve(noise, offset[..., None])[..., 0]
-    mt_sinv_m = np.einsum("...ij,...ik->...jk", M, sinv_m)
     mt_sinv = np.swapaxes(sinv_m, -1, -2)
+    mt_sinv_m = np.swapaxes(M, -1, -2) @ sinv_m
     sinv = np.linalg.inv(noise)
     sinv = 0.5 * (sinv + np.swapaxes(sinv, -1, -2))
     batch = np.broadcast_shapes(
@@ -70,7 +70,7 @@ def conditional_gaussian(M, offset, noise) -> Tuple[np.ndarray, np.ndarray, np.n
     prec[..., dz:, :dz] = -sinv_m
     prec[..., dz:, dz:] = sinv
     info = np.zeros(batch + (d,))
-    info[..., :dz] = -np.einsum("...ij,...i->...j", sinv_m, offset)
+    info[..., :dz] = -(mt_sinv @ offset[..., None])[..., 0]
     info[..., dz:] = sinv_b
     _, logdet = np.linalg.slogdet(noise)
     quad = np.einsum("...i,...i->...", offset, sinv_b)
@@ -85,7 +85,7 @@ def dense_gaussian(mean, cov) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = mean.shape[-1]
     prec = np.linalg.inv(cov)
     prec = 0.5 * (prec + np.swapaxes(prec, -1, -2))
-    info = np.einsum("...de,...e->...d", prec, mean)
+    info = (prec @ mean[..., None])[..., 0]
     _, logdet = np.linalg.slogdet(cov)
     quad = np.einsum("...d,...d->...", mean, info)
     const = -0.5 * (d * LOG_2PI + logdet + quad)
@@ -103,7 +103,7 @@ def observation_factor(H, R, y) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     m = H.shape[0]
     rinv_y = np.moveaxis(np.linalg.solve(R, np.moveaxis(y, -1, 0)), 0, -1)
-    info = np.einsum("mi,...m->...i", H, rinv_y)
+    info = rinv_y @ H
     prec = H.T @ np.linalg.solve(R, H)
     prec = 0.5 * (prec + prec.T)
     _, logdet = np.linalg.slogdet(R)

@@ -13,6 +13,7 @@ from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import ContextMismatch, FunsorTypeError, RankDeficient
 from funsor.gaussian import (
     GaussianAtom,
+    gaussian_affine_substitute,
     gaussian_cat,
     gaussian_eval,
     gaussian_expand_batch,
@@ -319,3 +320,96 @@ class TestRearrangement:
         np.testing.assert_allclose(
             gaussian_eval(h, {"x": xv}), 2.5 * gaussian_eval(g, {"x": xv})
         )
+
+
+def cells(ctx):
+    """Every assignment of a batch context, as dicts."""
+    for idx in np.ndindex(*(tp.size for _, tp in ctx.entries)):
+        yield dict(zip(ctx.names, idx))
+
+
+def at(arr, ctx, cell):
+    """A batched array's entry at a cell; axes follow ``ctx``."""
+    return arr[tuple(cell[n] for n in ctx.names)]
+
+
+class TestKernelsAgainstDense:
+    """Batched kernels against per-cell dense NumPy algebra.
+
+    Values and coefficients may be batched over names the factor lacks,
+    and affine coefficients may bring in new real variables."""
+
+    def test_affine_substitute(self):
+        rng = np.random.default_rng(30)
+        R2, R3, R4 = RealArray((2,)), RealArray((3,)), RealArray((4,))
+        g = random_gaussian(rng, [("x", R2), ("y", R3)], batch=[("i", Bounded(2))])
+        j_ctx = TypeContext([("j", Bounded(3))])
+        const = TensorAtom(TypeContext([("i", Bounded(2))]), rng.normal(size=(2, 3)), R3)
+        a_x = TensorAtom(j_ctx, rng.normal(size=(3, 3, 2)), RealArray((3, 2)))
+        a_u = TensorAtom(j_ctx, rng.normal(size=(3, 3, 4)), RealArray((3, 4)))
+        t, rest = gaussian_affine_substitute(g, "y", const, [("x", R2, a_x), ("u", R4, a_u)])
+        assert rest.reals.names == ("x", "u") and rest.dim > g.dim
+        assert set(t.context.names) == set(rest.batch.names) == {"i", "j"}
+        for cell in cells(rest.batch):
+            # y = c + A_x x + A_u u, written as old = M @ new + m.
+            m_map = np.zeros((5, 6))
+            m_map[:2, :2] = np.eye(2)
+            m_map[2:, :2] = at(a_x.data, j_ctx, cell)
+            m_map[2:, 2:] = at(a_u.data, j_ctx, cell)
+            m_vec = np.concatenate([np.zeros(2), const.data[cell["i"]]])
+            info, prec = g.info_vec[cell["i"]], g.precision[cell["i"]]
+            want_t = info @ m_vec - 0.5 * m_vec @ prec @ m_vec
+            want_i = m_map.T @ (info - prec @ m_vec)
+            want_p = m_map.T @ prec @ m_map
+            np.testing.assert_allclose(at(t.data, t.context, cell), want_t, rtol=1e-12)
+            np.testing.assert_allclose(at(rest.info_vec, rest.batch, cell), want_i, rtol=1e-12)
+            np.testing.assert_allclose(at(rest.precision, rest.batch, cell), want_p, rtol=1e-12)
+            new = rng.normal(size=6)
+            old = m_map @ new + m_vec
+            np.testing.assert_allclose(
+                want_t + dense_log_density(want_i, want_p, new),
+                dense_log_density(info, prec, old),
+                rtol=1e-10,
+            )
+
+    def test_marginalize(self):
+        rng = np.random.default_rng(31)
+        g = random_gaussian(
+            rng,
+            [("x", RealArray((2,))), ("y", RealArray((3,))), ("z", RealArray(()))],
+            batch=[("i", Bounded(2)), ("j", Bounded(3))],
+        )
+        w, rest = gaussian_marginalize(g, "y")
+        assert rest.reals.names == ("x", "z")
+        keep = np.array([0, 1, 5])
+        drop = np.array([2, 3, 4])
+        for cell in cells(g.batch):
+            info, prec = at(g.info_vec, g.batch, cell), at(g.precision, g.batch, cell)
+            p_kd = prec[np.ix_(keep, drop)]
+            p_dd = prec[np.ix_(drop, drop)]
+            want_w = dense_log_normalizer(info[drop], p_dd)
+            want_i = info[keep] - p_kd @ np.linalg.solve(p_dd, info[drop])
+            want_p = prec[np.ix_(keep, keep)] - p_kd @ np.linalg.solve(p_dd, p_kd.T)
+            np.testing.assert_allclose(at(w.data, w.context, cell), want_w, rtol=1e-12)
+            np.testing.assert_allclose(at(rest.info_vec, rest.batch, cell), want_i, rtol=1e-10)
+            np.testing.assert_allclose(at(rest.precision, rest.batch, cell), want_p, rtol=1e-10)
+
+    def test_substitute(self):
+        rng = np.random.default_rng(32)
+        g = random_gaussian(
+            rng, [("x", RealArray((2,))), ("y", RealArray((3,)))], batch=[("i", Bounded(2))]
+        )
+        k_ctx = TypeContext([("k", Bounded(4))])
+        value = TensorAtom(k_ctx, rng.normal(size=(4, 3)), RealArray((3,)))
+        t, rest = gaussian_substitute(g, "y", value)
+        assert set(t.context.names) == set(rest.batch.names) == {"i", "k"}
+        for cell in cells(rest.batch):
+            info, prec = g.info_vec[cell["i"]], g.precision[cell["i"]]
+            yv = value.data[cell["k"]]
+            want_t = info[2:] @ yv - 0.5 * yv @ prec[2:, 2:] @ yv
+            want_i = info[:2] - prec[:2, 2:] @ yv
+            np.testing.assert_allclose(at(t.data, t.context, cell), want_t, rtol=1e-12)
+            np.testing.assert_allclose(at(rest.info_vec, rest.batch, cell), want_i, rtol=1e-12)
+            np.testing.assert_allclose(
+                at(rest.precision, rest.batch, cell), prec[:2, :2], rtol=1e-12
+            )

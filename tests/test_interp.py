@@ -6,7 +6,12 @@ import pytest
 from funsor.delta import DeltaAtom
 from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import FuelExhausted, NotAffine, StackUnderflow
-from funsor.gaussian import GaussianAtom, gaussian_eval
+from funsor.gaussian import (
+    GaussianAtom,
+    gaussian_eval,
+    gaussian_log_normalizer,
+    gaussian_rename,
+)
 from funsor.interp import (
     EXACT,
     LAZY,
@@ -230,6 +235,17 @@ class TestNormalForm:
         want = gaussian_eval(g, {"y": np.asarray(0.25)})
         np.testing.assert_allclose(out.atom.data, want)
 
+    def test_delta_pins_lazy_cofactor_in_one_pass(self):
+        y = var("y", RealArray(()))
+        d = DeltaAtom("y", scalar_tensor(1.5))
+        with interpretation(EXACT):
+            node = lift("add", DeltaLeaf(d), lift("mul", y, y))
+        # Already in normal form: a second pass changes nothing.
+        assert interpret(EXACT, node) == node
+        nf = normalize(node)
+        assert not nf.lazy_rest
+        np.testing.assert_allclose(float(nf.tensor.data), 2.25)
+
 
 class TestSubstSemantics:
     def test_bindings_see_outer_scope(self):
@@ -407,3 +423,126 @@ class TestCaptureAvoidance:
             assert got.context == want.context
             _, (a, b) = align_atoms([got, want])
             np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+def random_gaussian_atom(rng, batch, reals):
+    batch, reals = TypeContext(batch), TypeContext(reals)
+    dim = sum(tp.num_elements for _, tp in reals.entries)
+    bounds = tuple(tp.size for _, tp in batch.entries)
+    a = rng.normal(size=bounds + (dim, dim))
+    prec = a @ np.swapaxes(a, -1, -2) + dim * np.eye(dim)
+    return GaussianAtom(batch, reals, rng.normal(size=bounds + (dim,)), prec)
+
+
+def dense_log_normalizer(info, prec):
+    _, logdet = np.linalg.slogdet(prec)
+    quad = info @ np.linalg.solve(prec, info)
+    return 0.5 * (len(info) * np.log(2 * np.pi) - logdet + quad)
+
+
+class TestGaussianRelabel:
+    """A real bound to a fresh variable of its type is relabelled; renames
+    that merge blocks or reuse a name of the atom take the affine path.
+    Both must agree with Lazy-then-Exact and with dense references."""
+
+    R2 = RealArray((2,))
+
+    def substituted(self, g, bindings):
+        with interpretation(EXACT):
+            got = subst_term(GaussianLeaf(g), bindings)
+        with interpretation(LAZY):
+            lazy = subst_term(GaussianLeaf(g), bindings)
+        return got, interpret(EXACT, lazy)
+
+    def check(self, got, want, points, density, log_norm):
+        for point in points:
+            a = interpret(EXACT, subst_term(got, point)).atom.data
+            b = interpret(EXACT, subst_term(want, point)).atom.data
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+            np.testing.assert_allclose(a, density(point), rtol=1e-10)
+        for term in (got, want):
+            nf = normalize(term)
+            z = gaussian_log_normalizer(nf.gaussian).data
+            if nf.tensor is not None:
+                z = z + nf.tensor.data
+            np.testing.assert_allclose(z, log_norm, rtol=1e-10)
+
+    def test_fresh_target_is_a_relabel(self):
+        rng = np.random.default_rng(11)
+        g = random_gaussian_atom(rng, [("i", Bounded(2))], [("x", self.R2), ("y", self.R2)])
+        got, _ = self.substituted(g, {"x": var("z", self.R2)})
+        assert isinstance(got, GaussianLeaf)
+        assert got.atom == gaussian_rename(g, {"x": "z"})
+        assert got.atom.info_vec is g.info_vec and got.atom.precision is g.precision
+
+    def test_duplicate_target_adds_blocks(self):
+        rng = np.random.default_rng(12)
+        g = random_gaussian_atom(rng, [], [("x", self.R2), ("y", self.R2)])
+        got, want = self.substituted(g, {"x": var("z", self.R2), "y": var("z", self.R2)})
+        assert set(got.free_vars.names) == {"z"}
+        fold = np.vstack([np.eye(2), np.eye(2)])
+        info, prec = fold.T @ g.info_vec, fold.T @ g.precision @ fold
+        points = [{"z": rng.normal(size=2)} for _ in range(3)]
+        self.check(
+            got, want, points,
+            lambda p: gaussian_eval(g, {"x": p["z"], "y": p["z"]}),
+            dense_log_normalizer(info, prec),
+        )
+
+    def test_swap(self):
+        rng = np.random.default_rng(13)
+        g = random_gaussian_atom(rng, [], [("x", self.R2), ("y", self.R2)])
+        got, want = self.substituted(g, {"x": var("y", self.R2), "y": var("x", self.R2)})
+        assert set(got.free_vars.names) == {"x", "y"}
+        points = [{"x": rng.normal(size=2), "y": rng.normal(size=2)} for _ in range(3)]
+        self.check(
+            got, want, points,
+            lambda p: gaussian_eval(g, {"x": p["y"], "y": p["x"]}),
+            dense_log_normalizer(g.info_vec, g.precision),
+        )
+
+    def test_target_is_a_batch_name(self):
+        rng = np.random.default_rng(14)
+        g = random_gaussian_atom(rng, [("i", Bounded(2))], [("x", self.R2)])
+        got, want = self.substituted(g, {"i": 1, "x": var("i", self.R2)})
+        assert dict(got.free_vars.entries) == {"i": self.R2}
+        points = [{"i": rng.normal(size=2)} for _ in range(3)]
+        self.check(
+            got, want, points,
+            lambda p: gaussian_eval(g, {"x": p["i"]})[1],
+            dense_log_normalizer(g.info_vec[1], g.precision[1]),
+        )
+
+    def test_value_naming_a_bound_real_stays_simultaneous(self):
+        rng = np.random.default_rng(15)
+        g = random_gaussian_atom(rng, [], [("x", self.R2), ("y", self.R2)])
+        got, want = self.substituted(g, {"x": var("z", self.R2), "y": var("x", self.R2)})
+        assert set(got.free_vars.names) == {"x", "z"}
+        points = [{"x": rng.normal(size=2), "z": rng.normal(size=2)} for _ in range(3)]
+        self.check(
+            got, want, points,
+            lambda p: gaussian_eval(g, {"x": p["z"], "y": p["x"]}),
+            dense_log_normalizer(g.info_vec, g.precision),
+        )
+
+    def test_affine_value_adds_onto_a_relabel_target(self):
+        rng = np.random.default_rng(16)
+        g = random_gaussian_atom(rng, [], [("x", self.R2), ("y", self.R2)])
+        z = var("z", self.R2)
+        with interpretation(LAZY):
+            ones = TensorAtom(TypeContext(), np.ones(2), self.R2)
+            shifted = lift("add", z, to_term(ones))
+        got, want = self.substituted(g, {"x": z, "y": shifted})
+        assert set(got.free_vars.names) == {"z"}
+        fold = np.vstack([np.eye(2), np.eye(2)])
+        shift = np.array([0.0, 0.0, 1.0, 1.0])
+        p_shift = g.precision @ shift
+        info = fold.T @ (g.info_vec - p_shift)
+        prec = fold.T @ g.precision @ fold
+        const = g.info_vec @ shift - 0.5 * shift @ p_shift
+        points = [{"z": rng.normal(size=2)} for _ in range(3)]
+        self.check(
+            got, want, points,
+            lambda p: gaussian_eval(g, {"x": p["z"], "y": p["z"] + 1.0}),
+            dense_log_normalizer(info, prec) + const,
+        )
