@@ -15,12 +15,12 @@ interpretation with the same seed replays the same samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .delta import DeltaAtom
-from .domains import Bounded, RealArray, TypeContext
+from .domains import Bounded
 from .errors import NameAbsent
 from .gaussian import (
     GaussianAtom,
@@ -34,7 +34,6 @@ from .interp import (
     NormalForm,
     Rule,
     flatten_product,
-    interpretation,
     lift,
     normal_form_from_parts,
     reduce_term,
@@ -172,13 +171,11 @@ def mc_sample_discrete(
         rest_ctx, draws.reshape(tuple(t.size for _, t in rest_ctx.entries)), tp
     )
     marker = zeros_tensor(rest_ctx)
-    with interpretation(EXACT):
-        inner: Term = DeltaLeaf(DeltaAtom(v, idx))
-        if rest is not None:
-            inner = lift(ADD, inner, rest)
-        picked = reduce_term(LOGADDEXP_REDUCE, v, inner)
-        out = lift(ADD, lift(ADD, TensorLeaf(w_total), TensorLeaf(marker)), picked)
-    return out
+    inner: Term = DeltaLeaf(DeltaAtom(v, idx))
+    if rest is not None:
+        inner = lift(ADD, inner, rest)
+    picked = reduce_term(LOGADDEXP_REDUCE, v, inner)
+    return lift(ADD, lift(ADD, TensorLeaf(w_total), TensorLeaf(marker)), picked)
 
 
 def mc_sample_gaussian(
@@ -207,13 +204,11 @@ def mc_sample_gaussian(
     sample = mu + shift
     tp = g.reals.typeof(v)
     point = TensorAtom(g.batch, sample.reshape(bounds + tp.shape), tp)
-    with interpretation(EXACT):
-        inner: Term = DeltaLeaf(DeltaAtom(v, point))
-        if rest is not None:
-            inner = lift(ADD, inner, rest)
-        picked = reduce_term(LOGADDEXP_REDUCE, v, inner)
-        out = lift(ADD, TensorLeaf(norm), picked)
-    return out
+    inner: Term = DeltaLeaf(DeltaAtom(v, point))
+    if rest is not None:
+        inner = lift(ADD, inner, rest)
+    picked = reduce_term(LOGADDEXP_REDUCE, v, inner)
+    return lift(ADD, TensorLeaf(norm), picked)
 
 
 class MonteCarlo(Interpretation):

@@ -121,9 +121,9 @@ class GaussianAtom:
     def _relabelled(cls, batch: TypeContext, reals: TypeContext, info_vec, precision):
         """An atom over parameters a checked atom already holds, relabelled.
 
-        Renaming variables, or permuting batch axes and real blocks
-        together, keeps shapes, symmetry and definiteness, so the
-        constructor's checks are skipped.
+        Renaming variables, permuting batch axes and real blocks together,
+        and gathering or slicing batch cells all keep shapes, symmetry and
+        definiteness, so the constructor's checks are skipped.
         """
         self = object.__new__(cls)
         self._fill(batch, reals, np.ascontiguousarray(info_vec), np.ascontiguousarray(precision))
@@ -353,7 +353,7 @@ def gaussian_index_batch(g: GaussianAtom, name: str, idx: TensorAtom) -> Gaussia
     """Substitute integer values for one batch variable (a gather)."""
     i = tensor_index(g.info_atom(), name, idx)
     p = tensor_index(g.precision_atom(), name, idx)
-    return GaussianAtom(i.context, g.reals, i.data, p.data)
+    return GaussianAtom._relabelled(i.context, g.reals, i.data, p.data)
 
 
 def gaussian_cat(name: str, parts: Sequence[GaussianAtom]) -> GaussianAtom:

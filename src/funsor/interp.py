@@ -8,15 +8,23 @@ through the smart constructors here, so handlers that build their results
 through the same constructors evaluate recursively under the current
 interpretation.  Terms no rule claims are left as lazy syntax.
 
+Whole-term rules see a node before ``reinterpret`` rebuilds its
+children.  They belong to the interpretation that declares them: unlike
+ordinary rules, they are not inherited through the fallback chain.
+
 The default interpretation is Exact, which evaluates products,
 substitutions and reductions of the atomic factors in closed form and
-leaves everything else lazy.  Lazy only pushes substitutions through
-non-atomic structure, and its rule is the only code that pushes a
-substitution through ``Apply``, ``Subst``, ``Reduce``, ``MarkovProd`` and
-``Cat``; every interpretation falls back to it.  A bound variable that a
-substituted value would capture is renamed inside the same simultaneous
-substitution, so the rename is resolved by the current interpretation's
-rules like any other binding.
+leaves everything else lazy.  Its one whole-term rule hands each lazily
+built reduction over a product to the contraction planner before the
+product is fused, so the factors' union table is never built.
+
+Lazy only pushes substitutions through non-atomic structure, and its
+rule is the only code that pushes a substitution through ``Apply``,
+``Subst``, ``Reduce``, ``MarkovProd`` and ``Cat``; every interpretation
+falls back to it.  A bound variable that a substituted value would
+capture is renamed inside the same simultaneous substitution, so the
+rename is resolved by the current interpretation's rules like any other
+binding.
 
 A thread-local stack makes the choice dynamically scoped; a fuel counter
 bounds rule applications per top-level evaluation (default 10000,
@@ -27,7 +35,7 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,18 +59,7 @@ from .gaussian import (
     gaussian_plated_product,
     gaussian_substitute,
 )
-from .ops import (
-    ADD,
-    ADD_REDUCE,
-    LIFTED_OPS,
-    LOGADDEXP_REDUCE,
-    MAX_REDUCE,
-    REDUCE_OPS,
-    LiftedOp,
-    MUL,
-    ReduceOp,
-    TAKE,
-)
+from .ops import ADD, LIFTED_OPS, MUL, REDUCE_OPS
 from .tensor import (
     TensorAtom,
     index_tensor,
@@ -222,15 +219,14 @@ def reinterpret(term: Term) -> Term:
         hit = memo.get(id(t))
         if hit is not None:
             return hit
-        for interp in current_interpretation().chain():
-            for rule in interp.whole_rules:
-                if isinstance(t, rule.head):
-                    result = rule.handler(t, go)
-                    if result is not None:
-                        _burn_fuel()
-                        memo[id(t)] = result
-                        keep_alive.append(t)
-                        return result
+        for rule in current_interpretation().whole_rules:
+            if isinstance(t, rule.head):
+                result = rule.handler(t, go)
+                if result is not None:
+                    _burn_fuel()
+                    memo[id(t)] = result
+                    keep_alive.append(t)
+                    return result
         out = dispatch(_rebuild(t, go))
         memo[id(t)] = out
         keep_alive.append(t)
@@ -338,10 +334,6 @@ def markov_term(timevar: str, step, body) -> Term:
 
 def cat_term(over: str, parts) -> Term:
     return dispatch(Cat(over, [to_term(p) for p in parts]))
-
-
-def slice_term(over: str, start: int, stop: int, stride: int, bound: int) -> Term:
-    return dispatch(Slice(over, start, stop, stride, bound))
 
 
 def var(name: str, tp) -> Term:
@@ -617,8 +609,6 @@ def affine_substitute(g, name: str, expr):
     vectors.  Returns the constant tensor and the surviving Gaussian
     factor (None when no real variables remain).
     """
-    from .gaussian import gaussian_affine_substitute
-
     dec = affine_decompose(to_term(expr))
     if dec is None:
         raise NotAffine("expression failed the structural affinity check")
@@ -749,7 +739,7 @@ def _h_subst_gaussian(node: Subst) -> Optional[Term]:
     if batch_todo:
         info = _apply_index_bindings(g.info_atom(), batch_todo)
         prec = _apply_index_bindings(g.precision_atom(), batch_todo)
-        g = GaussianAtom(info.context, g.reals, info.data, prec.data)
+        g = GaussianAtom._relabelled(info.context, g.reals, info.data, prec.data)
 
     # Relabel before the other real bindings: an affine value may mention
     # a relabel's target, and its coefficients then add onto that block.
@@ -980,6 +970,12 @@ def _h_markov(node: MarkovProd) -> Optional[Term]:
     return _markov.evaluate_markov(node)
 
 
+def _w_contract_reduction(node: Reduce, recurse) -> Optional[Term]:
+    from .optimize import contract_reduction
+
+    return contract_reduction(node, recurse)
+
+
 def _h_cat(node: Cat) -> Optional[Term]:
     from .gaussian import gaussian_expand_batch
 
@@ -1097,4 +1093,5 @@ EXACT = Interpretation(
         Rule(Cat, _h_cat, "concatenate-factors"),
     ],
     fallback=LAZY,
+    whole_rules=[WholeRule(Reduce, _w_contract_reduction, "contract-reduction")],
 )

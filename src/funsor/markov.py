@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 from .errors import BoundsError
 from .interp import cat_term, flatten_product, subst_term, var
 from .ops import REDUCE_OPS
+from .optimize import contract
 from .terms import MarkovProd, Slice, Term, fresh_name
 
 
@@ -84,12 +85,7 @@ def evaluate_markov(node: MarkovProd) -> Optional[Term]:
 
 
 def _elim(rvars: List[str], parts: List[Term]) -> Term:
-    from .optimize import contract, contract_pair
-
-    op = REDUCE_OPS[_SCAN.elim]
-    if len(rvars) > 1 or len(parts) != 2:
-        return contract(op, rvars, parts)
-    return contract_pair(op, parts[0], parts[1], rvars)
+    return contract(REDUCE_OPS[_SCAN.elim], rvars, parts)
 
 
 def _sequential(node: MarkovProd, T: int) -> Term:

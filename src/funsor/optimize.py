@@ -8,23 +8,24 @@ it.  Cost of a step is the element count of the fused context: the
 product of its bounded sizes times the squared flattened real dimension
 plus one, matching how large the dense and quadratic blocks get.
 
-The Optimize interpretation applies this to whole reduction chains
-before their bodies are rebuilt, so nested sums over a shared product
-are planned jointly instead of being collapsed innermost-first.
+``contract`` is the one contraction path: chain steps, Exact's
+lazily built reductions and Optimize's plans all go through it, and
+every plan runs under the caller's interpretation, so approximate
+rules still see each planned reduction.  Exact plans one reduction at a
+time; Optimize gathers directly nested sums over a shared product into
+one joint plan instead of collapsing them innermost-first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .domains import Bounded, RealArray, TypeContext
+from .domains import Bounded, TypeContext
 from .interp import (
     EXACT,
     Interpretation,
-    Rule,
     WholeRule,
     flatten_product,
-    interpretation,
     lift,
     reduce_term,
 )
@@ -62,18 +63,21 @@ class ContractionPlan:
 def push_singleton_sums(
     factors: Sequence[Term], rvars: Sequence[str], op: ReduceOp = None
 ) -> Tuple[List[Term], set]:
-    """Reduce variables confined to one factor inside that factor.
+    """Reduce bounded variables confined to one factor inside that factor.
 
-    Returns the updated factor list and the residual variable set, the
-    variables still shared by two or more factors.
+    Returns the updated factor list and the residual variable set: the
+    variables shared by two or more factors, and every real variable.
+    Marginalizing a real variable out of a lone conditional factor can
+    leave a quadratic factor with no precision, so real variables wait
+    for a fused step, where the other factors have joined them.
     """
     op = REDUCE_OPS["logaddexp"] if op is None else op
     out = list(factors)
     remaining = set()
     for v in rvars:
         holders = [k for k, p in enumerate(out) if v in p.free_vars]
-        if len(holders) == 1:
-            k = holders[0]
+        k = holders[0] if len(holders) == 1 else None
+        if k is not None and isinstance(out[k].free_vars.typeof(v), Bounded):
             out[k] = reduce_term(op, v, out[k])
         else:
             remaining.add(v)
@@ -88,6 +92,11 @@ def greedy_plan(
     contexts = [p.free_vars for p in factors]
     # Sets hash-order their elements; a fixed order keeps plans repeatable.
     vars_left = sorted(rvars) if isinstance(rvars, (set, frozenset)) else list(rvars)
+    # Real variables are reduced first within a step: integrating one out
+    # is closed-form, while summing a label out of a Gaussian batched over
+    # it is a mixture that Exact leaves lazy.
+    reals = {n for c in contexts for n, tp in c.entries if not isinstance(tp, Bounded)}
+    vars_left.sort(key=lambda v: v not in reals)
     while len(contexts) > 1:
         best = None
         for i in range(len(contexts)):
@@ -128,42 +137,40 @@ def contract_pair(op: ReduceOp, a: Term, b: Term, rvars: Sequence[str]) -> Term:
 
 def execute_plan(plan: ContractionPlan, parts: Sequence[Term]) -> Term:
     factors = list(parts)
-    with interpretation(EXACT):
-        for i, j, rvs in plan.steps:
-            fused = contract_pair(plan.op, factors[i], factors[j], rvs)
-            rest = [f for k, f in enumerate(factors) if k not in (i, j)]
-            factors = [fused] + rest
-        # The steps fuse until one factor remains.
-        out = factors[0]
-        for v in plan.final_vars:
-            out = reduce_term(plan.op, v, out)
+    for i, j, rvs in plan.steps:
+        fused = contract_pair(plan.op, factors[i], factors[j], rvs)
+        rest = [f for k, f in enumerate(factors) if k not in (i, j)]
+        factors = [fused] + rest
+    # The steps fuse until one factor remains.
+    out = factors[0]
+    for v in plan.final_vars:
+        out = reduce_term(plan.op, v, out)
     return out
 
 
-def contract(
-    op,
-    rvars: Sequence[str],
-    parts: Sequence[Term],
-    stats: Optional[Dict] = None,
-) -> Term:
+def contract(op, rvars: Sequence[str], parts: Sequence[Term]) -> Term:
     """Reduce several variables out of a factor product, planned greedily."""
     if isinstance(op, str):
         op = REDUCE_OPS[op]
     parts, residual = push_singleton_sums(list(parts), list(rvars), op)
     remaining = [v for v in rvars if v in residual]
-    plan = greedy_plan(parts, remaining, op)
-    if stats is not None:
-        stats["steps"] = len(plan.steps)
-        stats["estimated_cost"] = plan.estimated_cost
-    return execute_plan(plan, parts)
+    return execute_plan(greedy_plan(parts, remaining, op), parts)
 
 
-def _w_plan_reduce(node: Reduce, recurse) -> Optional[Term]:
+def contract_reduction(node: Reduce, recurse, joint: bool = False) -> Optional[Term]:
+    """Contract a lazily built reduction over a product through ``contract``.
+
+    Runs before the product is rebuilt, so its factors are never fused
+    into one union table.  ``recurse`` evaluates each factor.  With
+    ``joint``, directly nested reductions of the same op join one plan;
+    otherwise only ``node``'s own variable is planned, and an inner
+    reduction is contracted on its own when the rebuild reaches it.
+    """
     if node.op.name not in ("logaddexp", "max"):
         return None
-    rvars: List[str] = []
-    body: Term = node
-    while isinstance(body, Reduce) and body.op.name == node.op.name:
+    rvars = [node.var]
+    body = node.body
+    while joint and isinstance(body, Reduce) and body.op.name == node.op.name:
         rvars.append(body.var)
         body = body.body
     if not (
@@ -175,13 +182,16 @@ def _w_plan_reduce(node: Reduce, recurse) -> Optional[Term]:
     raw_parts = flatten_product(body)
     if len(raw_parts) < 2:
         return None
-    parts = [recurse(p) for p in raw_parts]
-    return contract(node.op, rvars, parts)
+    return contract(node.op, rvars, [recurse(p) for p in raw_parts])
+
+
+def _w_plan_reduction(node: Reduce, recurse) -> Optional[Term]:
+    return contract_reduction(node, recurse, joint=True)
 
 
 OPTIMIZE = Interpretation(
     "optimize",
     rules=[],
     fallback=EXACT,
-    whole_rules=[WholeRule(Reduce, _w_plan_reduce, "plan-contraction")],
+    whole_rules=[WholeRule(Reduce, _w_plan_reduction, "plan-contraction")],
 )

@@ -261,6 +261,31 @@ class TestBatchOps:
             gaussian_eval(sel, {"x": xv}), gaussian_eval(g, {"x": xv})[2]
         )
 
+    def test_index_batch_gathers_cells_without_refactoring(self, monkeypatch):
+        """Cells gathered from a checked atom are already symmetric and
+        definite, so the gather copies them without a Cholesky check.
+        """
+        rng = np.random.default_rng(16)
+        g = random_gaussian(
+            rng, [("x", RealArray((2,)))], [("i", Bounded(4)), ("j", Bounded(3))]
+        )
+        picks = np.array([[3.0, 0.0], [1.0, 1.0]])
+        idx = index_tensor(TypeContext([("a", Bounded(2)), ("b", Bounded(2))]), picks, 4)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda m: calls.append(m) or cholesky(m)
+        )
+        sel = gaussian_index_batch(g, "i", idx)
+        assert calls == []
+        assert sorted(sel.batch.names) == ["a", "b", "j"]
+        rows = picks.astype(int)
+        perm = [sel.batch.names.index(n) for n in ("a", "b", "j")]
+        info = np.transpose(sel.info_vec, perm + [3])
+        prec = np.transpose(sel.precision, perm + [3, 4])
+        np.testing.assert_array_equal(info, g.info_vec[rows])
+        np.testing.assert_array_equal(prec, g.precision[rows])
+
     def test_cat_then_index_roundtrip(self):
         rng = np.random.default_rng(15)
         a = random_gaussian(rng, [("x", RealArray(()))], [("i", Bounded(2))])

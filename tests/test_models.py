@@ -238,17 +238,34 @@ class TestHmm:
             )
 
 
+def zero_observation_kalman():
+    """A chain whose observations ignore the state (H = 0)."""
+    rng = np.random.default_rng(10)
+    n, m, T = 2, 2, 5
+    F = np.array([[0.9, 0.1], [0.0, 0.8]])
+    Q = np.array([[0.3, 0.05], [0.05, 0.2]])
+    R = np.array([[0.5, 0.1], [0.1, 0.4]])
+    ys = rng.normal(size=(T, m))
+    return KalmanSpec(F=F, Q=Q, H=np.zeros((m, n)), R=R, observations=ys)
+
+
 class TestKalman:
     def test_zero_observation_matrix_carries_no_information(self):
-        rng = np.random.default_rng(10)
-        n, m, T = 2, 2, 5
-        F = np.array([[0.9, 0.1], [0.0, 0.8]])
-        Q = np.array([[0.3, 0.05], [0.05, 0.2]])
-        R = np.array([[0.5, 0.1], [0.1, 0.4]])
-        ys = rng.normal(size=(T, m))
-        spec = KalmanSpec(F=F, Q=Q, H=np.zeros((m, n)), R=R, observations=ys)
-        target = sum(mvn_logpdf(y, np.zeros(m), R) for y in ys)
+        spec = zero_observation_kalman()
+        m = spec.R.shape[0]
+        target = sum(mvn_logpdf(y, np.zeros(m), spec.R) for y in spec.observations)
         np.testing.assert_allclose(value(build_kalman(spec)), target, atol=1e-8)
+
+    def test_optimize_agrees_with_exact_without_observation_information(self):
+        """Each observation factor carries no precision on the state, so
+        planning must not marginalize the state out of it alone.
+        """
+        term = build_kalman(zero_observation_kalman())
+        for mode in ("sequential", "parallel"):
+            with scan_mode(mode):
+                want = float(interpret(EXACT, term).atom.data)
+                got = float(interpret(OPTIMIZE, term).atom.data)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_matches_filter_oracle(self):
         rng = np.random.default_rng(11)

@@ -7,7 +7,9 @@ factors with a pointwise sum and reduce the variables one at a time.
 import numpy as np
 import pytest
 
-from funsor.domains import Bounded, TypeContext
+from funsor.approx import MonteCarlo
+from funsor.domains import Bounded, RealArray, TypeContext
+from funsor.gaussian import GaussianAtom
 from funsor.interp import EXACT, LAZY, interpret, interpretation, lift, reduce_term
 from funsor.ops import REDUCE_OPS
 from funsor.optimize import (
@@ -20,7 +22,7 @@ from funsor.optimize import (
     push_singleton_sums,
 )
 from funsor.tensor import TensorAtom
-from funsor.terms import Reduce, TensorLeaf
+from funsor.terms import GaussianLeaf, Reduce, TensorLeaf
 
 
 def table(rng, entries):
@@ -172,6 +174,25 @@ class TestOptimizeInterpretation:
             want = interpret(EXACT, node)
             np.testing.assert_allclose(got.atom.data, want.atom.data, rtol=1e-10)
 
+    def test_mixture_integrates_the_real_variable_before_the_label(self):
+        """Real variables are not pushed into a lone factor, so the joint
+        plan must still integrate ``x`` before it sums the label ``c``.
+        """
+        rng = np.random.default_rng(10)
+        c = TypeContext([("c", Bounded(3))])
+        x = TypeContext([("x", RealArray(()))])
+        info, prec = rng.normal(size=(3, 1)), rng.uniform(1.0, 2.0, size=(3, 1, 1))
+        weight = TensorLeaf(TensorAtom(c, rng.normal(size=3)))
+        gauss = GaussianLeaf(GaussianAtom(c, x, info, prec))
+        with interpretation(LAZY):
+            model = lift("add", weight, gauss)
+            c_of_x = reduce_term("logaddexp", "c", reduce_term("logaddexp", "x", model))
+            x_of_c = reduce_term("logaddexp", "x", reduce_term("logaddexp", "c", model))
+        want = interpret(EXACT, c_of_x)
+        for node in (c_of_x, x_of_c):
+            got = interpret(OPTIMIZE, node)
+            np.testing.assert_allclose(got.atom.data, want.atom.data, rtol=1e-12)
+
     def test_nested_sums_plan_jointly(self):
         rng = np.random.default_rng(7)
         parts = [
@@ -187,3 +208,52 @@ class TestOptimizeInterpretation:
         want = interpret(EXACT, node)
         np.testing.assert_allclose(got.atom.data, want.atom.data, rtol=1e-12)
         assert got.atom.context.names == ()
+
+
+class TestPlansRunUnderTheCaller:
+    def test_montecarlo_samples_a_planned_step(self):
+        """A real variable shared by three factors is reduced at the last
+        fused step, under the caller's Monte Carlo rules, like the unplanned
+        reduction of the fused product.
+        """
+        rng = np.random.default_rng(8)
+        x = TypeContext([("x", RealArray(()))])
+        parts = [
+            GaussianLeaf(GaussianAtom(TypeContext(), x, rng.normal(size=1), [[1.0 + k]]))
+            for k in range(3)
+        ]
+        planned = MonteCarlo(0)
+        with interpretation(planned):
+            contract("logaddexp", ["x"], parts)
+        unplanned = MonteCarlo(0)
+        with interpretation(unplanned):
+            reduce_term("logaddexp", "x", lift("add", lift("add", *parts[:2]), parts[2]))
+        assert planned.draws == unplanned.draws == 1
+
+
+class TestExactContraction:
+    def test_lazy_reduction_skips_the_union_table(self):
+        """Exact contracts a lazily built ``Reduce(j, A(i,j) + B(j,k))``
+        without building the (K, K, K) union table: 6.75 MiB at K=96, where
+        each operand and the result are 72 KiB.
+        """
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        K = 96
+        a = table(rng, [("i", Bounded(K)), ("j", Bounded(K))])
+        b = table(rng, [("j", Bounded(K)), ("k", Bounded(K))])
+        with interpretation(LAZY):
+            node = reduce_term("logaddexp", "j", lift("add", a, b))
+        tracemalloc.start()
+        try:
+            got = interpret(EXACT, node)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = np.logaddexp.reduce(
+            a.atom.data[:, :, None] + b.atom.data[None, :, :], axis=1
+        )
+        assert got.atom.context.names == ("i", "k")
+        np.testing.assert_allclose(got.atom.data, want, rtol=1e-12)
+        assert peak < 4 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"

@@ -2,12 +2,16 @@
 
 ``perfbench/tracer.py`` wraps functions it looks up on the ``funsor``
 modules; deleting or renaming one of them breaks ``--trace 1`` at install
-time.  This installs the tracer and restores it again.
+time.  This installs the tracer and restores it again.  Rules are timed
+by name, so every rule and whole-term rule of the wrapped interpretations
+must be among the names the tracer reports.
 """
 import os
 import sys
 
 import funsor.tensor
+from funsor.interp import EXACT, LAZY
+from funsor.optimize import OPTIMIZE
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
 
@@ -23,3 +27,15 @@ def test_tracer_installs_and_restores():
     finally:
         t.restore()
     assert funsor.tensor.tensor_apply is original
+
+
+def test_tracer_times_every_rule_by_name():
+    t = tracer.Tracer()
+    try:
+        t.install()
+        names = set(t.rule_names)
+    finally:
+        t.restore()
+    for interp in (LAZY, EXACT, OPTIMIZE):
+        for rule in interp.rules + interp.whole_rules:
+            assert rule.name in names, (interp.name, rule.name)
