@@ -113,7 +113,7 @@ def moment_match(
     prec2 = 0.5 * (prec2 + np.swapaxes(prec2, -1, -2))
     info2 = (prec2 @ mu2[..., None])[..., 0]
 
-    matched = GaussianAtom(union.remove(v), g.reals, info2, prec2)
+    matched = GaussianAtom._unchecked(union.remove(v), g.reals, info2, prec2)
     norm2 = gaussian_log_normalizer(matched)
     w_out = tensor_apply(SUB, [w_full, norm2])
     w_red = tensor_reduce(LOGADDEXP_REDUCE, w_out, v)

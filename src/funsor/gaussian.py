@@ -15,11 +15,12 @@ factorization: on failure the factorization is retried once with
 
 Batched matrix products and matrix-vector products use ``@`` on stacked
 arrays (BLAS); affine substitution forms ``M' P M`` and ``M' (i - P m)``
-with ``P m`` computed once.  Binding a real variable to a fresh variable
-of its type is a relabel: ``gaussian_rename`` (and ``reorder_like``,
-which only permutes) build their results from the already-validated
-arrays without rerunning the constructor's checks.  Every atom built
-from new numbers is checked.
+with ``P m`` computed once.  Parameters are checked once, where they
+enter: ``GaussianAtom(...)`` serves model builders and user-built leaves,
+while the kernels build their results, relabels included, through
+``GaussianAtom._unchecked``, which symmetrizes as the checked constructor
+does and skips its tests.  A result that rounding left indefinite raises
+``RankDeficient`` at its first factorization.
 """
 from __future__ import annotations
 
@@ -70,6 +71,15 @@ def _chol_logdet(chol: np.ndarray) -> np.ndarray:
         return 2.0 * np.sum(np.log(diag), axis=-1)
 
 
+def _block_offsets(reals: TypeContext) -> Dict[str, Tuple[int, int]]:
+    """Each real variable's ``(lo, hi)`` range in the stacked vector."""
+    out, pos = {}, 0
+    for name, tp in reals.entries:
+        out[name] = (pos, pos + tp.num_elements)
+        pos += tp.num_elements
+    return out
+
+
 class GaussianAtom:
     """Batched log-quadratic factor over named real variables."""
 
@@ -90,8 +100,8 @@ class GaussianAtom:
                 raise ContextMismatch(f"real variable {name!r} must be real-typed")
         dim = sum(tp.num_elements for _, tp in reals.entries)
         bounds = tuple(tp.size for _, tp in batch.entries)
-        i = np.ascontiguousarray(np.asarray(info_vec, dtype=np.float64))
-        p = np.ascontiguousarray(np.asarray(precision, dtype=np.float64))
+        i = np.asarray(info_vec, dtype=np.float64)
+        p = np.asarray(precision, dtype=np.float64)
         if i.shape != bounds + (dim,):
             raise FunsorTypeError(
                 f"info vector shape {i.shape}, expected {bounds + (dim,)}"
@@ -104,11 +114,14 @@ class GaussianAtom:
         tol = 1e-8 * max(1.0, float(np.max(np.abs(p))) if p.size else 1.0)
         if asym > tol:
             raise ContextMismatch(f"precision asymmetric beyond tolerance ({asym:.3e})")
-        p = (p + np.swapaxes(p, -1, -2)) / 2.0
-        _cholesky_jitter(p)
         self._fill(batch, reals, i, p)
+        _cholesky_jitter(self.precision)
 
-    def _fill(self, batch: TypeContext, reals: TypeContext, i: np.ndarray, p: np.ndarray):
+    def _fill(self, batch, reals, info_vec, precision, symmetrize=True):
+        i = np.ascontiguousarray(info_vec, dtype=np.float64)
+        p = np.ascontiguousarray(precision, dtype=np.float64)
+        if symmetrize:
+            p = (p + np.swapaxes(p, -1, -2)) / 2.0
         p.setflags(write=False)
         i.setflags(write=False)
         object.__setattr__(self, "batch", batch)
@@ -118,15 +131,17 @@ class GaussianAtom:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _relabelled(cls, batch: TypeContext, reals: TypeContext, info_vec, precision):
-        """An atom over parameters a checked atom already holds, relabelled.
+    def _unchecked(cls, batch, reals, info_vec, precision, symmetrize=True):
+        """An atom the kernels computed from checked atoms, left unchecked.
 
-        Renaming variables, permuting batch axes and real blocks together,
-        and gathering or slicing batch cells all keep shapes, symmetry and
-        definiteness, so the constructor's checks are skipped.
+        The precision is symmetrized as ``__init__`` does, so results are
+        bit-identical to checked construction.  Relabels, permutations and
+        gathered or sliced batch cells of a checked atom are exactly
+        symmetric already: they pass ``symmetrize=False``, and a relabel
+        shares its arrays.
         """
         self = object.__new__(cls)
-        self._fill(batch, reals, np.ascontiguousarray(info_vec), np.ascontiguousarray(precision))
+        self._fill(batch, reals, info_vec, precision, symmetrize)
         return self
 
     def __setattr__(self, name, value):
@@ -141,14 +156,11 @@ class GaussianAtom:
         return self.batch.union(self.reals)
 
     def offsets(self) -> Dict[str, Tuple[int, int]]:
-        out = {}
-        pos = 0
-        for name, tp in self.reals.entries:
-            out[name] = (pos, pos + tp.num_elements)
-            pos += tp.num_elements
-        return out
+        return _block_offsets(self.reals)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, GaussianAtom):
             return NotImplemented
         if self.batch != other.batch or self.reals != other.reals:
@@ -190,7 +202,9 @@ def reorder_like(g: GaussianAtom, template: GaussianAtom) -> GaussianAtom:
         cols.extend(range(lo, hi))
     i = i[..., cols]
     p = p[..., cols, :][..., :, cols]
-    return GaussianAtom._relabelled(template.batch, template.reals, i, p)
+    return GaussianAtom._unchecked(
+        template.batch, template.reals, i, p, symmetrize=False
+    )
 
 
 def _aligned_params(
@@ -198,11 +212,7 @@ def _aligned_params(
 ):
     """Embed each atom's parameters into a shared batch and block layout."""
     dim = sum(tp.num_elements for _, tp in reals.entries)
-    offsets = {}
-    pos = 0
-    for name, tp in reals.entries:
-        offsets[name] = (pos, pos + tp.num_elements)
-        pos += tp.num_elements
+    offsets = _block_offsets(reals)
     bounds = tuple(tp.size for _, tp in union_batch.entries)
     out = []
     for g in atoms:
@@ -231,7 +241,7 @@ def gaussian_fuse(a: GaussianAtom, b: GaussianAtom) -> GaussianAtom:
     reals = a.reals.union(b.reals)
     _, params = _aligned_params([a, b], union_batch, reals)
     (ia, pa), (ib, pb) = params
-    return GaussianAtom(union_batch, reals, ia + ib, pa + pb)
+    return GaussianAtom._unchecked(union_batch, reals, ia + ib, pa + pb)
 
 
 def gaussian_eval(g: GaussianAtom, assignment: Dict[str, np.ndarray]) -> np.ndarray:
@@ -295,7 +305,7 @@ def gaussian_marginalize(
     w = TensorAtom(g.batch, 0.5 * dv * LOG_2PI - 0.5 * logdet + 0.5 * quad)
     i_new = i_u - (p_uv @ x[..., None])[..., 0]
     p_new = p_uu - p_uv @ _chol_solve(chol, np.swapaxes(p_uv, -1, -2))
-    rest = GaussianAtom(g.batch, g.reals.remove(name), i_new, p_new)
+    rest = GaussianAtom._unchecked(g.batch, g.reals.remove(name), i_new, p_new)
     return w, rest
 
 
@@ -335,7 +345,7 @@ def gaussian_substitute(
     p_uu = align_array(g.precision[..., u[:, None], u[None, :]], g.batch, union)
     i_new = i_u - (p_uv @ x[..., None])[..., 0]
     p_uu = np.broadcast_to(p_uu, bounds + (len(u), len(u)))
-    rest = GaussianAtom(union, g.reals.remove(name), i_new, p_uu)
+    rest = GaussianAtom._unchecked(union, g.reals.remove(name), i_new, p_uu)
     return const, rest
 
 
@@ -346,14 +356,14 @@ def gaussian_plated_product(g: GaussianAtom, name: str) -> GaussianAtom:
     axis = g.batch.names.index(name)
     i = np.sum(g.info_vec, axis=axis)
     p = np.sum(g.precision, axis=axis)
-    return GaussianAtom(g.batch.remove(name), g.reals, i, p)
+    return GaussianAtom._unchecked(g.batch.remove(name), g.reals, i, p)
 
 
 def gaussian_index_batch(g: GaussianAtom, name: str, idx: TensorAtom) -> GaussianAtom:
     """Substitute integer values for one batch variable (a gather)."""
     i = tensor_index(g.info_atom(), name, idx)
     p = tensor_index(g.precision_atom(), name, idx)
-    return GaussianAtom._relabelled(i.context, g.reals, i.data, p.data)
+    return GaussianAtom._unchecked(i.context, g.reals, i.data, p.data, symmetrize=False)
 
 
 def gaussian_cat(name: str, parts: Sequence[GaussianAtom]) -> GaussianAtom:
@@ -377,7 +387,7 @@ def gaussian_cat(name: str, parts: Sequence[GaussianAtom]) -> GaussianAtom:
         )
     i = tensor_cat(name, [e[0] for e in embedded])
     p = tensor_cat(name, [e[1] for e in embedded])
-    return GaussianAtom(i.context, reals, i.data, p.data)
+    return GaussianAtom._unchecked(i.context, reals, i.data, p.data)
 
 
 def gaussian_affine_substitute(
@@ -418,12 +428,8 @@ def gaussian_affine_substitute(
         union = union.union(mat.context)
     bounds = tuple(t.size for _, t in union.entries)
 
-    new_offsets = {}
-    pos = 0
-    for n, t in new_reals.entries:
-        new_offsets[n] = (pos, pos + t.num_elements)
-        pos += t.num_elements
-    d_new = pos
+    new_offsets = _block_offsets(new_reals)
+    d_new = sum(t.num_elements for _, t in new_reals.entries)
     old_offsets = g.offsets()
     d_old = g.dim
 
@@ -459,21 +465,23 @@ def gaussian_affine_substitute(
     i_new = (m_t @ shifted[..., None])[..., 0]
     p_new = m_t @ p_old @ m_map
     const_out = TensorAtom(union, t)
-    return const_out, GaussianAtom(union, new_reals, i_new, p_new)
+    return const_out, GaussianAtom._unchecked(union, new_reals, i_new, p_new)
 
 
 def gaussian_rename(g: GaussianAtom, mapping: Dict[str, str]) -> GaussianAtom:
     """Relabel batch and real variables without touching parameters."""
     batch = TypeContext([(mapping.get(n, n), t) for n, t in g.batch.entries])
     reals = TypeContext([(mapping.get(n, n), t) for n, t in g.reals.entries])
-    return GaussianAtom._relabelled(batch, reals, g.info_vec, g.precision)
+    return GaussianAtom._unchecked(
+        batch, reals, g.info_vec, g.precision, symmetrize=False
+    )
 
 
 def gaussian_scale(g: GaussianAtom, k: float) -> GaussianAtom:
     """Raise the factor to a positive power: parameters scale linearly."""
     if k <= 0:
         raise FunsorTypeError(f"scale must be positive, got {k}")
-    return GaussianAtom(g.batch, g.reals, k * g.info_vec, k * g.precision)
+    return GaussianAtom._unchecked(g.batch, g.reals, k * g.info_vec, k * g.precision)
 
 
 def gaussian_expand_batch(g: GaussianAtom, name: str, size: int) -> GaussianAtom:
@@ -489,4 +497,4 @@ def gaussian_expand_batch(g: GaussianAtom, name: str, size: int) -> GaussianAtom
     p = np.broadcast_to(
         np.expand_dims(g.precision, nb), bounds + (size,) + g.precision.shape[nb:]
     )
-    return GaussianAtom(batch, g.reals, i, p)
+    return GaussianAtom._unchecked(batch, g.reals, i, p)

@@ -432,12 +432,6 @@ def _fuse_tensor(acc: Optional[TensorAtom], atom: TensorAtom) -> TensorAtom:
     return tensor_apply(ADD, [acc, atom])
 
 
-def _fuse_gaussian(acc: Optional[GaussianAtom], atom: GaussianAtom) -> GaussianAtom:
-    if acc is None:
-        return atom
-    return gaussian_fuse(acc, atom)
-
-
 def normal_form_from_parts(parts: Sequence[Term]) -> NormalForm:
     deltas: List[DeltaAtom] = []
     tensor: Optional[TensorAtom] = None
@@ -449,7 +443,7 @@ def normal_form_from_parts(parts: Sequence[Term]) -> NormalForm:
         if isinstance(p, TensorLeaf) and p.is_scalar_real():
             tensor = _fuse_tensor(tensor, p.atom)
         elif isinstance(p, GaussianLeaf):
-            gaussian = _fuse_gaussian(gaussian, p.atom)
+            gaussian = p.atom if gaussian is None else gaussian_fuse(gaussian, p.atom)
         elif isinstance(p, DeltaLeaf):
             deltas.append(p.atom)
         else:
@@ -739,7 +733,9 @@ def _h_subst_gaussian(node: Subst) -> Optional[Term]:
     if batch_todo:
         info = _apply_index_bindings(g.info_atom(), batch_todo)
         prec = _apply_index_bindings(g.precision_atom(), batch_todo)
-        g = GaussianAtom._relabelled(info.context, g.reals, info.data, prec.data)
+        g = GaussianAtom._unchecked(
+            info.context, g.reals, info.data, prec.data, symmetrize=False
+        )
 
     # Relabel before the other real bindings: an affine value may mention
     # a relabel's target, and its coefficients then add onto that block.

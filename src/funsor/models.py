@@ -25,7 +25,9 @@ from .gaussian import (
     GaussianAtom,
     _chol_solve,
     _cholesky_jitter,
+    gaussian_index_batch,
     gaussian_log_normalizer,
+    gaussian_rename,
 )
 from .interp import (
     LAZY,
@@ -38,7 +40,7 @@ from .interp import (
     var,
 )
 from .ops import TAKE
-from .tensor import TensorAtom
+from .tensor import TensorAtom, index_tensor
 from .terms import Term
 
 
@@ -122,8 +124,12 @@ def _gaussian_factor(
     """
     bounds = tuple(tp.size for _, tp in batch.entries)
     prec = np.broadcast_to(prec, bounds + np.shape(prec)[-2:])
-    g = to_term(GaussianAtom(batch, reals, info, prec))
-    return lift("add", g, to_term(TensorAtom(batch, const)))
+    return _with_const(GaussianAtom(batch, reals, info, prec), const)
+
+
+def _with_const(g: GaussianAtom, const) -> Term:
+    """``g`` plus a constant table over its batch, as one lazy sum."""
+    return lift("add", to_term(g), to_term(TensorAtom(g.batch, const)))
 
 
 def _log_rows(p: np.ndarray, what: str) -> np.ndarray:
@@ -322,23 +328,33 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
     K = spec.transition.shape[0]
     n = spec.F.shape[-1]
     T = observations.shape[0]
+    if T == 0:
+        return to_term(0.0)
     L = spec.window
-    i_dyn, p_dyn, c_dyn = conditional_gaussian(
-        spec.F, np.zeros((K, n)), spec.Q
-    )
+    i_dyn, p_dyn, c_dyn = conditional_gaussian(spec.F, np.zeros((K, n)), spec.Q)
     i_0, p_0, c_0 = dense_gaussian(spec.init_mean, spec.init_cov)
+    i_ob, p_ob, c_ob = observation_factor(spec.H, spec.R, observations)
+    # Each parameter set is checked once, over generic names; every step
+    # relabels the dynamics and takes its own cell of the observations.
+    x_n = RealArray((n,))
+    dyn_reals = TypeContext([("prev", x_n), ("curr", x_n)])
+    dyn_atom = GaussianAtom(TypeContext([("s", Bounded(K))]), dyn_reals, i_dyn, p_dyn)
+    p_ob = np.broadcast_to(p_ob, (T, n, n))
+    obs_atom = GaussianAtom(
+        TypeContext([("t", Bounded(T))]), TypeContext([("curr", x_n)]), i_ob, p_ob
+    )
 
     with interpretation(MomentMatching()):
         joint = to_term(0.0)
         for t in range(T):
             s_t = f"s{t}"
             x_t = f"x{t}"
-            s_ctx = TypeContext([(s_t, Bounded(K))])
-            x_reals = TypeContext([(x_t, RealArray((n,)))])
             if t == 0:
+                s_ctx = TypeContext([(s_t, Bounded(K))])
                 joint = lift(
                     "add", joint, to_term(TensorAtom(s_ctx, log_trans[0]))
                 )
+                x_reals = TypeContext([(x_t, x_n)])
                 init = _gaussian_factor(TypeContext(), x_reals, i_0, p_0, c_0)
                 joint = lift("add", joint, init)
             else:
@@ -348,16 +364,15 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
                 joint = lift(
                     "add", joint, to_term(TensorAtom(pair_ctx, log_trans))
                 )
-                dyn_reals = TypeContext(
-                    [(f"x{t - 1}", RealArray((n,))), (x_t, RealArray((n,)))]
+                dyn = gaussian_rename(
+                    dyn_atom, {"s": s_t, "prev": f"x{t - 1}", "curr": x_t}
                 )
-                dyn = _gaussian_factor(s_ctx, dyn_reals, i_dyn, p_dyn, c_dyn)
-                joint = lift("add", joint, dyn)
-            i_ob, p_ob, c_ob = observation_factor(
-                spec.H, spec.R, observations[t]
+                joint = lift("add", joint, _with_const(dyn, c_dyn))
+            obs = gaussian_index_batch(
+                obs_atom, "t", index_tensor(TypeContext(), float(t), T)
             )
-            obs = _gaussian_factor(TypeContext(), x_reals, i_ob, p_ob, c_ob)
-            joint = lift("add", joint, obs)
+            obs = gaussian_rename(obs, {"curr": x_t})
+            joint = lift("add", joint, _with_const(obs, c_ob[t]))
             if t >= L:
                 joint = reduce_term("logaddexp", f"x{t - L}", joint)
                 joint = reduce_term("logaddexp", f"s{t - L}", joint)

@@ -152,6 +152,11 @@ def contract(op, rvars: Sequence[str], parts: Sequence[Term]) -> Term:
     """Reduce several variables out of a factor product, planned greedily."""
     if isinstance(op, str):
         op = REDUCE_OPS[op]
+    if len(parts) == 2 and all(v in p.free_vars for p in parts for v in rvars):
+        # The only plan: fuse the pair and reduce everything, reals first.
+        ctx = parts[0].free_vars
+        order = sorted(rvars, key=lambda v: isinstance(ctx.typeof(v), Bounded))
+        return contract_pair(op, parts[0], parts[1], order)
     parts, residual = push_singleton_sums(list(parts), list(rvars), op)
     remaining = [v for v in rvars if v in residual]
     return execute_plan(greedy_plan(parts, remaining, op), parts)

@@ -111,6 +111,8 @@ class TensorAtom:
         return self
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, TensorAtom):
             return NotImplemented
         if self.output != other.output or self.context != other.context:
@@ -410,6 +412,11 @@ def tensor_index(atom: TensorAtom, name: str, idx: TensorAtom) -> TensorAtom:
         )
     rest = atom.context.remove(name)
     union = rest.union(idx.context)
+    if not idx.context:
+        # A ground index selects one cell along the axis: a view.
+        axis = atom.context.names.index(name)
+        cell = (slice(None),) * axis + (int(idx.data),)
+        return TensorAtom(rest, atom.data[cell], atom.output)
     if _is_rename(atom, idx):
         # Relabel the axis and move it where the gather would put it (last
         # batch axis), sharing the data.

@@ -9,6 +9,7 @@ multivariate-normal algebra and trapezoid quadrature for integrals.
 import numpy as np
 import pytest
 
+from funsor.approx import moment_match
 from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import ContextMismatch, FunsorTypeError, RankDeficient
 from funsor.gaussian import (
@@ -438,3 +439,68 @@ class TestKernelsAgainstDense:
             np.testing.assert_allclose(
                 at(rest.precision, rest.batch, cell), prec[:2, :2], rtol=1e-12
             )
+
+
+def kernel_results(rng):
+    """One call of each Gaussian kernel on checked atoms, by name."""
+    R1, R2 = RealArray(()), RealArray((2,))
+    g = random_gaussian(rng, [("x", R2), ("y", R1)], [("i", Bounded(3))])
+    h = random_gaussian(rng, [("y", R1), ("z", R2)], [("j", Bounded(2))])
+    y_val = TensorAtom(TypeContext([("k", Bounded(2))]), rng.normal(size=2))
+    const = TensorAtom(TypeContext(), rng.normal(size=2), R2)
+    coeff = TensorAtom(TypeContext(), rng.normal(size=(2, 2)), RealArray((2, 2)))
+    log_w = TensorAtom(TypeContext([("i", Bounded(3))]), rng.normal(size=3))
+    return {
+        "fuse": lambda: gaussian_fuse(g, h),
+        "marginalize": lambda: gaussian_marginalize(g, "y")[1],
+        "substitute": lambda: gaussian_substitute(g, "y", y_val)[1],
+        "affine_substitute": lambda: gaussian_affine_substitute(
+            g, "x", const, [("u", R2, coeff)]
+        )[1],
+        "plated_product": lambda: gaussian_plated_product(g, "i"),
+        "cat": lambda: gaussian_cat("i", [g, h]),
+        "scale": lambda: gaussian_scale(g, 0.5),
+        "expand_batch": lambda: gaussian_expand_batch(g, "k", 2),
+        "moment_match": lambda: moment_match(log_w, g, "i")[0],
+    }
+
+
+class TestTrustBoundary:
+    """Parameters are checked where they enter; kernel results are not
+    re-factorized, and stay bit-identical to checked construction."""
+
+    # Factorizations a kernel needs for its own solves: the marginalized
+    # block, and for moment matching the two normalizers and the
+    # components' covariances.
+    OWN_FACTORIZATIONS = {"marginalize": 1, "moment_match": 3}
+
+    @pytest.mark.parametrize("kernel", sorted(kernel_results(np.random.default_rng(0))))
+    def test_kernel_result_is_not_refactorized(self, kernel, monkeypatch):
+        run = kernel_results(np.random.default_rng(40))[kernel]
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda m: calls.append(m.shape) or cholesky(m)
+        )
+        got = run()
+        assert len(calls) == self.OWN_FACTORIZATIONS.get(kernel, 0)
+
+        def checked(cls, batch, reals, info_vec, precision, symmetrize=True):
+            return GaussianAtom(batch, reals, info_vec, precision)
+
+        monkeypatch.setattr(GaussianAtom, "_unchecked", classmethod(checked))
+        want = kernel_results(np.random.default_rng(40))[kernel]()
+        assert got.batch.entries == want.batch.entries
+        assert got.reals.entries == want.reals.entries
+        assert np.array_equal(got.info_vec, want.info_vec)
+        assert np.array_equal(got.precision, want.precision)
+
+    def test_indefinite_result_raises_at_first_factorization(self):
+        # The x block has eigenvalues 3 and -1.
+        prec = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        reals = TypeContext([("x", RealArray((2,))), ("y", RealArray(()))])
+        g = GaussianAtom._unchecked(TypeContext(), reals, np.zeros(3), prec)
+        with pytest.raises(RankDeficient):
+            gaussian_log_normalizer(g)
+        with pytest.raises(RankDeficient):
+            gaussian_marginalize(g, "x")

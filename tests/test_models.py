@@ -7,6 +7,7 @@ import pytest
 
 from funsor.domains import RealArray, TypeContext
 from funsor.errors import BoundsError, FunsorTypeError
+from funsor.gaussian import GaussianAtom
 from funsor.interp import EXACT, interpret
 from funsor.markov import scan_mode
 from funsor.models import (
@@ -350,6 +351,40 @@ class TestSlds:
             errs[window] = abs(got - exact)
         assert errs[3] <= errs[1] + 1e-12
         assert errs[T] <= 1e-8
+
+    def test_parameters_are_checked_once_per_model(self, monkeypatch):
+        """The dynamics and observation parameters are checked once, not
+        once per step: Cholesky calls made by checked construction, and
+        jitter retries, do not grow with the horizon."""
+        spec, ys = random_slds(np.random.default_rng(23), 2, 2, 40, window=2)
+        init = GaussianAtom.__init__
+        cholesky = np.linalg.cholesky
+        inside = []
+        counts = {}
+
+        def counting_init(self, *args):
+            inside.append(True)
+            try:
+                init(self, *args)
+            finally:
+                inside.pop()
+
+        def counting_cholesky(m):
+            counts["checks"] += bool(inside)
+            try:
+                return cholesky(m)
+            except np.linalg.LinAlgError:
+                counts["retries"] += 1
+                raise
+
+        monkeypatch.setattr(GaussianAtom, "__init__", counting_init)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        seen = []
+        for T in (10, 40):
+            counts.update(checks=0, retries=0)
+            assert np.isfinite(value(build_slds_marginal(spec, ys[:T])))
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
 
     def test_window_below_one_rejected(self):
         with pytest.raises(BoundsError):

@@ -158,6 +158,35 @@ class TestExecutePlan:
         np.testing.assert_allclose(got.atom.data, want.atom.data)
         assert set(got.atom.context.names) == {"i"}
 
+    def test_two_factors_sharing_every_variable_skip_the_planner(self, monkeypatch):
+        """Such a pair has one plan: fuse, then reduce reals before labels."""
+        import funsor.optimize as optimize
+
+        rng = np.random.default_rng(8)
+        c = TypeContext([("c", Bounded(3))])
+        x = TypeContext([("x", RealArray(()))])
+        mixture = [
+            GaussianLeaf(
+                GaussianAtom(
+                    c, x, rng.normal(size=(3, 1)), rng.uniform(1.0, 2.0, size=(3, 1, 1))
+                )
+            )
+            for _ in range(2)
+        ]
+        ij = [("i", Bounded(3)), ("j", Bounded(4))]
+        cases = [(["c", "x"], mixture), (["i", "j"], [table(rng, ij), table(rng, ij)])]
+        with interpretation(EXACT):
+            want = [execute_plan(greedy_plan(parts, rvars), parts) for rvars, parts in cases]
+
+            def refuse(*args):
+                raise AssertionError("planned a two-factor contraction")
+
+            monkeypatch.setattr(optimize, "greedy_plan", refuse)
+            got = [contract("logaddexp", rvars, parts) for rvars, parts in cases]
+        for g, w in zip(got, want):
+            assert g.atom.context == w.atom.context == TypeContext()
+            assert np.array_equal(g.atom.data, w.atom.data)
+
 
 class TestOptimizeInterpretation:
     def test_agrees_with_exact_on_random_graphs(self):

@@ -57,6 +57,24 @@ class TestAtomBasics:
         with pytest.raises(ValueError):
             a.data[()] = 2.0
 
+    def test_atom_equals_itself_without_comparing_data(self, monkeypatch):
+        from funsor.gaussian import GaussianAtom
+
+        rng = np.random.default_rng(30)
+        t = random_atom(rng, [("i", Bounded(3))])
+        g = GaussianAtom(
+            TypeContext([("i", Bounded(3))]),
+            TypeContext([("x", RealArray(()))]),
+            rng.normal(size=(3, 1)),
+            np.ones((3, 1, 1)),
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compared data of an atom with itself")
+
+        monkeypatch.setattr(np, "array_equal", refuse)
+        assert t == t and g == g
+
 
 class TestAlignment:
     def test_align_two(self):
@@ -192,6 +210,21 @@ class TestIndexingAndShaping:
         assert out.context.typeof("t") == Bounded(3)
         np.testing.assert_allclose(out.data[:2], a.data)
         np.testing.assert_allclose(out.data[2], b.data)
+
+    def test_ground_index_is_a_view(self):
+        rng = np.random.default_rng(29)
+        a = TensorAtom(
+            TypeContext([("i", Bounded(3)), ("j", Bounded(4))]),
+            rng.normal(size=(3, 4, 2)),
+            RealArray((2,)),
+        )
+        out = tensor_index(a, "j", index_tensor(TypeContext(), 2.0, 4))
+        assert out.context.names == ("i",) and out.output == a.output
+        assert np.shares_memory(out.data, a.data)
+        one = index_tensor(TypeContext([("c", Bounded(1))]), [2.0], 4)
+        gathered = tensor_index(a, "j", one)
+        assert gathered.context.names == ("i", "c")
+        np.testing.assert_array_equal(out.data, gathered.data[:, 0])
 
 
 def broadcast_contract(op, atoms, rvars):
