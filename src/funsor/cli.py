@@ -1,11 +1,11 @@
-"""Command line front end: evaluate model files, benchmark chained products.
+"""Command line front end: evaluate model files.
 
-``funsor run model.json`` prints one JSON object with the log value;
-``funsor bench markov`` prints a CSV comparing sequential and doubling
-evaluation of a chained product.  Model files carry a ``"model"``
-discriminator naming the family; probabilities are written in linear
-space and converted to log internally, matrices as nested row-major
-lists.
+``funsor run model.json`` prints one JSON object with the log value.
+Model files carry a ``"model"`` discriminator naming the family;
+probabilities are written in linear space and converted to log
+internally, matrices as nested row-major lists.  The model builders
+check every array's shape, so a malformed file, like an unreadable one,
+prints ``{"error", "detail"}`` and exits 1.
 """
 
 import argparse
@@ -19,7 +19,7 @@ import numpy as np
 from .approx import MomentMatching, MonteCarlo, RngState
 from .errors import BoundsError, FunsorError, FunsorTypeError
 from .interp import EXACT, interpret
-from .markov import scan_mode
+from .markov import SCAN_MODES, scan_mode
 from .models import (
     GmmSpec,
     HmmSpec,
@@ -34,7 +34,6 @@ from .optimize import OPTIMIZE
 
 INTERPRETATIONS = ("exact", "optimize", "momentmatching", "montecarlo")
 SEMIRINGS = ("sumproduct", "maxproduct")
-SCANS = ("sequential", "parallel")
 MODEL_FAMILIES = ("hmm", "kalman", "slds", "gmm")
 
 
@@ -56,7 +55,7 @@ class RunConfig:
             )
         if self.semiring not in SEMIRINGS:
             raise FunsorTypeError(f"unknown semiring {self.semiring!r}")
-        if self.scan not in SCANS:
+        if self.scan not in SCAN_MODES:
             raise FunsorTypeError(f"unknown scan mode {self.scan!r}")
         if self.interpretation == "montecarlo" and self.samples < 1:
             raise BoundsError(
@@ -101,14 +100,14 @@ def _scalar(term) -> float:
     return float(term.atom.data)
 
 
-def _evaluate_chain(term, config: RunConfig, elim: str):
+def _evaluate_chain(term, config: RunConfig):
     """Interpret a closed chain term; returns (log value, levels or None)."""
     stats = {} if config.scan == "parallel" else None
     if config.interpretation == "montecarlo":
         draws = []
         for k in range(config.samples):
             mc = MonteCarlo(RngState(config.seed, k * 1024))
-            with scan_mode(config.scan, elim=elim, stats=stats):
+            with scan_mode(config.scan, stats=stats):
                 draws.append(_scalar(interpret(mc, term)))
         value = float(np.logaddexp.reduce(draws) - np.log(len(draws)))
     else:
@@ -117,7 +116,7 @@ def _evaluate_chain(term, config: RunConfig, elim: str):
             "optimize": OPTIMIZE,
             "momentmatching": MomentMatching(),
         }[config.interpretation]
-        with scan_mode(config.scan, elim=elim, stats=stats):
+        with scan_mode(config.scan, stats=stats):
             value = _scalar(interpret(interp, term))
     levels = stats.get("levels") if stats is not None else None
     return value, levels
@@ -130,7 +129,6 @@ def cmd_run(config: RunConfig) -> int:
         raise FunsorTypeError(
             f"unknown model family {family!r}; expected one of {MODEL_FAMILIES}"
         )
-    elim = "max" if config.semiring == "maxproduct" else "logaddexp"
     if config.semiring == "maxproduct" and family != "hmm":
         raise FunsorTypeError(
             "maxproduct applies to discrete-only models; "
@@ -146,8 +144,8 @@ def cmd_run(config: RunConfig) -> int:
             emission_loglik=_array(doc, "emission_loglik"),
             prior=_field(doc, "prior"),
         )
-        term = build_hmm(spec, elim=elim)
-        value, levels = _evaluate_chain(term, config, elim)
+        elim = "max" if config.semiring == "maxproduct" else "logaddexp"
+        value, levels = _evaluate_chain(build_hmm(spec, elim=elim), config)
     elif family == "kalman":
         spec = KalmanSpec(
             F=_array(doc, "F"),
@@ -160,7 +158,7 @@ def cmd_run(config: RunConfig) -> int:
             bias_cov=_field(doc, "bias_cov"),
         )
         term = build_kalman(spec)
-        value, levels = _evaluate_chain(term, config, elim)
+        value, levels = _evaluate_chain(term, config)
     elif family == "slds":
         if config.interpretation != "momentmatching":
             print(
@@ -209,59 +207,6 @@ def cmd_run(config: RunConfig) -> int:
     return 0
 
 
-def cmd_bench_markov(lengths, trials: int, seed: int = 0) -> int:
-    if not lengths:
-        raise BoundsError("lengths must be nonempty")
-    for T in lengths:
-        if T < 1:
-            raise BoundsError(f"chain length must be positive, got {T}")
-    if trials < 1:
-        raise BoundsError(f"trials must be positive, got {trials}")
-
-    rng = np.random.default_rng(seed)
-    K = 2
-    print("T,levels,wall_ms_sequential,wall_ms_parallel")
-    for T in lengths:
-        spec = HmmSpec(
-            transition=rng.dirichlet(np.ones(K), size=K),
-            emission_loglik=rng.normal(size=(T, K)),
-        )
-        term = build_hmm(spec)
-
-        seq_times = []
-        for _ in range(trials):
-            start = time.perf_counter()
-            with scan_mode("sequential"):
-                v_seq = _scalar(interpret(EXACT, term))
-            seq_times.append(time.perf_counter() - start)
-
-        stats = {}
-        par_times = []
-        for _ in range(trials):
-            start = time.perf_counter()
-            with scan_mode("parallel", stats=stats):
-                v_par = _scalar(interpret(EXACT, term))
-            par_times.append(time.perf_counter() - start)
-
-        if abs(v_seq - v_par) > 1e-8:
-            raise FunsorError(
-                f"scan modes disagree at T={T}: "
-                f"sequential {v_seq!r} vs parallel {v_par!r}"
-            )
-        print(
-            f"{T},{stats['levels']},"
-            f"{min(seq_times) * 1e3:.3f},{min(par_times) * 1e3:.3f}"
-        )
-    return 0
-
-
-def _parse_lengths(raw: str):
-    try:
-        return [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise BoundsError(f"lengths must be comma-separated integers: {raw!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="funsor",
@@ -273,45 +218,31 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("model_path", help="path to a JSON model file")
     run.add_argument("--interp", choices=INTERPRETATIONS, default="exact")
     run.add_argument("--semiring", choices=SEMIRINGS, default="sumproduct")
-    run.add_argument("--scan", choices=SCANS, default="sequential")
+    run.add_argument("--scan", choices=SCAN_MODES, default="sequential")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--samples", type=int, default=100,
         help="replicate count for the montecarlo interpretation",
     )
-
-    bench = sub.add_parser("bench", help="benchmark harnesses")
-    bench_sub = bench.add_subparsers(dest="target", required=True)
-    markov = bench_sub.add_parser(
-        "markov", help="compare sequential and doubling chain evaluation"
-    )
-    markov.add_argument(
-        "--lengths", required=True, help="comma-separated chain lengths"
-    )
-    markov.add_argument("--trials", type=int, default=3)
-    markov.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            config = RunConfig(
-                model_path=args.model_path,
-                interpretation=args.interp,
-                semiring=args.semiring,
-                scan=args.scan,
-                seed=args.seed,
-                samples=args.samples,
-            )
-            return cmd_run(config)
-        lengths = _parse_lengths(args.lengths)
-        return cmd_bench_markov(lengths, args.trials, args.seed)
+        config = RunConfig(
+            model_path=args.model_path,
+            interpretation=args.interp,
+            semiring=args.semiring,
+            scan=args.scan,
+            seed=args.seed,
+            samples=args.samples,
+        )
+        return cmd_run(config)
     except FunsorError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}))
         return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": "ParseError", "detail": str(exc)}))
         return 1
     except OSError as exc:

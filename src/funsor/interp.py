@@ -27,8 +27,8 @@ rename is resolved by the current interpretation's rules like any other
 binding.
 
 A thread-local stack makes the choice dynamically scoped; a fuel counter
-bounds rule applications per top-level evaluation (default 10000,
-overridable via the ``FUNSOR_FUEL`` environment variable).
+bounds rule applications per top-level evaluation (default 10000, or
+the positive integer in the ``FUNSOR_FUEL`` environment variable).
 """
 from __future__ import annotations
 
@@ -43,6 +43,7 @@ import numpy as np
 from .delta import DeltaAtom
 from .domains import Bounded, RealArray, TypeContext
 from .errors import (
+    BoundsError,
     FuelExhausted,
     FunsorTypeError,
     InvalidMatching,
@@ -93,10 +94,9 @@ def fuel_limit() -> int:
     raw = os.environ.get("FUNSOR_FUEL")
     if raw is None:
         return DEFAULT_FUEL
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_FUEL
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise BoundsError(f"FUNSOR_FUEL must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass
@@ -146,6 +146,7 @@ class _State(threading.local):
     def __init__(self):
         self.stack: List[Interpretation] = []
         self.fuel: Optional[int] = None
+        self.budget = 0
 
 
 _STATE = _State()
@@ -181,14 +182,14 @@ def _burn_fuel():
         _STATE.fuel -= 1
         if _STATE.fuel < 0:
             raise FuelExhausted(
-                f"exceeded {fuel_limit()} rule applications in one evaluation"
+                f"exceeded {_STATE.budget} rule applications in one evaluation"
             )
 
 
 @contextmanager
 def _fuel_scope():
     if _STATE.fuel is None:
-        _STATE.fuel = fuel_limit()
+        _STATE.fuel = _STATE.budget = fuel_limit()
         try:
             yield
         finally:
@@ -255,7 +256,7 @@ def _rebuild(t: Term, go) -> Term:
         return t if body is t.body else Reduce(t.op, t.var, body)
     if isinstance(t, MarkovProd):
         body = go(t.body)
-        return t if body is t.body else MarkovProd(t.timevar, t.step, body)
+        return t if body is t.body else MarkovProd(t.timevar, t.step, body, t.op)
     if isinstance(t, Cat):
         parts = [go(p) for p in t.parts]
         if all(p is q for p, q in zip(parts, t.parts)):
@@ -328,8 +329,10 @@ def subst_term(base, bindings: Dict[str, Term]) -> Term:
     return dispatch(node)
 
 
-def markov_term(timevar: str, step, body) -> Term:
-    return dispatch(MarkovProd(timevar, step, to_term(body)))
+def markov_term(timevar: str, step, body, op="logaddexp") -> Term:
+    if isinstance(op, str):
+        op = REDUCE_OPS[op]
+    return dispatch(MarkovProd(timevar, step, to_term(body), op))
 
 
 def cat_term(over: str, parts) -> Term:
@@ -1057,7 +1060,7 @@ def _h_lazy_subst(node: Subst) -> Optional[Term]:
                 "substitution value mentions a matched name of a chained product"
             )
         tv, inner = _rename_binder(base.timevar, base.body, bindings)
-        return markov_term(tv, base.step, subst_term(base.body, inner))
+        return markov_term(tv, base.step, subst_term(base.body, inner), base.op)
     if isinstance(base, Cat):
         if base.over in bindings or base.over in value_fvs:
             return None

@@ -132,8 +132,19 @@ def _with_const(g: GaussianAtom, const) -> Term:
     return lift("add", to_term(g), to_term(TensorAtom(g.batch, const)))
 
 
+def _expect_shape(what: str, arr: np.ndarray, shape) -> None:
+    """Raise unless ``arr`` has ``shape``; a ``None`` entry matches any size."""
+    if arr.ndim != len(shape) or any(
+        want is not None and want != got for want, got in zip(shape, arr.shape)
+    ):
+        want = "(" + ", ".join("?" if d is None else str(d) for d in shape) + ")"
+        raise FunsorTypeError(f"{what} must have shape {want}, got {arr.shape}")
+
+
 def _log_rows(p: np.ndarray, what: str) -> np.ndarray:
     """Log of row-stochastic data; rows must sum to one within 1e-9."""
+    if (p < 0).any():
+        raise FunsorTypeError(f"{what} holds a negative probability")
     sums = p.sum(axis=-1)
     if not np.allclose(sums, 1.0, atol=1e-9, rtol=0.0):
         raise FunsorTypeError(f"{what} rows must sum to 1, got sums {sums}")
@@ -162,21 +173,25 @@ class HmmSpec:
     def __post_init__(self):
         self.transition = np.asarray(self.transition, dtype=np.float64)
         self.emission_loglik = np.asarray(self.emission_loglik, dtype=np.float64)
+        _expect_shape("transition", self.transition, (None, None))
+        k = self.transition.shape[0]
+        _expect_shape("transition", self.transition, (k, k))
+        _expect_shape("emission_loglik", self.emission_loglik, (None, k))
         if self.prior is None:
-            k = self.transition.shape[0]
             self.prior = np.full(k, 1.0 / k)
         self.prior = np.asarray(self.prior, dtype=np.float64)
+        _expect_shape("prior", self.prior, (k,))
 
 
-def hmm_factors(spec: HmmSpec) -> Tuple[Term, Term]:
-    """The prior factor and the chained product over the time axis."""
+def hmm_factors(spec: HmmSpec, elim: str = "logaddexp") -> Tuple[Term, Term]:
+    """The prior factor and the chained product, which eliminates by ``elim``."""
     log_trans = _log_rows(spec.transition, "transition")
     log_prior = _log_rows(spec.prior[None, :], "prior")[0]
     T, K = spec.emission_loglik.shape
     ctx = TypeContext([("t", Bounded(T)), ("prev", Bounded(K)), ("curr", Bounded(K))])
     body_data = log_trans[None, :, :] + spec.emission_loglik[:, None, :]
     body = to_term(TensorAtom(ctx, np.broadcast_to(body_data, (T, K, K))))
-    chain = markov_term("t", [("prev", "curr")], body)
+    chain = markov_term("t", [("prev", "curr")], body, elim)
     prior = to_term(TensorAtom(TypeContext([("prev", Bounded(K))]), log_prior))
     return prior, chain
 
@@ -184,11 +199,11 @@ def hmm_factors(spec: HmmSpec) -> Tuple[Term, Term]:
 def build_hmm(spec: HmmSpec, elim: str = "logaddexp") -> Term:
     """Closed lazy term for the chain's log evidence.
 
-    ``elim`` folds the state variables: ``logaddexp`` for the marginal
-    likelihood, ``max`` for the best path score.
+    ``elim`` folds the state variables, in the chain and at its ends:
+    ``logaddexp`` for the marginal likelihood, ``max`` for the best path score.
     """
     with interpretation(LAZY):
-        prior, chain = hmm_factors(spec)
+        prior, chain = hmm_factors(spec, elim)
         joint = lift("add", prior, chain)
         out = reduce_term(elim, "prev", joint)
         out = reduce_term(elim, "curr", out)
@@ -197,6 +212,18 @@ def build_hmm(spec: HmmSpec, elim: str = "logaddexp") -> Term:
 
 # ---------------------------------------------------------------------------
 # Linear-Gaussian state chain.
+
+
+def _check_linear_gaussian(spec, n: int) -> int:
+    """Check ``Q``, ``H``, ``R`` and the initial state of a model whose
+    state has ``n`` dimensions; returns the observation size."""
+    _expect_shape("Q", spec.Q, (n, n))
+    _expect_shape("H", spec.H, (None, n))
+    m = spec.H.shape[0]
+    _expect_shape("R", spec.R, (m, m))
+    _expect_shape("init_mean", spec.init_mean, (n,))
+    _expect_shape("init_cov", spec.init_cov, (n, n))
+    return m
 
 
 @dataclass
@@ -221,15 +248,20 @@ class KalmanSpec:
     def __post_init__(self):
         for name in ("F", "Q", "H", "R", "observations"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        _expect_shape("F", self.F, (None, None))
         n = self.F.shape[0]
+        _expect_shape("F", self.F, (n, n))
         if self.init_mean is None:
             self.init_mean = np.zeros(n)
         if self.init_cov is None:
             self.init_cov = np.eye(n)
         self.init_mean = np.asarray(self.init_mean, dtype=np.float64)
         self.init_cov = np.asarray(self.init_cov, dtype=np.float64)
+        m = _check_linear_gaussian(self, n)
+        _expect_shape("observations", self.observations, (None, m))
         if self.bias_cov is not None:
             self.bias_cov = np.asarray(self.bias_cov, dtype=np.float64)
+            _expect_shape("bias_cov", self.bias_cov, (m, m))
 
 
 def kalman_factors(spec: KalmanSpec) -> Tuple[Term, Term, Optional[Term]]:
@@ -304,13 +336,19 @@ class SldsSpec:
     def __post_init__(self):
         for name in ("transition", "F", "Q", "H", "R"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        _expect_shape("transition", self.transition, (None, None))
+        k = self.transition.shape[0]
+        _expect_shape("transition", self.transition, (k, k))
+        _expect_shape("F", self.F, (k, None, None))
         n = self.F.shape[-1]
+        _expect_shape("F", self.F, (k, n, n))
         if self.init_mean is None:
             self.init_mean = np.zeros(n)
         if self.init_cov is None:
             self.init_cov = np.eye(n)
         self.init_mean = np.asarray(self.init_mean, dtype=np.float64)
         self.init_cov = np.asarray(self.init_cov, dtype=np.float64)
+        _check_linear_gaussian(self, n)
         self.window = int(self.window)
         if self.window < 1:
             raise BoundsError(f"window must be at least 1, got {self.window}")
@@ -324,6 +362,7 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
     most ``window + 1`` slices are ever joint.
     """
     observations = np.asarray(observations, dtype=np.float64)
+    _expect_shape("observations", observations, (None, spec.H.shape[0]))
     log_trans = _log_rows(spec.transition, "transition")
     K = spec.transition.shape[0]
     n = spec.F.shape[-1]
@@ -411,6 +450,12 @@ class GmmSpec:
         names = ("data", "prior_info", "prior_prec", "cond_info", "cond_prec")
         for name in names:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        _expect_shape("prior_info", self.prior_info, (None,))
+        _expect_shape("cond_info", self.cond_info, (None, None))
+        (dz,), (k, d) = self.prior_info.shape, self.cond_info.shape
+        _expect_shape("prior_prec", self.prior_prec, (dz, dz))
+        _expect_shape("cond_prec", self.cond_prec, (k, d, d))
+        _expect_shape("data", self.data, (None, d - dz))
 
     @classmethod
     def from_moments(cls, loadings, offsets, noises, prior_mean, prior_cov, data):
@@ -420,6 +465,16 @@ class GmmSpec:
         ``N(loadings[c] @ z_c + offsets[c], noises[c])`` with
         ``z_c ~ N(prior_mean, prior_cov)``.
         """
+        loadings, offsets, noises, prior_mean, prior_cov = (
+            np.asarray(a, dtype=np.float64)
+            for a in (loadings, offsets, noises, prior_mean, prior_cov)
+        )
+        _expect_shape("loadings", loadings, (None, None, None))
+        k, dx, dz = loadings.shape
+        _expect_shape("offsets", offsets, (k, dx))
+        _expect_shape("noises", noises, (k, dx, dx))
+        _expect_shape("prior_mean", prior_mean, (dz,))
+        _expect_shape("prior_cov", prior_cov, (dz, dz))
         i_c, p_c, _ = conditional_gaussian(loadings, offsets, noises)
         i_z, p_z, _ = dense_gaussian(prior_mean, prior_cov)
         return cls(data, i_z, p_z, i_c, p_c)

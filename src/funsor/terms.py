@@ -20,7 +20,7 @@ from .delta import DeltaAtom, point_context
 from .domains import Bounded, FunsorType, RealArray, TypeContext
 from .errors import BoundsError, FunsorTypeError, InvalidMatching, TypeConflict
 from .gaussian import GaussianAtom
-from .ops import LiftedOp, ReduceOp
+from .ops import LOGADDEXP_REDUCE, LiftedOp, ReduceOp
 from .tensor import TensorAtom
 
 _FRESH = itertools.count()
@@ -233,11 +233,17 @@ class Reduce(Term):
 
 
 class MarkovProd(Term):
-    """Product of a factor over a time axis, chaining matched variables."""
+    """Product of a factor over a time axis, chaining matched variables.
 
-    __slots__ = ("timevar", "step", "body")
+    ``op`` eliminates each interior match, naming the semiring as ``Reduce``
+    does: ``logaddexp`` for marginals, ``max`` for best-path scores.
+    """
 
-    def __init__(self, timevar: str, step, body: Term):
+    __slots__ = ("timevar", "step", "body", "op")
+
+    def __init__(self, timevar: str, step, body: Term, op: ReduceOp = LOGADDEXP_REDUCE):
+        if not isinstance(op, ReduceOp) or op.name == "add":
+            raise FunsorTypeError(f"not a chain elimination monoid: {op!r}")
         step = tuple(sorted(tuple(p) for p in step))
         ctx = body.free_vars
         if timevar not in ctx:
@@ -261,13 +267,18 @@ class MarkovProd(Term):
                     f"pair ({prev!r}, {curr!r}) must share one type, got"
                     f" {ctx.typeof(prev).pretty()} and {ctx.typeof(curr).pretty()}"
                 )
+            if isinstance(ctx.typeof(prev), RealArray) and not op.allows_real():
+                raise FunsorTypeError(
+                    f"monoid {op.name} folds bounded variables only; {prev!r} is real", body
+                )
         object.__setattr__(self, "timevar", timevar)
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "body", body)
+        object.__setattr__(self, "op", op)
         _set(self, ctx.remove(timevar), RealArray(()))
 
     def _key(self):
-        return (self.timevar, self.step, self.body)
+        return (self.op, self.timevar, self.step, self.body)
 
 
 class Slice(Term):
@@ -420,7 +431,7 @@ def infer_type(term: Term) -> Tuple[TypeContext, FunsorType]:
         return rebuilt.free_vars, rebuilt.output
     if isinstance(term, MarkovProd):
         infer_type(term.body)
-        rebuilt = MarkovProd(term.timevar, term.step, term.body)
+        rebuilt = MarkovProd(term.timevar, term.step, term.body, term.op)
         return rebuilt.free_vars, rebuilt.output
     if isinstance(term, Slice):
         return term.free_vars, term.output
@@ -461,6 +472,8 @@ def pretty(term: Term) -> str:
         return f"{head}_{term.var}({pretty(term.body)})"
     if isinstance(term, MarkovProd):
         pairs = ",".join(f"({p},{c})" for p, c in term.step)
+        if term.op != LOGADDEXP_REDUCE:
+            pairs += f";{term.op.name}"
         return f"markovprod_{term.timevar}[{pairs}]({pretty(term.body)})"
     if isinstance(term, Slice):
         return (

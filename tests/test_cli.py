@@ -287,41 +287,77 @@ class TestRunErrors:
         assert payload["error"] == "FuelExhausted"
 
 
-class TestBenchMarkov:
-    def test_csv_shape_and_levels(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["bench", "markov", "--lengths", "1,4,33", "--trials", "1"]
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0] == "T,levels,wall_ms_sequential,wall_ms_parallel"
-        rows = [line.split(",") for line in lines[1:]]
-        assert [(int(r[0]), int(r[1])) for r in rows] == [(1, 0), (4, 2), (33, 6)]
-        for row in rows:
-            assert float(row[2]) >= 0.0
-            assert float(row[3]) >= 0.0
+def _with(doc_fn, key, value):
+    """A model file from ``doc_fn`` with ``key`` replaced by ``value(rng)``."""
 
-    def test_rejects_bad_lengths(self, capsys):
-        code, payload, _ = run_json(
-            capsys, ["bench", "markov", "--lengths", "3,x"]
-        )
-        assert code == 1
-        assert payload["error"] == "BoundsError"
-        code, payload, _ = run_json(
-            capsys, ["bench", "markov", "--lengths", "0,4"]
-        )
-        assert code == 1
-        assert payload["error"] == "BoundsError"
-        code, payload, _ = run_json(capsys, ["bench", "markov", "--lengths", ","])
-        assert code == 1
-        assert payload["error"] == "BoundsError"
+    def make(tmp_path, rng):
+        doc = doc_fn(rng)
+        doc[key] = value(rng)
+        return write_model(tmp_path, "bad.json", doc)
 
-    def test_rejects_bad_trials(self, capsys):
-        code, payload, _ = run_json(
-            capsys, ["bench", "markov", "--lengths", "4", "--trials", "0"]
-        )
+    return make
+
+
+def _not_utf8(tmp_path, rng):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"model": "hmm", "transition": "\xff"}')
+    return str(path)
+
+
+# Each file is rejected by a shape check (or the decoder), never by a
+# traceback or a silent broadcast.
+MALFORMED_FILES = {
+    "hmm_emission_width": (
+        _with(
+            lambda rng: hmm_doc(rng, K=2),
+            "emission_loglik",
+            lambda rng: rng.normal(size=(4, 3)).tolist(),
+        ),
+        "TypeError",
+    ),
+    "hmm_negative_probability": (
+        _with(
+            lambda rng: hmm_doc(rng, K=2),
+            "transition",
+            lambda rng: [[1.5, -0.5], [0.5, 0.5]],
+        ),
+        "TypeError",
+    ),
+    "hmm_1d_transition": (
+        _with(hmm_doc, "transition", lambda rng: [0.5, 0.5]),
+        "TypeError",
+    ),
+    "kalman_1d_observations": (
+        _with(kalman_doc, "observations", lambda rng: rng.normal(size=5).tolist()),
+        "TypeError",
+    ),
+    "slds_three_dynamics_for_two_states": (
+        _with(slds_doc, "F", lambda rng: np.eye(2)[None].repeat(3, axis=0).tolist()),
+        "TypeError",
+    ),
+    "gmm_one_offset_row_for_two_components": (
+        _with(gmm_doc, "offsets", lambda rng: [[0.3]]),
+        "TypeError",
+    ),
+    "not_utf8": (_not_utf8, "ParseError"),
+}
+
+
+class TestMalformedModelFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+    def test_reports_error_and_exits_1(self, case, tmp_path, capsys):
+        make, code_name = MALFORMED_FILES[case]
+        path = make(tmp_path, np.random.default_rng(21))
+        code, payload, _ = run_json(capsys, ["run", path])
         assert code == 1
-        assert payload["error"] == "BoundsError"
+        assert payload["error"] == code_name
+        assert set(payload) == {"error", "detail"}
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "markov", "--lengths", "4"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestConsoleScript:

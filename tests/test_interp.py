@@ -5,7 +5,7 @@ import pytest
 
 from funsor.delta import DeltaAtom
 from funsor.domains import Bounded, RealArray, TypeContext
-from funsor.errors import FuelExhausted, NotAffine, StackUnderflow
+from funsor.errors import BoundsError, FuelExhausted, NotAffine, StackUnderflow
 from funsor.gaussian import (
     GaussianAtom,
     gaussian_eval,
@@ -175,6 +175,31 @@ class TestFuel:
         with scan_mode("sequential"):
             out = interpret(EXACT, build_kalman(spec))
         assert np.isfinite(out.atom.data)
+
+
+class TestFuelBudget:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5", "1.5"])
+    def test_bad_budget_is_rejected(self, monkeypatch, raw):
+        monkeypatch.setenv("FUNSOR_FUEL", raw)
+        with pytest.raises(BoundsError, match="FUNSOR_FUEL"):
+            interpret(EXACT, lift("add", to_term(1.0), to_term(1.0)))
+
+    def test_exhaustion_reports_the_budget_the_scope_opened_with(self, monkeypatch):
+        def count(node):
+            # Changing the variable mid-evaluation must not change the report.
+            monkeypatch.setenv("FUNSOR_FUEL", "abc")
+            return None
+
+        probe = Interpretation(
+            "probe", rules=[Rule(Apply, count, "count")], fallback=EXACT
+        )
+        with interpretation(LAZY):
+            node = table([("i", Bounded(2))], [0.0, 1.0])
+            for k in range(5):
+                node = lift("add", node, table([("i", Bounded(2))], [0.0, float(k)]))
+        monkeypatch.setenv("FUNSOR_FUEL", "2")
+        with pytest.raises(FuelExhausted, match="exceeded 2 rule applications"):
+            interpret(probe, node)
 
 
 class TestNormalForm:

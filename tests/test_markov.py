@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 from funsor.domains import Bounded, RealArray, TypeContext
-from funsor.errors import InvalidMatching
+from funsor.errors import FunsorTypeError, InvalidMatching
 from funsor.gaussian import GaussianAtom
 from funsor.interp import (
     EXACT,
     LAZY,
+    Interpretation,
     interpret,
     interpretation,
     lift,
@@ -23,12 +24,8 @@ from funsor.interp import (
     subst_term,
     to_term,
 )
-from funsor.markov import (
-    SCAN_MODES,
-    markov_parallel,
-    markov_sequential,
-    scan_mode,
-)
+from funsor.markov import SCAN_MODES, scan_mode
+from funsor.ops import ADD_REDUCE, LOGADDEXP_REDUCE, MAX_REDUCE
 from funsor.tensor import TensorAtom
 from funsor.terms import (
     GaussianLeaf,
@@ -36,6 +33,8 @@ from funsor.terms import (
     TensorLeaf,
     Variable,
     free_vars,
+    infer_type,
+    pretty,
 )
 
 
@@ -50,6 +49,10 @@ def fold_chain(body_data, combine):
     for t in range(1, body_data.shape[0]):
         out = combine(out, body_data[t])
     return out
+
+
+def chain(body, op=LOGADDEXP_REDUCE):
+    return MarkovProd("t", (("prev", "curr"),), body, op)
 
 
 def logaddexp_compose(a, b):
@@ -102,14 +105,16 @@ class TestSequential:
         rng = np.random.default_rng(1)
         T, K = 6, 3
         body = chain_body(rng, T, K)
-        out = interpret(EXACT, markov_sequential(body, "t", (("prev", "curr"),)))
+        with scan_mode("sequential"):
+            out = interpret(EXACT, chain(body))
         want = fold_chain(body.atom.data, logaddexp_compose)
         np.testing.assert_allclose(out.atom.data, want, rtol=1e-12)
 
     def test_single_step_is_the_slice(self):
         rng = np.random.default_rng(2)
         body = chain_body(rng, 1, 3)
-        out = interpret(EXACT, markov_sequential(body, "t", (("prev", "curr"),)))
+        with scan_mode("sequential"):
+            out = interpret(EXACT, chain(body))
         np.testing.assert_allclose(out.atom.data, body.atom.data[0])
 
 
@@ -118,8 +123,10 @@ class TestParallel:
         rng = np.random.default_rng(3)
         for T in (1, 2, 3, 5, 8, 13):
             body = chain_body(rng, T, 3)
-            seq = interpret(EXACT, markov_sequential(body, "t", (("prev", "curr"),)))
-            par = interpret(EXACT, markov_parallel(body, "t", (("prev", "curr"),)))
+            with scan_mode("sequential"):
+                seq = interpret(EXACT, chain(body))
+            with scan_mode("parallel"):
+                par = interpret(EXACT, chain(body))
             np.testing.assert_allclose(
                 par.atom.data, seq.atom.data, rtol=1e-10, atol=1e-12
             )
@@ -129,7 +136,8 @@ class TestParallel:
         for T in (1, 2, 3, 5, 8, 16, 33):
             body = chain_body(rng, T, 2)
             stats = {}
-            markov_parallel(body, "t", (("prev", "curr"),), stats=stats)
+            with scan_mode("parallel", stats=stats):
+                interpret(EXACT, chain(body))
             assert stats["levels"] == math.ceil(math.log2(T))
 
     def test_max_elimination(self):
@@ -137,9 +145,9 @@ class TestParallel:
         T, K = 7, 3
         body = chain_body(rng, T, K)
         want = fold_chain(body.atom.data, max_compose)
-        node = MarkovProd("t", (("prev", "curr"),), body)
+        node = chain(body, MAX_REDUCE)
         for mode in SCAN_MODES:
-            with scan_mode(mode, elim="max"):
+            with scan_mode(mode):
                 got = interpret(EXACT, node)
             np.testing.assert_allclose(got.atom.data, want, rtol=1e-12)
 
@@ -188,12 +196,7 @@ class TestGaussianChain:
         outs = {}
         for mode in SCAN_MODES:
             with scan_mode(mode):
-                node = (
-                    markov_sequential(body, "t", (("prev", "curr"),))
-                    if mode == "sequential"
-                    else markov_parallel(body, "t", (("prev", "curr"),))
-                )
-                outs[mode] = interpret(EXACT, node)
+                outs[mode] = interpret(EXACT, chain(body))
         a, b = outs["sequential"], outs["parallel"]
         from funsor.interp import normalize
 
@@ -210,6 +213,74 @@ class TestGaussianChain:
             rtol=1e-9,
             atol=1e-9,
         )
+
+
+class TestCarriedMonoid:
+    """The elimination monoid is part of the chain term, so every rebuild
+    must keep it; dropping it would silently turn a max chain into a sum."""
+
+    def test_lazy_substitution_into_max_chain(self):
+        rng = np.random.default_rng(11)
+        T, K = 5, 3
+        ctx = TypeContext(
+            [
+                ("t", Bounded(T)),
+                ("prev", Bounded(K)),
+                ("curr", Bounded(K)),
+                ("c", Bounded(2)),
+            ]
+        )
+        body = TensorLeaf(TensorAtom(ctx, rng.normal(size=(T, K, K, 2))))
+        with interpretation(LAZY):
+            node = subst_term(chain(body, MAX_REDUCE), {"c": 1})
+        assert isinstance(node, MarkovProd) and node.op == MAX_REDUCE
+        want = fold_chain(body.atom.data[..., 1], max_compose)
+        for mode in SCAN_MODES:
+            with scan_mode(mode):
+                got = interpret(EXACT, node)
+            np.testing.assert_allclose(got.atom.data, want, rtol=1e-12)
+
+    def test_reinterpret_keeps_op(self):
+        rng = np.random.default_rng(12)
+        with interpretation(LAZY):
+            body = lift("add", chain_body(rng, 4, 2), chain_body(rng, 4, 2))
+        node = chain(body, MAX_REDUCE)
+        # Folds the body, then rebuilds the chain around it.
+        pointwise = [r for r in EXACT.rules if r.head is type(body)]
+        out = interpret(Interpretation("pointwise", pointwise, fallback=LAZY), node)
+        assert isinstance(out, MarkovProd) and out.body is not body
+        assert out.op == MAX_REDUCE
+
+    def test_infer_type_revalidates_op(self):
+        rng = np.random.default_rng(13)
+        node = chain(chain_body(rng, 4, 2), MAX_REDUCE)
+        assert infer_type(node) == (node.free_vars, node.output)
+        object.__setattr__(node, "op", ADD_REDUCE)
+        with pytest.raises(FunsorTypeError):
+            infer_type(node)
+
+    def test_op_is_part_of_equality_and_rendering(self):
+        body = chain_body(np.random.default_rng(14), 4, 2)
+        assert chain(body) != chain(body, MAX_REDUCE)
+        assert chain(body) == chain(body)
+        assert pretty(chain(body, MAX_REDUCE)).startswith("markovprod_t[(prev,curr);max](")
+        assert pretty(chain(body)).startswith("markovprod_t[(prev,curr)](")
+
+    def test_rejects_add_and_real_max(self):
+        body = chain_body(np.random.default_rng(15), 4, 2)
+        with pytest.raises(FunsorTypeError):
+            chain(body, ADD_REDUCE)
+        reals = TypeContext([("prev", RealArray((1,))), ("curr", RealArray((1,)))])
+        step = GaussianAtom(TypeContext(), reals, np.zeros(2), np.eye(2))
+        with interpretation(LAZY):
+            real_body = lift(
+                "add",
+                GaussianLeaf(step),
+                to_term(TensorAtom(TypeContext([("t", Bounded(3))]), np.zeros(3))),
+            )
+        chain(real_body)
+        with pytest.raises(FunsorTypeError):
+            chain(real_body, MAX_REDUCE)
 
 
 class TestSubstitutionGuard:

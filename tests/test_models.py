@@ -201,8 +201,32 @@ class TestHmm:
         term = build_hmm(spec, elim="max")
         target = best_path_score(trans, emis, prior)
         for mode in ("sequential", "parallel"):
-            with scan_mode(mode, elim="max"):
+            with scan_mode(mode):
                 np.testing.assert_allclose(value(term), target, rtol=1e-10)
+
+    def test_max_chain_carries_its_monoid(self):
+        """The chain term names ``max``, so no scan state is needed: the
+        value is the best path over every state sequence, enumerated."""
+        rng = np.random.default_rng(13)
+        T, K = 3, 2
+        spec = HmmSpec(
+            transition=random_stochastic(rng, K, K),
+            emission_loglik=rng.normal(size=(T, K)),
+        )
+        log_trans = np.log(spec.transition)
+        want = max(
+            np.log(spec.prior[path[0]])
+            + sum(
+                log_trans[path[t], path[t + 1]] + spec.emission_loglik[t, path[t + 1]]
+                for t in range(T)
+            )
+            for path in itertools.product(range(K), repeat=T + 1)
+        )
+        term = build_hmm(spec, elim="max")
+        np.testing.assert_allclose(value(term), want, rtol=1e-12)
+        for mode in ("sequential", "parallel"):
+            with scan_mode(mode):
+                np.testing.assert_allclose(value(term), want, rtol=1e-12)
 
     def test_interpretations_and_scans_agree(self):
         rng = np.random.default_rng(4)
