@@ -21,7 +21,7 @@ import numpy as np
 
 from .delta import DeltaAtom
 from .domains import Bounded
-from .errors import NameAbsent
+from .errors import BoundsError, NameAbsent
 from .gaussian import (
     GaussianAtom,
     _chol_solve,
@@ -56,6 +56,10 @@ class RngState:
 
     seed: int
     counter: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.seed < 2**128:
+            raise BoundsError(f"seed must lie in [0, 2**128), got {self.seed}")
 
     def advance(self, n: int = 1) -> "RngState":
         return RngState(self.seed, self.counter + n)

@@ -78,9 +78,14 @@ def _field(doc: dict, key: str, default=None):
     if value is None:
         return None
     try:
-        return np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise FunsorTypeError(f"key {key!r} is not numeric array data: {exc}")
+    # JSON readers accept NaN and Infinity; only a log likelihood may be -inf.
+    allowed = np.isneginf(arr) if key == "emission_loglik" else False
+    if not np.all(np.isfinite(arr) | allowed):
+        raise FunsorTypeError(f"key {key!r} holds a non-finite number")
+    return arr
 
 
 def _array(doc: dict, key: str) -> np.ndarray:
@@ -173,7 +178,7 @@ def cmd_run(config: RunConfig) -> int:
             R=_array(doc, "R"),
             init_mean=_field(doc, "init_mean"),
             init_cov=_field(doc, "init_cov"),
-            window=int(doc.get("window", 1)),
+            window=doc.get("window", 1),
         )
         value = _scalar(build_slds_marginal(spec, _array(doc, "observations")))
         reported = "momentmatching"

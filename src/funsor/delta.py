@@ -33,6 +33,11 @@ class DeltaAtom:
     def __setattr__(self, name, value):
         raise AttributeError("DeltaAtom is immutable")
 
+    def check(self) -> "DeltaAtom":
+        """Re-validate the point's data shape against its declared types."""
+        self.point.check()
+        return self
+
     @property
     def context(self) -> TypeContext:
         """Free variables: the point's context plus the named variable."""

@@ -162,6 +162,23 @@ class TypeContext:
             return other
         return TypeContext(self._entries + other._entries)
 
+    @staticmethod
+    def concat(over: str, parts) -> Tuple["TypeContext", Tuple[int, ...]]:
+        """The context of ``parts`` concatenated along ``over``, and their counts.
+
+        A part lacking ``over`` counts one position; ``over`` is re-bound
+        to the total, and other names merge as in ``union``.
+        """
+        counts = []
+        for ctx in parts:
+            tp = ctx.get(over, Bounded(1))
+            if not isinstance(tp, Bounded):
+                raise TypeConflict(f"cat variable {over!r} must be bounded")
+            counts.append(tp.size)
+        total = Bounded(sum(counts))
+        entries = [(n, total if n == over else t) for ctx in parts for n, t in ctx]
+        return TypeContext(entries + [(over, total)]), tuple(counts)
+
     def remove(self, name: str) -> "TypeContext":
         """Drop ``name``; absent names raise ``NameAbsent``."""
         if name not in self._index:

@@ -80,6 +80,17 @@ def _block_offsets(reals: TypeContext) -> Dict[str, Tuple[int, int]]:
     return out
 
 
+def _check_shapes(batch: TypeContext, reals: TypeContext, i, p):
+    dim = sum(tp.num_elements for _, tp in reals.entries)
+    bounds = tuple(tp.size for _, tp in batch.entries)
+    if i.shape != bounds + (dim,):
+        raise FunsorTypeError(f"info vector shape {i.shape}, expected {bounds + (dim,)}")
+    if p.shape != bounds + (dim, dim):
+        raise FunsorTypeError(
+            f"precision shape {p.shape}, expected {bounds + (dim, dim)}"
+        )
+
+
 class GaussianAtom:
     """Batched log-quadratic factor over named real variables."""
 
@@ -98,18 +109,9 @@ class GaussianAtom:
         for name, tp in reals.entries:
             if not isinstance(tp, RealArray):
                 raise ContextMismatch(f"real variable {name!r} must be real-typed")
-        dim = sum(tp.num_elements for _, tp in reals.entries)
-        bounds = tuple(tp.size for _, tp in batch.entries)
         i = np.asarray(info_vec, dtype=np.float64)
         p = np.asarray(precision, dtype=np.float64)
-        if i.shape != bounds + (dim,):
-            raise FunsorTypeError(
-                f"info vector shape {i.shape}, expected {bounds + (dim,)}"
-            )
-        if p.shape != bounds + (dim, dim):
-            raise FunsorTypeError(
-                f"precision shape {p.shape}, expected {bounds + (dim, dim)}"
-            )
+        _check_shapes(batch, reals, i, p)
         asym = np.max(np.abs(p - np.swapaxes(p, -1, -2))) if p.size else 0.0
         tol = 1e-8 * max(1.0, float(np.max(np.abs(p))) if p.size else 1.0)
         if asym > tol:
@@ -146,6 +148,11 @@ class GaussianAtom:
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianAtom is immutable")
+
+    def check(self) -> "GaussianAtom":
+        """Re-validate parameter shapes against the declared contexts."""
+        _check_shapes(self.batch, self.reals, self.info_vec, self.precision)
+        return self
 
     @property
     def dim(self) -> int:
@@ -191,10 +198,8 @@ class GaussianAtom:
 
 def reorder_like(g: GaussianAtom, template: GaussianAtom) -> GaussianAtom:
     """Permute batch axes and real blocks into another atom's order."""
-    perm_batch = [g.batch.names.index(n) for n in template.batch.names]
-    nb = len(perm_batch)
-    i = g.info_vec.transpose(tuple(perm_batch) + (nb,))
-    p = g.precision.transpose(tuple(perm_batch) + (nb, nb + 1))
+    i = align_array(g.info_vec, g.batch, template.batch)
+    p = align_array(g.precision, g.batch, template.batch)
     offs = g.offsets()
     cols: List[int] = []
     for name, _ in template.reals.entries:
@@ -489,12 +494,7 @@ def gaussian_expand_batch(g: GaussianAtom, name: str, size: int) -> GaussianAtom
     if name in g.batch:
         return g
     batch = g.batch.union(TypeContext([(name, Bounded(size))]))
-    nb = len(g.batch)
-    bounds = g.info_vec.shape[:nb]
-    i = np.broadcast_to(
-        np.expand_dims(g.info_vec, nb), bounds + (size,) + g.info_vec.shape[nb:]
-    )
-    p = np.broadcast_to(
-        np.expand_dims(g.precision, nb), bounds + (size,) + g.precision.shape[nb:]
-    )
+    bounds = tuple(t.size for _, t in batch.entries)
+    i = np.broadcast_to(align_array(g.info_vec, g.batch, batch), bounds + (g.dim,))
+    p = np.broadcast_to(align_array(g.precision, g.batch, batch), bounds + (g.dim,) * 2)
     return GaussianAtom._unchecked(batch, g.reals, i, p)

@@ -85,6 +85,7 @@ from .terms import (
     Term,
     Variable,
     fresh_name,
+    map_terms,
 )
 
 DEFAULT_FUEL = 10_000
@@ -238,31 +239,9 @@ def reinterpret(term: Term) -> Term:
 
 
 def _rebuild(t: Term, go) -> Term:
-    if isinstance(t, (TensorLeaf, GaussianLeaf, DeltaLeaf, Variable, Slice)):
-        return t
-    if isinstance(t, Apply):
-        args = [go(a) for a in t.args]
-        if all(a is b for a, b in zip(args, t.args)):
-            return t
-        return Apply(t.op, args)
-    if isinstance(t, Subst):
-        base = go(t.base)
-        bindings = [(n, go(v)) for n, v in t.bindings]
-        if base is t.base and all(v is w for (_, v), (_, w) in zip(bindings, t.bindings)):
-            return t
-        return Subst(base, bindings)
-    if isinstance(t, Reduce):
-        body = go(t.body)
-        return t if body is t.body else Reduce(t.op, t.var, body)
-    if isinstance(t, MarkovProd):
-        body = go(t.body)
-        return t if body is t.body else MarkovProd(t.timevar, t.step, body, t.op)
-    if isinstance(t, Cat):
-        parts = [go(p) for p in t.parts]
-        if all(p is q for p, q in zip(parts, t.parts)):
-            return t
-        return Cat(t.over, parts)
-    return t
+    args = t._args()
+    new = map_terms(args, go)
+    return t if new is args else type(t)(*new)
 
 
 def interpret(interp: Interpretation, term: Term) -> Term:

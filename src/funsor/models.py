@@ -349,7 +349,10 @@ class SldsSpec:
         self.init_mean = np.asarray(self.init_mean, dtype=np.float64)
         self.init_cov = np.asarray(self.init_cov, dtype=np.float64)
         _check_linear_gaussian(self, n)
-        self.window = int(self.window)
+        window = self.window
+        if isinstance(window, bool) or not isinstance(window, (int, np.integer)):
+            raise FunsorTypeError(f"window must be an integer, got {window!r}")
+        self.window = int(window)
         if self.window < 1:
             raise BoundsError(f"window must be at least 1, got {self.window}")
 

@@ -6,6 +6,10 @@ axes trailing.  ``-inf`` is a legal log weight; NaN propagates through
 every operation.  Atoms whose output type is ``Bounded(n)`` hold integer
 values ``0 .. n-1`` (stored as floats) and serve as substitution targets
 for integer variables.
+
+Every layout of batch axes over a wider context (permuting them into
+another context's order, inserting singleton axes for names an atom
+lacks) goes through one helper, ``align_array``.
 """
 from __future__ import annotations
 
@@ -177,9 +181,9 @@ def align_atoms(atoms: Sequence[TensorAtom]):
     return union, views
 
 
-def _broadcast_full(arr: np.ndarray, union: TypeContext, trailing: Tuple[int, ...]):
-    bounds = tuple(tp.size for _, tp in union.entries)
-    return np.broadcast_to(arr, bounds + trailing)
+def _absent_name(*contexts: TypeContext) -> str:
+    """A label in none of ``contexts``: longer than every name they hold."""
+    return max((n for c in contexts for n in c.names), key=len, default="") + "'"
 
 
 def tensor_apply(op: LiftedOp, atoms: Sequence[TensorAtom]) -> TensorAtom:
@@ -199,14 +203,12 @@ def tensor_apply(op: LiftedOp, atoms: Sequence[TensorAtom]) -> TensorAtom:
 def tensor_take(arr: TensorAtom, idx: TensorAtom) -> TensorAtom:
     """Gather along the leading output axis of ``arr`` at integer ``idx``."""
     out_type = TAKE.result_type(arr.output, idx.output)
-    union, (a, i) = align_atoms([arr, idx])
-    # align left-pads idx's output rank; collapse that padding back out.
-    i = i.reshape(i.shape[: len(union)])
-    a = _broadcast_full(a, union, arr.out_shape)
-    i = _broadcast_full(i, union, ())
-    grids = np.indices(tuple(tp.size for _, tp in union.entries), sparse=True)
-    data = a[(*grids, i.astype(np.int64))]
-    return TensorAtom(union, data, out_type)
+    # The leading output axis is already the axis after the batch axes.
+    label = _absent_name(arr.context, idx.context)
+    table = TensorAtom(
+        arr.context.union(TypeContext([(label, idx.output)])), arr.data, out_type
+    )
+    return tensor_index(table, label, idx)
 
 
 def tensor_reduce(op: ReduceOp, atom: TensorAtom, name: str) -> TensorAtom:
@@ -422,31 +424,15 @@ def tensor_index(atom: TensorAtom, name: str, idx: TensorAtom) -> TensorAtom:
         # batch axis), sharing the data.
         axis = atom.context.names.index(name)
         return TensorAtom(union, np.moveaxis(atom.data, axis, len(rest)), atom.output)
-    bounds = tuple(t.size for _, t in union.entries)
-
-    # Move the substituted axis first, align the remaining batch axes with
-    # the union, then gather with an advanced index on the first axis.
-    names = atom.context.names
-    axis = names.index(name)
-    batch_rank = len(names)
-    perm = (axis,) + tuple(i for i in range(batch_rank) if i != axis)
-    arr = atom.data.transpose(perm + tuple(range(batch_rank, atom.data.ndim)))
-    moved_names = [name] + [n for n in names if n != name]
-    expander = [slice(None)]
-    for n, _ in union.entries:
-        expander.append(slice(None) if n in rest else np.newaxis)
-    expander.extend([slice(None)] * atom.out_rank)
-    # Reorder the non-substituted axes into union order before expanding.
-    sub_perm = [0] + [moved_names.index(n) for n, _ in union.entries if n in rest]
-    sub_perm += list(range(batch_rank, arr.ndim))
-    arr = arr.transpose(sub_perm)[tuple(expander)]
-    arr = np.broadcast_to(arr, (tp.size,) + bounds + atom.out_shape)
-
-    iarr = align_array(idx.data, idx.context, union)
-    iarr = np.broadcast_to(iarr, bounds).astype(np.int64)
-    grids = np.indices(bounds, sparse=True)
-    data = arr[(iarr, *grids)]
-    return TensorAtom(union, data, atom.output)
+    # Lay the atom out over the union with the substituted axis last, under
+    # a label outside the union (the index may mention ``name`` itself).
+    label = _absent_name(union)
+    src = TypeContext([(label if n == name else n, t) for n, t in atom.context.entries])
+    arr = align_array(atom.data, src, union.union(TypeContext([(label, tp)])))
+    iarr = align_array(idx.data, idx.context, union).astype(np.int64)
+    iarr = iarr.reshape(iarr.shape + (1,) * (1 + atom.out_rank))
+    data = np.take_along_axis(arr, iarr, axis=len(union))
+    return TensorAtom(union, data.squeeze(len(union)), atom.output)
 
 
 def tensor_slice(
@@ -484,45 +470,16 @@ def tensor_cat(name: str, atoms: Sequence[TensorAtom]) -> TensorAtom:
     out = atoms[0].output
     if any(a.output != out for a in atoms):
         raise FunsorTypeError("cat parts must share an output type")
-    counts = [
-        a.context.typeof(name).size if name in a.context else 1 for a in atoms
-    ]
-    total = sum(counts)
-
-    ordered: list = []
-    seen = set()
-    for a in atoms:
-        for n, t in a.context.entries:
-            if n in seen:
-                continue
-            seen.add(n)
-            ordered.append((n, Bounded(total) if n == name else t))
-    if name not in seen:
-        ordered.append((name, Bounded(total)))
-    union = TypeContext(ordered)
-    rest = union.remove(name)
-
+    union, counts = TypeContext.concat(name, [a.context for a in atoms])
     axis = union.names.index(name)
+    bounds = [t.size for _, t in union.entries]
     pieces = []
-    out_shape = atoms[0].out_shape
     for a, count in zip(atoms, counts):
-        # Give every part a `name` axis of its own count, then align.
-        if name not in a.context:
-            lifted = TensorAtom(
-                TypeContext(((name, Bounded(1)),) + a.context.entries),
-                a.data[np.newaxis],
-                a.output,
-            )
-        else:
-            lifted = a
-        part_union = TypeContext(
-            [(n, lifted.context.typeof(n) if n == name else t) for n, t in union.entries]
-        )
-        arr = align_array(lifted.data, lifted.context, part_union)
-        bounds = tuple(t.size for _, t in part_union.entries)
-        pieces.append(np.broadcast_to(arr, bounds + out_shape))
-    data = np.concatenate(pieces, axis=axis)
-    return TensorAtom(union, data, out)
+        # A part lacking ``name`` gets a singleton axis from the alignment.
+        bounds[axis] = count
+        arr = align_array(a.data, a.context, union)
+        pieces.append(np.broadcast_to(arr, tuple(bounds) + a.out_shape))
+    return TensorAtom(union, np.concatenate(pieces, axis=axis), out)
 
 
 def tensor_eval(atom: TensorAtom, assignment: dict) -> np.ndarray:

@@ -5,8 +5,14 @@ masses), variables, lifted pointwise operations, substitution, reduction
 with a monoid tag, Markov products, and the symbolic index families
 ``Slice`` and ``Cat``.  Every term carries a typing judgement: a context
 of free variables and an output type, computed eagerly at construction
-from the children's cached judgements.  ``infer_type`` re-derives the
-judgement from scratch, revalidating leaf data against declared types.
+from the children's cached judgements.
+
+A term class declares its fields once, in ``_args``: the constructor's
+arguments in constructor order.  Equality, hashing, the rebuild in
+``reinterpret`` (through ``map_terms``) and ``infer_type`` are generic
+over them.  ``infer_type`` re-derives the judgement from scratch: it
+revalidates leaf data against declared types and rebuilds every node
+through its constructor.
 """
 from __future__ import annotations
 
@@ -51,7 +57,13 @@ class Term:
     def is_scalar_real(self) -> bool:
         return isinstance(self._out, RealArray) and not self._out.shape
 
-    def _key(self):
+    def _args(self) -> tuple:
+        """The constructor's arguments, in constructor order.
+
+        ``type(t)(*t._args())`` rebuilds ``t``; equality, hashing, the
+        generic rebuild in ``reinterpret`` and ``infer_type`` all read the
+        fields through here, so a field is declared once.
+        """
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:
@@ -59,11 +71,11 @@ class Term:
             return True
         if type(self) is not type(other):
             return NotImplemented
-        return self._key() == other._key()
+        return self._args() == other._args()
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((type(self).__name__, self._key())))
+            object.__setattr__(self, "_hash", hash((type(self).__name__, self._args())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -85,8 +97,8 @@ class TensorLeaf(Term):
         object.__setattr__(self, "atom", atom)
         _set(self, atom.context, atom.output)
 
-    def _key(self):
-        return self.atom
+    def _args(self):
+        return (self.atom,)
 
 
 class GaussianLeaf(Term):
@@ -98,8 +110,8 @@ class GaussianLeaf(Term):
         object.__setattr__(self, "atom", atom)
         _set(self, atom.context, RealArray(()))
 
-    def _key(self):
-        return self.atom
+    def _args(self):
+        return (self.atom,)
 
 
 class DeltaLeaf(Term):
@@ -111,8 +123,8 @@ class DeltaLeaf(Term):
         object.__setattr__(self, "atom", atom)
         _set(self, point_context(atom), RealArray(()))
 
-    def _key(self):
-        return self.atom
+    def _args(self):
+        return (self.atom,)
 
 
 class Variable(Term):
@@ -127,7 +139,7 @@ class Variable(Term):
         object.__setattr__(self, "tp", tp)
         _set(self, TypeContext([(name, tp)]), tp)
 
-    def _key(self):
+    def _args(self):
         return (self.name, self.tp)
 
 
@@ -152,7 +164,7 @@ class Apply(Term):
         object.__setattr__(self, "args", args)
         _set(self, ctx, out)
 
-    def _key(self):
+    def _args(self):
         return (self.op, self.args)
 
 
@@ -201,7 +213,7 @@ class Subst(Term):
     def binding_map(self) -> Dict[str, Term]:
         return dict(self.bindings)
 
-    def _key(self):
+    def _args(self):
         return (self.base, self.bindings)
 
 
@@ -228,7 +240,7 @@ class Reduce(Term):
         object.__setattr__(self, "body", body)
         _set(self, ctx.remove(var), body.output)
 
-    def _key(self):
+    def _args(self):
         return (self.op, self.var, self.body)
 
 
@@ -277,8 +289,8 @@ class MarkovProd(Term):
         object.__setattr__(self, "op", op)
         _set(self, ctx.remove(timevar), RealArray(()))
 
-    def _key(self):
-        return (self.op, self.timevar, self.step, self.body)
+    def _args(self):
+        return (self.timevar, self.step, self.body, self.op)
 
 
 class Slice(Term):
@@ -312,7 +324,7 @@ class Slice(Term):
         data = np.arange(self.start, self.stop, self.stride, dtype=np.float64)
         return TensorAtom(self.free_vars, data, Bounded(self.bound))
 
-    def _key(self):
+    def _args(self):
         return (self.over, self.start, self.stop, self.stride, self.bound)
 
 
@@ -324,123 +336,72 @@ class Cat(Term):
     total length.
     """
 
-    __slots__ = ("over", "parts")
+    __slots__ = ("over", "parts", "_counts")
 
     def __init__(self, over: str, parts: Sequence[Term]):
         parts = tuple(parts)
         if not parts:
             raise BoundsError("cat needs at least one part")
         out = parts[0].output
-        total = 0
         for p in parts:
             if not isinstance(p, Term):
                 raise FunsorTypeError(f"not a term: {p!r}", p)
             if p.output != out:
                 raise FunsorTypeError("cat parts must share an output type", p)
-            tp = p.free_vars.get(over)
-            if tp is None:
-                total += 1
-            elif isinstance(tp, Bounded):
-                total += tp.size
-            else:
-                raise FunsorTypeError(f"cat variable {over!r} must be bounded", p)
-        entries = []
-        seen = set()
-        for p in parts:
-            for n, t in p.free_vars.entries:
-                if n in seen:
-                    continue
-                seen.add(n)
-                entries.append((n, Bounded(total) if n == over else t))
-        if over not in seen:
-            entries.append((over, Bounded(total)))
         try:
-            ctx = TypeContext(entries)
+            ctx, counts = TypeContext.concat(over, [p.free_vars for p in parts])
         except TypeConflict as e:
             raise FunsorTypeError(str(e), self) from e
         object.__setattr__(self, "over", over)
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_counts", counts)
         _set(self, ctx, out)
 
     def part_counts(self) -> Tuple[int, ...]:
-        out = []
-        for p in self.parts:
-            tp = p.free_vars.get(self.over)
-            out.append(tp.size if isinstance(tp, Bounded) else 1)
-        return tuple(out)
+        return self._counts
 
-    def _key(self):
+    def _args(self):
         return (self.over, self.parts)
 
 
-def free_vars(term: Term) -> TypeContext:
-    return term.free_vars
+def map_terms(args: tuple, f) -> tuple:
+    """Apply ``f`` to every term among ``args``, descending into tuples.
+
+    Terms are visited left to right; a tuple in which ``f`` changed no
+    term comes back as the same object.
+    """
+    out = []
+    changed = False
+    for a in args:
+        if isinstance(a, Term):
+            b = f(a)
+        elif isinstance(a, tuple):
+            b = map_terms(a, f)
+        else:
+            b = a
+        changed = changed or b is not a
+        out.append(b)
+    return tuple(out) if changed else args
 
 
 def infer_type(term: Term) -> Tuple[TypeContext, FunsorType]:
     """Re-derive a term's typing judgement from its leaves.
 
     Unlike the judgement cached at construction, this revalidates leaf
-    data shapes against their declared types, so a corrupted leaf fails
+    data shapes against their declared types, then rebuilds every node
+    bottom-up through its constructor, so a corrupted leaf or field fails
     here with a ``TypeError``.
     """
-    if isinstance(term, TensorLeaf):
-        term.atom.check()
-        return term.atom.context, term.atom.output
-    if isinstance(term, GaussianLeaf):
-        atom = term.atom
-        dim = sum(tp.num_elements for _, tp in atom.reals.entries)
-        bounds = tuple(tp.size for _, tp in atom.batch.entries)
-        if atom.info_vec.shape != bounds + (dim,) or atom.precision.shape != bounds + (
-            dim,
-            dim,
-        ):
-            raise FunsorTypeError(
-                "Gaussian parameters do not match the declared context", term
-            )
-        return atom.context, RealArray(())
-    if isinstance(term, DeltaLeaf):
-        term.atom.point.check()
-        return point_context(term.atom), RealArray(())
-    if isinstance(term, Variable):
-        return TypeContext([(term.name, term.tp)]), term.tp
-    if isinstance(term, Apply):
-        ctx = TypeContext()
-        outs = []
-        for a in term.args:
-            c, o = infer_type(a)
-            ctx = ctx.union(c)
-            outs.append(o)
-        return ctx, term.op.result_type(*outs)
-    if isinstance(term, Subst):
-        base_ctx, base_out = infer_type(term.base)
-        ctx = base_ctx
-        for name, value in term.bindings:
-            if name in base_ctx:
-                vctx, vout = infer_type(value)
-                if vout != base_ctx.typeof(name):
-                    raise FunsorTypeError(f"binding for {name!r} has the wrong type", value)
-                ctx = ctx.remove(name)
-        for name, value in term.bindings:
-            if name in base_ctx:
-                ctx = ctx.union(infer_type(value)[0])
-        return ctx, base_out
-    if isinstance(term, Reduce):
-        ctx, out = infer_type(term.body)
-        rebuilt = Reduce(term.op, term.var, term.body)
-        return rebuilt.free_vars, rebuilt.output
-    if isinstance(term, MarkovProd):
-        infer_type(term.body)
-        rebuilt = MarkovProd(term.timevar, term.step, term.body, term.op)
-        return rebuilt.free_vars, rebuilt.output
-    if isinstance(term, Slice):
-        return term.free_vars, term.output
-    if isinstance(term, Cat):
-        for p in term.parts:
-            infer_type(p)
-        rebuilt = Cat(term.over, term.parts)
-        return rebuilt.free_vars, rebuilt.output
-    raise FunsorTypeError(f"not a term: {term!r}", term)
+
+    def retyped(t: Term) -> Term:
+        args = map_terms(t._args(), retyped)
+        for a in args:
+            if isinstance(a, (TensorAtom, GaussianAtom, DeltaAtom)):
+                a.check()
+        return type(t)(*args)
+
+    rebuilt = retyped(term)
+    return rebuilt.free_vars, rebuilt.output
 
 
 def _pretty_atom_data(atom: TensorAtom) -> str:

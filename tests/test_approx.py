@@ -14,7 +14,7 @@ from funsor.approx import (
     moment_match,
 )
 from funsor.domains import Bounded, RealArray, TypeContext
-from funsor.errors import NameAbsent
+from funsor.errors import BoundsError, NameAbsent
 from funsor.gaussian import GaussianAtom, gaussian_fuse, gaussian_log_normalizer
 from funsor.interp import EXACT, LAZY, interpret, interpretation, lift, reduce_term
 from funsor.tensor import TensorAtom
@@ -229,6 +229,13 @@ class TestMomentMatchingInterpretation:
 
 
 class TestRngState:
+    def test_seed_must_be_a_philox_key(self):
+        RngState(0)
+        RngState(2**128 - 1)
+        for seed in (-1, 2**128):
+            with pytest.raises(BoundsError):
+                RngState(seed)
+
     def test_same_state_same_stream(self):
         a = RngState(42, 7).generator().normal(size=5)
         b = RngState(42, 7).generator().normal(size=5)
@@ -267,9 +274,7 @@ class TestMcSampleDiscrete:
         est = mc_sample_discrete(
             self.weight, "c", GaussianLeaf(self.gauss), RngState(0)
         )
-        from funsor.terms import free_vars
-
-        assert free_vars(est).names == ("x",)
+        assert est.free_vars.names == ("x",)
 
     def test_no_rest_is_exact_for_every_seed(self):
         target = np.logaddexp.reduce(self.weight.data)

@@ -304,8 +304,21 @@ def _not_utf8(tmp_path, rng):
     return str(path)
 
 
-# Each file is rejected by a shape check (or the decoder), never by a
-# traceback or a silent broadcast.
+def _with_entry(doc_fn, key, index, value):
+    """A model file from ``doc_fn`` with one entry of array ``key`` replaced."""
+
+    def make(tmp_path, rng):
+        doc = doc_fn(rng)
+        arr = np.array(doc[key])
+        arr[index] = value
+        doc[key] = arr.tolist()
+        return write_model(tmp_path, "bad.json", doc)
+
+    return make
+
+
+# Each file is rejected by a shape, finiteness or type check (or the
+# decoder), never by a traceback, a silent broadcast or a NaN result.
 MALFORMED_FILES = {
     "hmm_emission_width": (
         _with(
@@ -340,6 +353,20 @@ MALFORMED_FILES = {
         "TypeError",
     ),
     "not_utf8": (_not_utf8, "ParseError"),
+    "kalman_infinite_observation": (
+        _with_entry(kalman_doc, "observations", (2, 0), np.inf),
+        "TypeError",
+    ),
+    "kalman_nan_dynamics": (_with_entry(kalman_doc, "F", (0, 1), np.nan), "TypeError"),
+    "hmm_nan_emission": (_with_entry(hmm_doc, "emission_loglik", (1, 2), np.nan), "TypeError"),
+    "hmm_positive_infinite_emission": (
+        _with_entry(hmm_doc, "emission_loglik", (3, 0), np.inf),
+        "TypeError",
+    ),
+    "slds_window_string": (_with(slds_doc, "window", lambda rng: "two"), "TypeError"),
+    "slds_window_nan": (_with(slds_doc, "window", lambda rng: np.nan), "TypeError"),
+    "slds_window_fraction": (_with(slds_doc, "window", lambda rng: 1.5), "TypeError"),
+    "slds_window_bool": (_with(slds_doc, "window", lambda rng: True), "TypeError"),
 }
 
 
@@ -352,6 +379,27 @@ class TestMalformedModelFiles:
         assert code == 1
         assert payload["error"] == code_name
         assert set(payload) == {"error", "detail"}
+
+    def test_impossible_emissions_still_run(self, tmp_path, capsys):
+        doc = hmm_doc(np.random.default_rng(22))
+        emission = np.array(doc["emission_loglik"])
+        emission[::2, 0] = -np.inf
+        doc["emission_loglik"] = emission.tolist()
+        code, payload, _ = run_json(capsys, ["run", write_model(tmp_path, "hmm.json", doc)])
+        assert code == 0
+        spec = HmmSpec(transition=np.array(doc["transition"]), emission_loglik=emission)
+        expected = float(interpret(EXACT, build_hmm(spec)).atom.data)
+        assert math.isfinite(expected)
+        assert payload["log_value"] == expected
+
+    def test_seed_outside_philox_key_range(self, tmp_path, capsys):
+        path = write_model(tmp_path, "hmm.json", hmm_doc(np.random.default_rng(23)))
+        for seed in ("-1", str(2**128)):
+            argv = ["run", path, "--interp", "montecarlo", "--seed", seed]
+            code, payload, _ = run_json(capsys, argv)
+            assert code == 1
+            assert payload["error"] == "BoundsError"
+            assert set(payload) == {"error", "detail"}
 
     def test_bench_subcommand_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -32,7 +32,6 @@ from funsor.terms import (
     MarkovProd,
     TensorLeaf,
     Variable,
-    free_vars,
     infer_type,
     pretty,
 )
@@ -70,7 +69,7 @@ class TestValidateStep:
         rng = np.random.default_rng(0)
         body = chain_body(rng, 4, 2)
         node = MarkovProd("t", (("prev", "curr"),), body)
-        assert set(free_vars(node).names) == {"prev", "curr"}
+        assert set(node.free_vars.names) == {"prev", "curr"}
 
     def test_rejects_timevar_in_matching(self):
         rng = np.random.default_rng(0)
@@ -307,7 +306,7 @@ class TestSubstitutionGuard:
         with interpretation(LAZY):
             out = subst_term(node, {"cond": Variable("side", Bounded(2))})
         assert isinstance(out, MarkovProd)
-        assert sorted(free_vars(out).names) == ["curr", "prev", "side"]
+        assert sorted(out.free_vars.names) == ["curr", "prev", "side"]
 
 
 class TestParallelScanMemory:

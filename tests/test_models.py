@@ -21,7 +21,7 @@ from funsor.models import (
     build_slds_marginal,
 )
 from funsor.optimize import OPTIMIZE
-from funsor.terms import free_vars, infer_type
+from funsor.terms import infer_type
 
 
 def value(term):
@@ -421,6 +421,14 @@ class TestSlds:
                 window=0,
             )
 
+    def test_window_must_be_an_integer(self):
+        rng = np.random.default_rng(24)
+        spec, _ = random_slds(rng, 2, 2, 3, window=np.int64(2))
+        assert spec.window == 2 and type(spec.window) is int
+        for window in (1.5, 2.0, float("nan"), "two", True):
+            with pytest.raises(FunsorTypeError):
+                random_slds(rng, 2, 2, 3, window=window)
+
 
 class TestGmm:
     def setup_method(self):
@@ -535,7 +543,7 @@ class TestBuilderJudgements:
             )
         )
         for term in (hmm, kalman, slds, gmm):
-            assert free_vars(term).names == ()
+            assert term.free_vars.names == ()
             ctx, tp = infer_type(term)
             assert ctx == TypeContext()
             assert tp == RealArray(())

@@ -195,6 +195,28 @@ class TestIndexingAndShaping:
         assert out.context.names == ("n",)
         np.testing.assert_allclose(out.data, table.data[[0, 2, 1, 0]])
 
+    def test_index_over_the_substituted_name(self):
+        a = TensorAtom(
+            TypeContext([("x", Bounded(3)), ("y", Bounded(2))]),
+            np.arange(6.0).reshape(3, 2),
+        )
+        idx = index_tensor(TypeContext([("x", Bounded(3))]), [2.0, 0.0, 1.0], 3)
+        out = tensor_index(a, "x", idx)
+        assert out.context.names == ("y", "x")
+        np.testing.assert_array_equal(out.data, [[4, 0, 2], [5, 1, 3]])
+
+    def test_take_with_an_index_sharing_a_table_name(self):
+        rng = np.random.default_rng(30)
+        table = TensorAtom(
+            TypeContext([("i", Bounded(2))]), rng.normal(size=(2, 3, 2)), RealArray((3, 2))
+        )
+        rows = rng.integers(3, size=(2, 4))
+        idx = index_tensor(TypeContext([("i", Bounded(2)), ("n", Bounded(4))]), rows, 3)
+        out = tensor_take(table, idx)
+        assert out.context.names == ("i", "n") and out.output == RealArray((2,))
+        for i in range(2):
+            np.testing.assert_array_equal(out.data[i], table.data[i][rows[i]])
+
     def test_slice_selects_stride(self):
         rng = np.random.default_rng(9)
         a = random_atom(rng, [("t", Bounded(10))])

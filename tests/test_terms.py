@@ -7,19 +7,21 @@ from funsor.delta import DeltaAtom
 from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import FunsorTypeError, InvalidMatching
 from funsor.gaussian import GaussianAtom
-from funsor.interp import EXACT, LAZY, interpret, interpretation, subst_term
+from funsor.interp import EXACT, LAZY, _rebuild, interpret, interpretation, subst_term
 from funsor.ops import ADD, LOGADDEXP_REDUCE, REDUCE_OPS
 from funsor.tensor import TensorAtom, scalar_tensor
 from funsor.terms import (
     Apply,
+    Cat,
     DeltaLeaf,
     GaussianLeaf,
     MarkovProd,
     Reduce,
+    Slice,
     Subst,
     TensorLeaf,
+    Term,
     Variable,
-    free_vars,
     infer_type,
     pretty,
 )
@@ -46,7 +48,7 @@ class TestLeavesAndVariables:
 
     def test_variable_judgement(self):
         v = Variable("x", Bounded(3))
-        assert free_vars(v).names == ("x",)
+        assert v.free_vars.names == ("x",)
         ctx, out = infer_type(v)
         assert ctx.typeof("x") == Bounded(3)
         assert out == Bounded(3)
@@ -63,7 +65,7 @@ class TestApply:
         a = table([("i", Bounded(2))], [0.0, 1.0])
         b = table([("j", Bounded(3))], [0.0, 1.0, 2.0])
         node = Apply(ADD, (a, b))
-        assert set(free_vars(node).names) == {"i", "j"}
+        assert set(node.free_vars.names) == {"i", "j"}
 
     def test_apply_rejects_type_conflicts(self):
         a = table([("i", Bounded(2))], [0.0, 1.0])
@@ -76,7 +78,7 @@ class TestReduce:
     def test_reduce_removes_variable(self):
         t = table([("i", Bounded(2)), ("j", Bounded(3))], np.zeros((2, 3)))
         node = Reduce(LOGADDEXP_REDUCE, "i", t)
-        assert free_vars(node).names == ("j",)
+        assert node.free_vars.names == ("j",)
 
     def test_reduce_rejects_absent_variable(self):
         t = table([("i", Bounded(2))], [0.0, 1.0])
@@ -97,7 +99,7 @@ class TestReduce:
 class TestMarkovProd:
     def test_free_vars_keep_boundary_pair(self):
         node = MarkovProd("t", (("prev", "curr"),), chain_body())
-        assert set(free_vars(node).names) == {"prev", "curr"}
+        assert set(node.free_vars.names) == {"prev", "curr"}
 
     def test_timevar_must_be_free(self):
         with pytest.raises(FunsorTypeError):
@@ -128,7 +130,7 @@ class TestSubstitution:
         node = Apply(ADD, (x, Apply(ADD, (y, y))))
         with interpretation(LAZY):
             swapped = subst_term(node, {"x": y, "y": x})
-        assert set(free_vars(swapped).names) == {"x", "y"}
+        assert set(swapped.free_vars.names) == {"x", "y"}
         # positionally: x + (y + y) becomes y + (x + x)
         assert pretty(swapped) == pretty(Apply(ADD, (y, Apply(ADD, (x, x)))))
 
@@ -146,7 +148,7 @@ class TestSubstitution:
         # the incoming value mentions j, so the binder must step aside
         with interpretation(LAZY):
             out = subst_term(inner, {"i": Variable("j", Bounded(2))})
-        assert free_vars(out).names == ("j",)
+        assert out.free_vars.names == ("j",)
         assert isinstance(out, Reduce) and out.var != "j"
 
     def test_binding_validation(self):
@@ -166,7 +168,7 @@ class TestAlphaRename:
         with interpretation(LAZY):
             renamed = subst_term(node, {"j": Variable("i", Bounded(3))})
         assert isinstance(renamed, Reduce) and renamed.var != "i"
-        assert free_vars(renamed).names == ("i",)
+        assert renamed.free_vars.names == ("i",)
         out = interpret(EXACT, renamed).atom
         np.testing.assert_allclose(out.data, np.logaddexp.reduce(data, axis=0))
 
@@ -185,7 +187,7 @@ class TestAlphaRename:
         with interpretation(LAZY):
             renamed = subst_term(node, {"c": Variable("t", Bounded(2))})
         assert isinstance(renamed, MarkovProd) and renamed.timevar != "t"
-        assert set(free_vars(renamed).names) == {"prev", "curr", "t"}
+        assert set(renamed.free_vars.names) == {"prev", "curr", "t"}
 
 
 class TestStructuralEquality:
@@ -202,6 +204,45 @@ class TestStructuralEquality:
 
 def scalar_term(v):
     return TensorLeaf(scalar_tensor(v))
+
+
+def term_examples():
+    """One instance of every concrete term class."""
+    i = table([("i", Bounded(3))], [0.0, 1.0, 2.0])
+    j = table([("j", Bounded(2))], [0.0, 1.0])
+    real = TypeContext([("x", RealArray((2,)))])
+    gauss = GaussianLeaf(GaussianAtom(TypeContext(), real, np.zeros(2), np.eye(2)))
+    point = TensorAtom(TypeContext(), np.ones(2), RealArray((2,)))
+    bindings = {"i": Variable("k", Bounded(3)), "j": Variable("m", Bounded(2))}
+    return {
+        TensorLeaf: i,
+        GaussianLeaf: gauss,
+        DeltaLeaf: DeltaLeaf(DeltaAtom("x", point)),
+        Variable: Variable("x", RealArray((2,))),
+        Apply: Apply(ADD, [i, j]),
+        Subst: Subst(Apply(ADD, [i, j]), bindings),
+        Reduce: Reduce(LOGADDEXP_REDUCE, "i", i),
+        MarkovProd: MarkovProd("t", [("prev", "curr")], chain_body(), REDUCE_OPS["max"]),
+        Slice: Slice("s", 1, 3, 1, 3),
+        Cat: Cat("i", [i, j]),
+    }
+
+
+class TestDeclaredFields:
+    def test_every_term_rebuilds_from_its_arguments(self):
+        examples = term_examples()
+        assert set(examples) == set(Term.__subclasses__())
+        for cls, t in examples.items():
+            assert type(t) is cls
+            assert type(t)(*t._args()) == t
+            assert _rebuild(t, lambda c: c) is t
+            assert infer_type(t) == (t.free_vars, t.output)
+
+    def test_cat_rejects_parts_that_disagree_on_a_shared_name(self):
+        short = table([("j", Bounded(2))], [0.0, 1.0])
+        long = table([("j", Bounded(3))], [0.0, 1.0, 2.0])
+        with pytest.raises(FunsorTypeError):
+            Cat("t", [short, long])
 
 
 class TestCorruptedLeaves:
