@@ -36,7 +36,7 @@ from .errors import (
     NameAbsent,
     RankDeficient,
 )
-from .tensor import TensorAtom, align_array, tensor_cat, tensor_index
+from .tensor import TensorAtom, align_array, ground_cell, tensor_cat, tensor_index
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -365,7 +365,16 @@ def gaussian_plated_product(g: GaussianAtom, name: str) -> GaussianAtom:
 
 
 def gaussian_index_batch(g: GaussianAtom, name: str, idx: TensorAtom) -> GaussianAtom:
-    """Substitute integer values for one batch variable (a gather)."""
+    """Substitute integer values for one batch variable (a gather).
+
+    A ground index selects one cell along the axis: a view.
+    """
+    if not idx.context:
+        cell = ground_cell(g.batch, name, idx)
+        return GaussianAtom._unchecked(
+            g.batch.remove(name), g.reals, g.info_vec[cell], g.precision[cell],
+            symmetrize=False,
+        )
     i = tensor_index(g.info_atom(), name, idx)
     p = tensor_index(g.precision_atom(), name, idx)
     return GaussianAtom._unchecked(i.context, g.reals, i.data, p.data, symmetrize=False)

@@ -913,33 +913,49 @@ def _h_reduce_product(node: Reduce) -> Optional[Term]:
         return None
     if any(v in t.free_vars for t in nf.lazy_rest):
         return None
-    if node.op.name == "logaddexp":
-        if nf.gaussian is not None and v in nf.gaussian.reals:
-            w, g2 = gaussian_marginalize(nf.gaussian, v)
-            return NormalForm(
-                nf.deltas, _fuse_tensor(nf.tensor, w), g2, nf.lazy_rest
-            ).to_term()
-        if nf.gaussian is not None and v in nf.gaussian.batch:
-            return None
-        if nf.tensor is not None and v in nf.tensor.context:
-            return NormalForm(
-                nf.deltas,
-                tensor_reduce(node.op, nf.tensor, v),
-                nf.gaussian,
-                nf.lazy_rest,
-            ).to_term()
+    reduced = reduce_atoms(node.op, nf.tensor, nf.gaussian, v)
+    if reduced is None:
         return None
-    if node.op.name == "max":
-        if nf.gaussian is not None and v in nf.gaussian.context:
+    return NormalForm(nf.deltas, *reduced, nf.lazy_rest).to_term()
+
+
+def reduce_atoms(
+    op, tensor: Optional[TensorAtom], gaussian: Optional[GaussianAtom], v: str
+) -> Optional[Tuple[Optional[TensorAtom], Optional[GaussianAtom]]]:
+    """Reduce ``v`` out of a table plus a quadratic factor in closed form.
+
+    A real variable is integrated out of the quadratic factor and its
+    normalizer added onto the table; a label only the table mentions is
+    folded out of it.  Returns the new pair, or None where Exact leaves
+    the reduction lazy: a ``logaddexp`` over a label the quadratic factor
+    is batched over (a mixture), or a ``max`` over a variable it mentions.
+    """
+    if op.name == "logaddexp":
+        if gaussian is not None and v in gaussian.reals:
+            w, g2 = gaussian_marginalize(gaussian, v)
+            return _fuse_tensor(tensor, w), g2
+        if gaussian is not None and v in gaussian.batch:
             return None
-        if nf.tensor is not None and v in nf.tensor.context:
-            return NormalForm(
-                nf.deltas,
-                tensor_reduce(node.op, nf.tensor, v),
-                nf.gaussian,
-                nf.lazy_rest,
-            ).to_term()
+    elif op.name != "max" or (gaussian is not None and v in gaussian.context):
+        return None
+    if tensor is not None and v in tensor.context:
+        return tensor_reduce(op, tensor, v), gaussian
     return None
+
+
+def closed_form_reductions() -> bool:
+    """Whether reductions built now would run Exact's closed-form rules.
+
+    True when Exact is in the current interpretation's chain and no
+    interpretation ahead of it claims a sum or a reduction, so folding
+    atoms directly gives what dispatching the terms would.
+    """
+    for interp in current_interpretation().chain():
+        if interp is EXACT:
+            return True
+        if any(issubclass(h, r.head) for r in interp.rules for h in (Apply, Reduce)):
+            return False
+    return False
 
 
 def _h_markov(node: MarkovProd) -> Optional[Term]:

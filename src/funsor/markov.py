@@ -9,17 +9,32 @@ length.  ``scan_mode`` picks the strategy for the chains evaluated on
 this thread; it does not change what a chain denotes.  Both agree up
 to floating point roundoff; the doubling scheme trades a logarithmic
 number of larger contractions for the fold's linear chain of small ones.
+
+The fold works on the evaluated body's factors, not on terms: each step
+takes the tables and quadratic factors at one time index as views,
+relabels the matched names at atom level and hands both factor lists to
+``contract_pair``.  Under Exact and Optimize that runs the rules' kernels
+in the rules' order without dispatching a rule (so no fuel is spent);
+Monte Carlo and moment matching see every step through their rules.
+Other factors, such as point masses or lazily kept reductions, are
+substituted into as terms.  The body and the interpretation decide the
+path; there is no setting.
 """
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
+import numpy as np
+
+from .domains import Bounded, TypeContext
 from .errors import BoundsError
-from .interp import cat_term, flatten_product, subst_term, var
-from .optimize import contract
-from .terms import MarkovProd, Slice, Term, fresh_name
+from .gaussian import gaussian_index_batch, gaussian_rename
+from .interp import _chain_add, _rename_tensor, cat_term, flatten_product, subst_term, var
+from .optimize import contract, contract_pair
+from .tensor import index_tensor, tensor_index
+from .terms import GaussianLeaf, MarkovProd, Slice, TensorLeaf, Term, fresh_name
 
 
 class _ScanState(threading.local):
@@ -61,16 +76,56 @@ def evaluate_markov(node: MarkovProd) -> Optional[Term]:
 def _sequential(node: MarkovProd, T: int) -> Term:
     body, tv = node.body, node.timevar
     types = body.free_vars
-    result = subst_term(body, {tv: 0})
+    factors = flatten_product(body)
+    # Real matched names are reduced before bounded ones, as ``contract``
+    # orders them.  The names alternate between two sets minted once per
+    # chain; each step eliminates the set it binds.
+    pairs = sorted(node.step, key=lambda pc: isinstance(types.typeof(pc[1]), Bounded))
+    names = [{c: fresh_name(c) for _, c in pairs} for _ in range(2)]
+    result = _at(factors, {tv: 0}, {}, types)
     for k in range(1, T):
-        fresh = {c: fresh_name(c) for _, c in node.step}
-        mid = {c: var(fresh[c], types.typeof(c)) for _, c in node.step}
-        carried = subst_term(result, mid)
-        step = subst_term(
-            body, {tv: k, **{p: var(fresh[c], types.typeof(c)) for p, c in node.step}}
+        mid = names[k % 2]
+        carried = _at(result, {}, mid, types)
+        now = _at(factors, {tv: k}, {p: mid[c] for p, c in pairs}, types)
+        result = flatten_product(
+            contract_pair(node.op, carried, now, list(mid.values()))
         )
-        result = contract(node.op, list(fresh.values()), [carried, step])
-    return result
+    return _chain_add(result)
+
+
+def _at(factors, cells: Dict[str, int], renames: Dict[str, str], types) -> List[Term]:
+    """The factors at ground ``cells``, with ``renames`` applied.
+
+    Tables and quadratic factors are indexed as views and relabeled at
+    atom level; any other factor is substituted into as a term.
+    """
+    index = {
+        n: index_tensor(TypeContext(), np.float64(i), types.typeof(n).size)
+        for n, i in cells.items()
+    }
+    out: List[Term] = []
+    for p in factors:
+        if isinstance(p, TensorLeaf) and p.is_scalar_real():
+            atom = p.atom
+            for n, idx in index.items():
+                if n in atom.context:
+                    atom = tensor_index(atom, n, idx)
+            if any(n in atom.context for n in renames):
+                atom = _rename_tensor(atom, renames)
+            out.append(TensorLeaf(atom))
+        elif isinstance(p, GaussianLeaf):
+            g = p.atom
+            for n, idx in index.items():
+                if n in g.batch:
+                    g = gaussian_index_batch(g, n, idx)
+            if any(n in g.context for n in renames):
+                g = gaussian_rename(g, renames)
+            out.append(GaussianLeaf(g))
+        else:
+            bindings: Dict[str, Term] = {n: TensorLeaf(i) for n, i in index.items()}
+            bindings.update({n: var(m, types.typeof(n)) for n, m in renames.items()})
+            out.extend(flatten_product(subst_term(p, bindings)))
+    return out
 
 
 def _parallel(node: MarkovProd, T: int) -> Term:

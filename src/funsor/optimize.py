@@ -9,11 +9,13 @@ product of its bounded sizes times the squared flattened real dimension
 plus one, matching how large the dense and quadratic blocks get.
 
 ``contract`` is the one contraction path: chain steps, Exact's
-lazily built reductions and Optimize's plans all go through it, and
-every plan runs under the caller's interpretation, so approximate
-rules still see each planned reduction.  Exact plans one reduction at a
-time; Optimize gathers directly nested sums over a shared product into
-one joint plan instead of collapsing them innermost-first.
+lazily built reductions and Optimize's plans all go through it (a
+sequential chain step calls its pairwise step, ``contract_pair``,
+directly), and every plan runs under the caller's interpretation, so
+approximate rules still see each planned reduction.  Exact plans one
+reduction at a time; Optimize gathers directly nested sums over a
+shared product into one joint plan instead of collapsing them
+innermost-first.
 """
 from __future__ import annotations
 
@@ -24,14 +26,19 @@ from .domains import Bounded, TypeContext
 from .interp import (
     EXACT,
     Interpretation,
+    NormalForm,
     WholeRule,
+    _chain_add,
+    closed_form_reductions,
     flatten_product,
     lift,
+    normal_form_from_parts,
+    reduce_atoms,
     reduce_term,
 )
 from .ops import ADD, REDUCE_OPS, ReduceOp
 from .tensor import tensor_contract
-from .terms import Apply, Reduce, TensorLeaf, Term
+from .terms import Apply, GaussianLeaf, Reduce, TensorLeaf, Term
 
 
 def context_cost(ctx: TypeContext) -> float:
@@ -121,16 +128,40 @@ def greedy_plan(
     return plan
 
 
-def contract_pair(op: ReduceOp, a: Term, b: Term, rvars: Sequence[str]) -> Term:
-    """Reduce ``rvars`` out of ``a + b`` under the current interpretation.
+def contract_pair(
+    op: ReduceOp, a: Sequence[Term], b: Sequence[Term], rvars: Sequence[str]
+) -> Term:
+    """Reduce ``rvars`` out of the product of two factor lists.
 
-    Two real scalar tables go through ``tensor_contract`` without building
-    their union table; other factors are lifted and reduced by the rules.
+    ``a`` and ``b`` are flat factor lists, as ``flatten_product`` returns
+    them.  Two real scalar tables go through ``tensor_contract`` without
+    building their union table.  When Exact's rules would evaluate the
+    step and every factor is a table or a quadratic factor, the atoms are
+    fused and reduced by the same kernels, in the same order, without
+    building or dispatching the intermediate terms.  Other factors are
+    lifted and reduced by the rules.
     """
-    if all(isinstance(p, TensorLeaf) and p.is_scalar_real() for p in (a, b)):
-        return TensorLeaf(tensor_contract(op, [a.atom, b.atom], rvars))
-    out = lift(ADD, a, b)
-    for v in rvars:
+    parts = [*a, *b]
+    if len(parts) == 2 and all(
+        isinstance(p, TensorLeaf) and p.is_scalar_real() for p in parts
+    ):
+        return TensorLeaf(tensor_contract(op, [p.atom for p in parts], rvars))
+    rest = list(rvars)
+    if closed_form_reductions() and all(
+        isinstance(p, GaussianLeaf) or (isinstance(p, TensorLeaf) and p.is_scalar_real())
+        for p in parts
+    ):
+        nf = normal_form_from_parts(parts)
+        while rest:
+            reduced = reduce_atoms(op, nf.tensor, nf.gaussian, rest[0])
+            if reduced is None:
+                break
+            nf = NormalForm((), *reduced)
+            rest.pop(0)
+        out = nf.to_term()
+    else:
+        out = lift(ADD, _chain_add(a), _chain_add(b))
+    for v in rest:
         out = reduce_term(op, v, out)
     return out
 
@@ -138,7 +169,9 @@ def contract_pair(op: ReduceOp, a: Term, b: Term, rvars: Sequence[str]) -> Term:
 def execute_plan(plan: ContractionPlan, parts: Sequence[Term]) -> Term:
     factors = list(parts)
     for i, j, rvs in plan.steps:
-        fused = contract_pair(plan.op, factors[i], factors[j], rvs)
+        fused = contract_pair(
+            plan.op, flatten_product(factors[i]), flatten_product(factors[j]), rvs
+        )
         rest = [f for k, f in enumerate(factors) if k not in (i, j)]
         factors = [fused] + rest
     # The steps fuse until one factor remains.
@@ -156,7 +189,9 @@ def contract(op, rvars: Sequence[str], parts: Sequence[Term]) -> Term:
         # The only plan: fuse the pair and reduce everything, reals first.
         ctx = parts[0].free_vars
         order = sorted(rvars, key=lambda v: isinstance(ctx.typeof(v), Bounded))
-        return contract_pair(op, parts[0], parts[1], order)
+        return contract_pair(
+            op, flatten_product(parts[0]), flatten_product(parts[1]), order
+        )
     parts, residual = push_singleton_sums(list(parts), list(rvars), op)
     remaining = [v for v in rvars if v in residual]
     return execute_plan(greedy_plan(parts, remaining, op), parts)

@@ -400,6 +400,11 @@ def _is_rename(atom: TensorAtom, idx: TensorAtom) -> bool:
     )
 
 
+def ground_cell(context: TypeContext, name: str, idx: TensorAtom) -> tuple:
+    """The selector of one cell along ``name`` at a ground index: a view."""
+    return (slice(None),) * context.names.index(name) + (int(idx.data),)
+
+
 def tensor_index(atom: TensorAtom, name: str, idx: TensorAtom) -> TensorAtom:
     """Substitute integer values for one context variable.
 
@@ -415,9 +420,7 @@ def tensor_index(atom: TensorAtom, name: str, idx: TensorAtom) -> TensorAtom:
     rest = atom.context.remove(name)
     union = rest.union(idx.context)
     if not idx.context:
-        # A ground index selects one cell along the axis: a view.
-        axis = atom.context.names.index(name)
-        cell = (slice(None),) * axis + (int(idx.data),)
+        cell = ground_cell(atom.context, name, idx)
         return TensorAtom(rest, atom.data[cell], atom.output)
     if _is_rename(atom, idx):
         # Relabel the axis and move it where the gather would put it (last

@@ -214,6 +214,128 @@ class TestGaussianChain:
         )
 
 
+class TestSequentialFold:
+    """The sequential scan folds the body's atoms step by step; factors
+    that are not atoms go through substitution, and interpretations that
+    claim reductions see every step."""
+
+    def test_lazy_factor_is_substituted_as_a_term(self):
+        rng = np.random.default_rng(16)
+        T, K = 5, 3
+        body_data = rng.normal(size=(T, K, K))
+        tab = TensorLeaf(
+            TensorAtom(
+                TypeContext([("t", Bounded(T)), ("prev", Bounded(K)), ("curr", Bounded(K))]),
+                body_data,
+            )
+        )
+        # A mixture over j of quadratics in x: Exact keeps its reduction lazy.
+        info = rng.normal(size=(T, 2, 1))
+        g = GaussianAtom(
+            TypeContext([("t", Bounded(T)), ("j", Bounded(2))]),
+            TypeContext([("x", RealArray((1,)))]),
+            info,
+            np.broadcast_to(2.0 * np.eye(1), (T, 2, 1, 1)),
+        )
+        with interpretation(LAZY):
+            body = lift("add", tab, reduce_term("logaddexp", "j", GaussianLeaf(g)))
+        x = 0.3
+        mixture = np.logaddexp.reduce(info[..., 0] * x - x * x, axis=1).sum()
+        want = fold_chain(body_data, logaddexp_compose) + mixture
+        for mode in SCAN_MODES:
+            with scan_mode(mode):
+                out = interpret(EXACT, chain(body))
+                assert not isinstance(out, TensorLeaf)
+                got = interpret(EXACT, subst_term(out, {"x": np.array([x])}))
+            np.testing.assert_allclose(got.atom.data, want, rtol=1e-12)
+
+    def test_two_matched_pairs_agree_across_modes(self):
+        rng = np.random.default_rng(17)
+        T, K, n = 6, 3, 2
+        tab = TensorAtom(
+            TypeContext([("t", Bounded(T)), ("ap", Bounded(K)), ("ac", Bounded(K))]),
+            rng.normal(size=(T, K, K)),
+        )
+        F = 0.8 * np.eye(n) + 0.05 * rng.normal(size=(n, n))
+        Qi = np.linalg.inv(0.5 * np.eye(n))
+        prec = np.block([[F.T @ Qi @ F, -F.T @ Qi], [-Qi @ F, Qi]])
+        reals = TypeContext([("xp", RealArray((n,))), ("xc", RealArray((n,)))])
+        g = GaussianAtom(
+            TypeContext([("t", Bounded(T))]),
+            reals,
+            rng.normal(size=(T, 2 * n)),
+            np.broadcast_to(prec, (T, 2 * n, 2 * n)),
+        )
+        with interpretation(LAZY):
+            body = lift("add", to_term(tab), GaussianLeaf(g))
+        node = MarkovProd("t", (("ap", "ac"), ("xp", "xc")), body)
+        point = {"xp": rng.normal(size=n), "xc": rng.normal(size=n)}
+        outs = []
+        for mode in SCAN_MODES:
+            with scan_mode(mode):
+                out = interpret(EXACT, node)
+                outs.append(interpret(EXACT, subst_term(out, point)).atom.data)
+        np.testing.assert_allclose(outs[0], outs[1], rtol=1e-9, atol=1e-9)
+
+        # Two table pairs contract through ``tensor_contract`` at once.
+        both = TensorLeaf(
+            TensorAtom(
+                TypeContext(
+                    [("t", Bounded(T)), ("ap", Bounded(K)), ("ac", Bounded(K)),
+                     ("bp", Bounded(2)), ("bc", Bounded(2))]
+                ),
+                rng.normal(size=(T, K, K, 2, 2)),
+            )
+        )
+        node = MarkovProd("t", (("ap", "ac"), ("bp", "bc")), both)
+        outs = []
+        for mode in SCAN_MODES:
+            with scan_mode(mode):
+                outs.append(interpret(EXACT, node).atom)
+        flat = both.atom.data.transpose(0, 1, 3, 2, 4).reshape(T, 2 * K, 2 * K)
+        want = fold_chain(flat, logaddexp_compose).reshape(K, 2, K, 2)
+        for out in outs:
+            got = out.data.transpose(
+                *[out.context.names.index(n) for n in ("ap", "bp", "ac", "bc")]
+            )
+            np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    def test_max_product_folds_through_tensor_contract(self, monkeypatch):
+        import funsor.optimize as optimize
+
+        calls = []
+        real = optimize.tensor_contract
+
+        def spy(op, atoms, rvars):
+            calls.append(op.name)
+            return real(op, atoms, rvars)
+
+        monkeypatch.setattr(optimize, "tensor_contract", spy)
+        rng = np.random.default_rng(18)
+        T, K = 7, 4
+        body = chain_body(rng, T, K)
+        with scan_mode("sequential"):
+            got = interpret(EXACT, chain(body, MAX_REDUCE))
+        assert calls == ["max"] * (T - 1)
+        want = fold_chain(body.atom.data, max_compose)
+        np.testing.assert_array_equal(got.atom.data, want)
+
+    def test_atoms_fold_only_where_exact_reduces(self):
+        from funsor.approx import MomentMatching, MonteCarlo
+        from funsor.interp import closed_form_reductions
+        from funsor.optimize import OPTIMIZE
+
+        for interp, folds in [
+            (EXACT, True),
+            (OPTIMIZE, True),
+            (MomentMatching(), False),
+            (MonteCarlo(0), False),
+            (LAZY, False),
+        ]:
+            with interpretation(interp):
+                assert closed_form_reductions() is folds, interp
+
+
 class TestCarriedMonoid:
     """The elimination monoid is part of the chain term, so every rebuild
     must keep it; dropping it would silently turn a max chain into a sum."""

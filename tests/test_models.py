@@ -336,6 +336,42 @@ class TestKalman:
                 vals.append(value(term))
         np.testing.assert_allclose(vals[0], vals[1], rtol=1e-8)
 
+    def test_long_sequential_chain_fits_the_default_fuel(self, monkeypatch):
+        """A sequential step folds its atoms with kernel calls, which spend
+        no fuel, so a chain much longer than the default budget of rule
+        firings evaluates."""
+        monkeypatch.delenv("FUNSOR_FUEL", raising=False)
+        rng = np.random.default_rng(14)
+        n, m, T = 3, 2, 4096
+        a, b = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+        spec = KalmanSpec(
+            F=0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0],
+            Q=a @ a.T + 0.5 * np.eye(n),
+            H=rng.normal(size=(m, n)),
+            R=b @ b.T + 0.5 * np.eye(m),
+            observations=rng.normal(size=(T, m)),
+        )
+        target = kalman_loglik(
+            spec.F, spec.Q, spec.H, spec.R, spec.observations,
+            spec.init_mean, spec.init_cov,
+        )
+        with scan_mode("sequential"):
+            got = value(build_kalman(spec))
+        np.testing.assert_allclose(got, target, atol=1e-6)
+
+    def test_folded_steps_equal_the_rule_path(self):
+        """Exact folds each sequential step's atoms directly; moment
+        matching claims reductions, so its steps dispatch the rules.  Both
+        run the same kernels in the same order: the values are equal."""
+        from funsor.approx import MomentMatching
+
+        spec = random_kalman(np.random.default_rng(15), 3, 2, 64)
+        term = build_kalman(spec)
+        with scan_mode("sequential"):
+            exact = value(term)
+            matched = float(interpret(MomentMatching(), term).atom.data)
+        assert exact == matched
+
 
 class TestSlds:
     def test_single_switch_state_equals_plain_filter(self):
