@@ -23,7 +23,9 @@ from .delta import DeltaAtom
 from .domains import Bounded
 from .errors import BoundsError, NameAbsent
 from .gaussian import (
+    LOG_2PI,
     GaussianAtom,
+    _chol_logdet,
     _chol_solve,
     _cholesky_jitter,
     gaussian_log_normalizer,
@@ -36,6 +38,7 @@ from .interp import (
     flatten_product,
     lift,
     normal_form_from_parts,
+    reduce_atoms,
     reduce_term,
 )
 from .ops import ADD, LOGADDEXP_REDUCE, SUB
@@ -82,11 +85,10 @@ def moment_match(
     gone from its batch and the total-mass tensor: the ``logaddexp``
     reduction over ``v`` of table plus component normalizer, less the
     matched factor's own normalizer, so that weight times matched factor
-    integrates to exactly the mixture's mass.
+    integrates to exactly the mixture's mass.  The components' normalizers
+    come from the same factorization as their means and covariances.
     """
-    norm = gaussian_log_normalizer(g)
-    w_full = norm if weight is None else tensor_apply(ADD, [weight, norm])
-    union = w_full.context
+    union = g.batch if weight is None else weight.context.union(g.batch)
     if v not in union:
         raise NameAbsent(f"{v!r} indexes neither the weights nor the factor")
     axis = union.names.index(v)
@@ -100,7 +102,11 @@ def moment_match(
     eye = np.broadcast_to(np.eye(d), bounds + (d, d))
     cov = _chol_solve(chol, eye)
 
-    logw = w_full.data
+    quad = np.sum(i_full * mu, axis=-1)
+    logw = 0.5 * d * LOG_2PI - 0.5 * _chol_logdet(chol) + 0.5 * quad
+    if weight is not None:
+        logw = ADD.apply(align_array(weight.data, weight.context, union), logw)
+    w_full = TensorAtom(union, logw)
     total = logsumexp(logw, axis)
     p = np.exp(logw - np.expand_dims(total, axis))
     p = p / np.sum(p, axis=axis, keepdims=True)
@@ -124,6 +130,23 @@ def moment_match(
     return matched, w_red
 
 
+def match_atoms(
+    tensor: Optional[TensorAtom], gaussian: Optional[GaussianAtom], v: str
+) -> Optional[Tuple[Optional[TensorAtom], Optional[GaussianAtom]]]:
+    """A ``logaddexp`` reduction over ``v`` of a table plus a quadratic
+    factor, as moment matching evaluates it.
+
+    A mixture (the factor batched over ``v``) collapses by
+    ``moment_match``; any other reduction runs Exact's closed form
+    (``reduce_atoms``).  Returns the new pair, or None where neither
+    applies.
+    """
+    if gaussian is not None and v in gaussian.batch:
+        matched, w_red = moment_match(tensor, gaussian, v)
+        return w_red, matched
+    return reduce_atoms(LOGADDEXP_REDUCE, tensor, gaussian, v)
+
+
 class MomentMatching(Interpretation):
     """Collapse quadratic mixtures at each reduction, exactly elsewhere."""
 
@@ -143,10 +166,10 @@ class MomentMatching(Interpretation):
         nf = normal_form_from_parts(flatten_product(node.body))
         if nf.deltas or nf.lazy_rest:
             return None
+        # Elsewhere Exact's rules run the same closed form.
         if nf.gaussian is None or v not in nf.gaussian.batch:
             return None
-        matched, w_red = moment_match(nf.tensor, nf.gaussian, v)
-        return NormalForm((), w_red, matched, ()).to_term()
+        return NormalForm((), *match_atoms(nf.tensor, nf.gaussian, v)).to_term()
 
 
 def mc_sample_discrete(

@@ -84,6 +84,10 @@ def check_user_name(name: str) -> str:
     return name
 
 
+def _conflict(name: str, prev: FunsorType, tp: FunsorType) -> TypeConflict:
+    return TypeConflict(f"name {name!r} used at both {prev.pretty()} and {tp.pretty()}")
+
+
 class TypeContext:
     """An ordered mapping from names to types.
 
@@ -108,9 +112,7 @@ class TypeContext:
                 index[name] = tp
                 ordered.append((name, tp))
             elif prev != tp:
-                raise TypeConflict(
-                    f"name {name!r} used at both {prev.pretty()} and {tp.pretty()}"
-                )
+                raise _conflict(name, prev, tp)
         self._entries: Tuple[Tuple[str, FunsorType], ...] = tuple(ordered)
         self._index = index
         self._hash = None
@@ -155,12 +157,22 @@ class TypeContext:
         return self._hash
 
     def union(self, other: "TypeContext") -> "TypeContext":
-        """Merge two contexts; conflicting types for a shared name raise."""
+        """Merge two contexts; conflicting types for a shared name raise.
+
+        When ``other`` adds no names the result is ``self`` itself.
+        """
         if not other._entries:
             return self
         if not self._entries:
             return other
-        return TypeContext(self._entries + other._entries)
+        index = self._index
+        for name, tp in other._entries:
+            prev = index.get(name)
+            if prev is None:
+                return TypeContext(self._entries + other._entries)
+            if prev != tp:
+                raise _conflict(name, prev, tp)
+        return self
 
     @staticmethod
     def concat(over: str, parts) -> Tuple["TypeContext", Tuple[int, ...]]:

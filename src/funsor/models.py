@@ -4,7 +4,13 @@ The chain builders return closed lazy terms, so one model can be
 evaluated under several interpretations and scan strategies; the
 switching and mixture builders run their collapse loop eagerly, because
 the order in which mixtures are matched is part of the model.  The
-helpers at the top convert moment-form conditionals
+switching loop folds atoms, not terms: it carries its joint as one
+table and one quadratic factor and calls the kernels the moment-matching
+rules would call, in their order, so its value is bit-identical to the
+same loop built from terms.  The mixture loop substitutes an affine
+index into its factors and stays on terms.
+
+The helpers at the top convert moment-form conditionals
 ``N(out; M @ in + offset, noise)`` into the information-form blocks the
 quadratic factors store, together with the constant that makes the
 factor integrate to one over its output.
@@ -17,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .approx import MomentMatching
+from .approx import MomentMatching, match_atoms
 from .domains import Bounded, RealArray, TypeContext
 from .errors import BoundsError, FunsorTypeError
 from .gaussian import (
@@ -25,6 +31,7 @@ from .gaussian import (
     GaussianAtom,
     _chol_solve,
     _cholesky_jitter,
+    gaussian_fuse,
     gaussian_index_batch,
     gaussian_log_normalizer,
     gaussian_rename,
@@ -39,9 +46,9 @@ from .interp import (
     to_term,
     var,
 )
-from .ops import TAKE
-from .tensor import TensorAtom, index_tensor
-from .terms import Term
+from .ops import ADD, TAKE
+from .tensor import TensorAtom, index_tensor, tensor_apply
+from .terms import TensorLeaf, Term
 
 
 def conditional_gaussian(M, offset, noise) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,12 +131,8 @@ def _gaussian_factor(
     """
     bounds = tuple(tp.size for _, tp in batch.entries)
     prec = np.broadcast_to(prec, bounds + np.shape(prec)[-2:])
-    return _with_const(GaussianAtom(batch, reals, info, prec), const)
-
-
-def _with_const(g: GaussianAtom, const) -> Term:
-    """``g`` plus a constant table over its batch, as one lazy sum."""
-    return lift("add", to_term(g), to_term(TensorAtom(g.batch, const)))
+    g = GaussianAtom(batch, reals, info, prec)
+    return lift("add", to_term(g), to_term(TensorAtom(batch, const)))
 
 
 def _expect_shape(what: str, arr: np.ndarray, shape) -> None:
@@ -362,7 +365,9 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
 
     Factors enter one step at a time; once the window is full, the
     oldest continuous state and then its switch state are reduced, so at
-    most ``window + 1`` slices are ever joint.
+    most ``window + 1`` slices are ever joint.  The joint is carried as a
+    table plus one quadratic factor, and every step calls the kernels
+    the moment-matching rules would (``match_atoms``), in their order.
     """
     observations = np.asarray(observations, dtype=np.float64)
     _expect_shape("observations", observations, (None, spec.H.shape[0]))
@@ -379,52 +384,45 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
     # Each parameter set is checked once, over generic names; every step
     # relabels the dynamics and takes its own cell of the observations.
     x_n = RealArray((n,))
+    z_k = Bounded(K)
     dyn_reals = TypeContext([("prev", x_n), ("curr", x_n)])
-    dyn_atom = GaussianAtom(TypeContext([("s", Bounded(K))]), dyn_reals, i_dyn, p_dyn)
+    dyn_atom = GaussianAtom(TypeContext([("s", z_k)]), dyn_reals, i_dyn, p_dyn)
     p_ob = np.broadcast_to(p_ob, (T, n, n))
     obs_atom = GaussianAtom(
         TypeContext([("t", Bounded(T))]), TypeContext([("curr", x_n)]), i_ob, p_ob
     )
 
-    with interpretation(MomentMatching()):
-        joint = to_term(0.0)
-        for t in range(T):
+    # Tables fuse left to right (joint, transition, dynamics constant,
+    # observation constant) and quadratic factors as joint, dynamics,
+    # observation: the order the product rules fuse them in.
+    table = TensorAtom(TypeContext([("s0", z_k)]), log_trans[0])
+    table = tensor_apply(ADD, [table, TensorAtom(TypeContext(), c_0)])
+    gauss = GaussianAtom(TypeContext(), TypeContext([("x0", x_n)]), i_0, p_0)
+    for t in range(T):
+        x_t = f"x{t}"
+        if t > 0:
             s_t = f"s{t}"
-            x_t = f"x{t}"
-            if t == 0:
-                s_ctx = TypeContext([(s_t, Bounded(K))])
-                joint = lift(
-                    "add", joint, to_term(TensorAtom(s_ctx, log_trans[0]))
-                )
-                x_reals = TypeContext([(x_t, x_n)])
-                init = _gaussian_factor(TypeContext(), x_reals, i_0, p_0, c_0)
-                joint = lift("add", joint, init)
-            else:
-                pair_ctx = TypeContext(
-                    [(f"s{t - 1}", Bounded(K)), (s_t, Bounded(K))]
-                )
-                joint = lift(
-                    "add", joint, to_term(TensorAtom(pair_ctx, log_trans))
-                )
-                dyn = gaussian_rename(
-                    dyn_atom, {"s": s_t, "prev": f"x{t - 1}", "curr": x_t}
-                )
-                joint = lift("add", joint, _with_const(dyn, c_dyn))
-            obs = gaussian_index_batch(
-                obs_atom, "t", index_tensor(TypeContext(), float(t), T)
+            pair = TypeContext([(f"s{t - 1}", z_k), (s_t, z_k)])
+            table = tensor_apply(ADD, [table, TensorAtom(pair, log_trans)])
+            table = tensor_apply(
+                ADD, [table, TensorAtom(TypeContext([(s_t, z_k)]), c_dyn)]
             )
-            obs = gaussian_rename(obs, {"curr": x_t})
-            joint = lift("add", joint, _with_const(obs, c_ob[t]))
-            if t >= L:
-                joint = reduce_term("logaddexp", f"x{t - L}", joint)
-                joint = reduce_term("logaddexp", f"s{t - L}", joint)
-        # Real variables go first so the trailing switch states reduce
-        # over a plain table once no quadratic factor mentions them.
-        for t in range(max(0, T - L), T):
-            joint = reduce_term("logaddexp", f"x{t}", joint)
-        for t in range(max(0, T - L), T):
-            joint = reduce_term("logaddexp", f"s{t}", joint)
-    return joint
+            names = {"s": s_t, "prev": f"x{t - 1}", "curr": x_t}
+            gauss = gaussian_fuse(gauss, gaussian_rename(dyn_atom, names))
+        obs = gaussian_index_batch(
+            obs_atom, "t", index_tensor(TypeContext(), float(t), T)
+        )
+        table = tensor_apply(ADD, [table, TensorAtom(TypeContext(), c_ob[t])])
+        gauss = gaussian_fuse(gauss, gaussian_rename(obs, {"curr": x_t}))
+        if t >= L:
+            for v in (f"x{t - L}", f"s{t - L}"):
+                table, gauss = match_atoms(table, gauss, v)
+    # Real variables go first so the trailing switch states reduce
+    # over a plain table once no quadratic factor mentions them.
+    tail = range(max(0, T - L), T)
+    for v in [f"x{t}" for t in tail] + [f"s{t}" for t in tail]:
+        table, gauss = match_atoms(table, gauss, v)
+    return TensorLeaf(table)
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,17 @@ class TensorAtom:
         # A view keeps slicing zero-copy and leaves the caller's flags alone.
         arr = arr.view()
         if isinstance(output, Bounded):
-            finite = np.isfinite(arr)
-            ok = finite & (arr == np.floor(arr)) & (arr >= 0) & (arr < output.size)
-            if not np.all(ok):
+            if arr.ndim == 0:
+                # One ground index is checked in plain Python; NaN and the
+                # infinities fail the range test.
+                v = float(arr)
+                ok = 0.0 <= v < output.size and v.is_integer()
+            else:
+                finite = np.isfinite(arr)
+                ok = np.all(
+                    finite & (arr == np.floor(arr)) & (arr >= 0) & (arr < output.size)
+                )
+            if not ok:
                 raise IndexOutOfRange(
                     f"index-valued tensor holds values outside Z{output.size}"
                 )
@@ -152,8 +160,11 @@ def align_array(arr: np.ndarray, ctx: TypeContext, union: TypeContext) -> np.nda
 
     The leading axes of ``arr`` are the batch axes named by ``ctx``; they
     are permuted into ``union`` order, with a singleton axis for each
-    union name ``ctx`` lacks.  Trailing axes are kept as they are.
+    union name ``ctx`` lacks.  Trailing axes are kept as they are.  When
+    the two layouts already agree, ``arr`` itself is returned.
     """
+    if ctx.entries == union.entries:
+        return arr
     names = ctx.names
     nb = len(names)
     perm = [names.index(n) for n, _ in union.entries if n in ctx]

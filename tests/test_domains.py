@@ -92,6 +92,24 @@ class TestTypeContext:
         with pytest.raises(TypeConflict):
             a.union(b)
 
+    def test_union_adding_no_names_is_the_left_operand(self):
+        a = TypeContext([("x", Bounded(2)), ("y", Bounded(3))])
+        for other in (
+            TypeContext(),
+            TypeContext([("y", Bounded(3))]),
+            TypeContext([("y", Bounded(3)), ("x", Bounded(2))]),
+        ):
+            assert a.union(other) is a
+
+    def test_union_adding_no_names_still_checks_types(self):
+        a = TypeContext([("x", Bounded(2)), ("y", Bounded(3))])
+        for other in (
+            TypeContext([("y", Bounded(4))]),
+            TypeContext([("x", Bounded(2)), ("y", RealArray(()))]),
+        ):
+            with pytest.raises(TypeConflict):
+                a.union(other)
+
     def test_remove(self):
         c = TypeContext([("x", Bounded(2)), ("y", Bounded(3))])
         assert c.remove("x").names == ("y",)

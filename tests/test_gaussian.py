@@ -470,9 +470,9 @@ class TestTrustBoundary:
     re-factorized, and stay bit-identical to checked construction."""
 
     # Factorizations a kernel needs for its own solves: the marginalized
-    # block, and for moment matching the two normalizers and the
-    # components' covariances.
-    OWN_FACTORIZATIONS = {"marginalize": 1, "moment_match": 3}
+    # block, and for moment matching the components (their means,
+    # covariances and normalizers) and the matched factor's normalizer.
+    OWN_FACTORIZATIONS = {"marginalize": 1, "moment_match": 2}
 
     @pytest.mark.parametrize("kernel", sorted(kernel_results(np.random.default_rng(0))))
     def test_kernel_result_is_not_refactorized(self, kernel, monkeypatch):

@@ -5,10 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from funsor.domains import RealArray, TypeContext
+from funsor.approx import MomentMatching
+from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import BoundsError, FunsorTypeError
-from funsor.gaussian import GaussianAtom
-from funsor.interp import EXACT, interpret
+from funsor.gaussian import GaussianAtom, gaussian_index_batch, gaussian_rename
+from funsor.interp import EXACT, interpret, interpretation, lift, reduce_term, to_term
 from funsor.markov import scan_mode
 from funsor.models import (
     GmmSpec,
@@ -19,8 +20,12 @@ from funsor.models import (
     build_hmm,
     build_kalman,
     build_slds_marginal,
+    conditional_gaussian,
+    dense_gaussian,
+    observation_factor,
 )
 from funsor.optimize import OPTIMIZE
+from funsor.tensor import TensorAtom, index_tensor
 from funsor.terms import infer_type
 
 
@@ -162,6 +167,78 @@ def random_slds(rng, n_states, n, T, window):
     )
     ys = rng.normal(size=(T, 1))
     return spec, ys
+
+
+def term_level_slds(spec, ys):
+    """The SLDS collapse loop built as terms under moment matching.
+
+    Every step is fused and reduced by the rules: the reference the
+    builder's atom-level fold must reproduce bit for bit.
+    """
+    K = spec.transition.shape[0]
+    n = spec.F.shape[-1]
+    T = ys.shape[0]
+    L = spec.window
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(spec.transition)
+    i_dyn, p_dyn, c_dyn = conditional_gaussian(spec.F, np.zeros((K, n)), spec.Q)
+    i_0, p_0, c_0 = dense_gaussian(spec.init_mean, spec.init_cov)
+    i_ob, p_ob, c_ob = observation_factor(spec.H, spec.R, ys)
+    x_n, z_k = RealArray((n,)), Bounded(K)
+    dyn_atom = GaussianAtom(
+        TypeContext([("s", z_k)]),
+        TypeContext([("prev", x_n), ("curr", x_n)]),
+        i_dyn,
+        p_dyn,
+    )
+    obs_atom = GaussianAtom(
+        TypeContext([("t", Bounded(T))]),
+        TypeContext([("curr", x_n)]),
+        i_ob,
+        np.broadcast_to(p_ob, (T, n, n)),
+    )
+
+    def with_const(g, const):
+        return lift("add", to_term(g), to_term(TensorAtom(g.batch, const)))
+
+    with interpretation(MomentMatching()):
+        joint = to_term(0.0)
+        for t in range(T):
+            if t == 0:
+                s0 = TypeContext([("s0", z_k)])
+                joint = lift("add", joint, to_term(TensorAtom(s0, log_trans[0])))
+                x0 = TypeContext([("x0", x_n)])
+                init = GaussianAtom(TypeContext(), x0, i_0, p_0)
+                joint = lift("add", joint, with_const(init, c_0))
+            else:
+                pair = TypeContext([(f"s{t - 1}", z_k), (f"s{t}", z_k)])
+                joint = lift("add", joint, to_term(TensorAtom(pair, log_trans)))
+                names = {"s": f"s{t}", "prev": f"x{t - 1}", "curr": f"x{t}"}
+                dyn = gaussian_rename(dyn_atom, names)
+                joint = lift("add", joint, with_const(dyn, c_dyn))
+            obs = gaussian_index_batch(
+                obs_atom, "t", index_tensor(TypeContext(), float(t), T)
+            )
+            obs = gaussian_rename(obs, {"curr": f"x{t}"})
+            joint = lift("add", joint, with_const(obs, c_ob[t]))
+            if t >= L:
+                joint = reduce_term("logaddexp", f"x{t - L}", joint)
+                joint = reduce_term("logaddexp", f"s{t - L}", joint)
+        for prefix in ("x", "s"):
+            for t in range(max(0, T - L), T):
+                joint = reduce_term("logaddexp", f"{prefix}{t}", joint)
+    return joint
+
+
+# The joint holds K ** window switch cells, so full windows over long
+# horizons are left to the small state counts.
+SLDS_FOLD_CASES = [
+    (K, T, window)
+    for K in (1, 2, 3)
+    for T in (1, 2, 5, 17)
+    for window in sorted({1, 2, 3, T})
+    if K ** min(window, T) <= 3 ** 5
+]
 
 
 class TestHmm:
@@ -445,6 +522,12 @@ class TestSlds:
             assert np.isfinite(value(build_slds_marginal(spec, ys[:T])))
             seen.append(dict(counts))
         assert seen[0] == seen[1]
+
+    @pytest.mark.parametrize("K,T,window", SLDS_FOLD_CASES)
+    def test_atom_fold_equals_the_rule_path(self, K, T, window):
+        spec, ys = random_slds(np.random.default_rng([K, T, window]), K, 2, T, window)
+        got = value(build_slds_marginal(spec, ys))
+        assert got == value(term_level_slds(spec, ys))
 
     def test_window_below_one_rejected(self):
         with pytest.raises(BoundsError):

@@ -12,6 +12,7 @@ from funsor.errors import FunsorTypeError, IndexOutOfRange, NameAbsent, TypeConf
 from funsor.ops import ADD, LOGADDEXP, MUL, REDUCE_OPS
 from funsor.tensor import (
     TensorAtom,
+    align_array,
     align_atoms,
     index_tensor,
     logsumexp,
@@ -105,6 +106,14 @@ class TestAlignment:
         )
         np.testing.assert_allclose(total, want)
 
+    def test_align_array_keeps_a_matching_layout(self):
+        arr = np.zeros((2, 3, 4))
+        ctx = TypeContext([("i", Bounded(2)), ("j", Bounded(3))])
+        same = TypeContext([("i", Bounded(2)), ("j", Bounded(3))])
+        assert align_array(arr, ctx, same) is arr
+        swapped = align_array(arr, ctx, TypeContext(reversed(ctx.entries)))
+        assert swapped.shape == (3, 2, 4)
+
     def test_align_conflicting_types(self):
         a = TensorAtom(TypeContext([("i", Bounded(2))]), np.zeros(2))
         b = TensorAtom(TypeContext([("i", Bounded(3))]), np.zeros(3))
@@ -180,6 +189,17 @@ class TestIndexingAndShaping:
             np.testing.assert_allclose(
                 tensor_eval(out, {"j": 1, "k": k}), a.data[i, 1]
             )
+
+    @pytest.mark.parametrize("bad", [-1.0, 3.0, 1.5, np.nan, np.inf, -np.inf])
+    def test_index_values_outside_the_bound_raise(self, bad):
+        with pytest.raises(IndexOutOfRange):
+            index_tensor(TypeContext(), bad, 3)
+        with pytest.raises(IndexOutOfRange):
+            index_tensor(TypeContext([("k", Bounded(2))]), [0.0, bad], 3)
+
+    def test_ground_index_accepts_every_position(self):
+        for k in (0, 1.0, np.float64(2), np.array(2.0)):
+            assert index_tensor(TypeContext(), k, 3).data == k
 
     def test_index_bound_mismatch(self):
         a = TensorAtom(TypeContext([("i", Bounded(3))]), np.zeros(3))
