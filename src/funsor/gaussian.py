@@ -212,41 +212,42 @@ def reorder_like(g: GaussianAtom, template: GaussianAtom) -> GaussianAtom:
     )
 
 
-def _aligned_params(
-    atoms: Sequence[GaussianAtom], union_batch: TypeContext, reals: TypeContext
-):
-    """Embed each atom's parameters into a shared batch and block layout."""
-    dim = sum(tp.num_elements for _, tp in reals.entries)
+def _embedded(
+    parts: Sequence[GaussianAtom], batch: TypeContext, reals: TypeContext
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The parts' summed parameters over ``batch`` and the blocks of ``reals``.
+
+    One zeroed pair of arrays is allocated; each part is added into its
+    blocks, through a slice where they are contiguous.
+    """
     offsets = _block_offsets(reals)
-    bounds = tuple(tp.size for _, tp in union_batch.entries)
-    out = []
-    for g in atoms:
-        cols = []
-        for name, _ in g.reals.entries:
-            lo, hi = offsets[name]
-            cols.extend(range(lo, hi))
-        cols = np.asarray(cols, dtype=np.int64)
-        i_full = np.zeros(bounds + (dim,))
-        p_full = np.zeros(bounds + (dim, dim))
-        i_full[..., cols] = align_array(g.info_vec, g.batch, union_batch)
-        p_full[(Ellipsis, cols[:, None], cols[None, :])] = align_array(
-            g.precision, g.batch, union_batch
-        )
-        out.append((i_full, p_full))
-    return dim, out
+    dim = sum(tp.num_elements for _, tp in reals.entries)
+    bounds = tuple(tp.size for _, tp in batch.entries)
+    info = np.zeros(bounds + (dim,))
+    prec = np.zeros(bounds + (dim, dim))
+    for g in parts:
+        cols = [k for name, _ in g.reals.entries for k in range(*offsets[name])]
+        if cols == list(range(cols[0], cols[-1] + 1)):
+            rows = cols = slice(cols[0], cols[-1] + 1)
+        else:
+            cols = np.asarray(cols)
+            rows = cols[:, None]
+        info[..., cols] += align_array(g.info_vec, g.batch, batch)
+        prec[..., rows, cols] += align_array(g.precision, g.batch, batch)
+    return info, prec
 
 
 def gaussian_fuse(a: GaussianAtom, b: GaussianAtom) -> GaussianAtom:
     """Multiply two factors: information vectors and precisions are added.
 
     Real blocks missing from one operand are zero-padded; batch contexts
-    are broadcast over their union.
+    are broadcast over their union.  The sum of two symmetric precisions
+    is exactly symmetric, so it is not symmetrized again.
     """
     union_batch = a.batch.union(b.batch)
     reals = a.reals.union(b.reals)
-    _, params = _aligned_params([a, b], union_batch, reals)
-    (ia, pa), (ib, pb) = params
-    return GaussianAtom._unchecked(union_batch, reals, ia + ib, pa + pb)
+    i, p = _embedded([a, b], union_batch, reals)
+    return GaussianAtom._unchecked(union_batch, reals, i, p, symmetrize=False)
 
 
 def gaussian_eval(g: GaussianAtom, assignment: Dict[str, np.ndarray]) -> np.ndarray:
@@ -389,18 +390,13 @@ def gaussian_cat(name: str, parts: Sequence[GaussianAtom]) -> GaussianAtom:
     reals = TypeContext()
     for g in parts:
         reals = reals.union(g.reals)
-    embedded = []
+    infos, precs = [], []
     for g in parts:
-        dim, params = _aligned_params([g], g.batch, reals)
-        (iv, pv) = params[0]
-        embedded.append(
-            (
-                TensorAtom(g.batch, iv, RealArray((dim,))),
-                TensorAtom(g.batch, pv, RealArray((dim, dim))),
-            )
-        )
-    i = tensor_cat(name, [e[0] for e in embedded])
-    p = tensor_cat(name, [e[1] for e in embedded])
+        iv, pv = _embedded([g], g.batch, reals)
+        infos.append(TensorAtom(g.batch, iv, RealArray(iv.shape[-1:])))
+        precs.append(TensorAtom(g.batch, pv, RealArray(pv.shape[-2:])))
+    i = tensor_cat(name, infos)
+    p = tensor_cat(name, precs)
     return GaussianAtom._unchecked(i.context, reals, i.data, p.data)
 
 

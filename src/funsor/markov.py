@@ -10,15 +10,18 @@ this thread; it does not change what a chain denotes.  Both agree up
 to floating point roundoff; the doubling scheme trades a logarithmic
 number of larger contractions for the fold's linear chain of small ones.
 
-The fold works on the evaluated body's factors, not on terms: each step
-takes the tables and quadratic factors at one time index as views,
-relabels the matched names at atom level and hands both factor lists to
-``contract_pair``.  Under Exact and Optimize that runs the rules' kernels
-in the rules' order without dispatching a rule (so no fuel is spent);
-Monte Carlo and moment matching see every step through their rules.
-Other factors, such as point masses or lazily kept reductions, are
-substituted into as terms.  The body and the interpretation decide the
-path; there is no setting.
+Both scans work on the evaluated body's factors, not on terms.  The fold
+takes the tables and quadratic factors at one time index as views; the
+doubling scan takes them at the even and the odd stride-2 slice of each
+level, and joins an odd level's last position to the merged pairs at
+atom level.  Matched names are relabeled at atom level, and the factor
+lists go to ``contract_pair`` (a fold step) or ``contract`` (a level).
+Under Exact and Optimize that runs the rules' kernels in the rules'
+order without dispatching a rule (so no fuel is spent); Monte Carlo and
+moment matching see every reduction through their rules.  Other factors,
+such as point masses or lazily kept reductions, are substituted into as
+terms, and an odd level holding one is joined by a ``Cat`` term.  The
+body and the interpretation decide the path; there is no setting.
 """
 from __future__ import annotations
 
@@ -31,9 +34,19 @@ import numpy as np
 from .domains import Bounded, TypeContext
 from .errors import BoundsError
 from .gaussian import gaussian_index_batch, gaussian_rename
-from .interp import _chain_add, _rename_tensor, cat_term, flatten_product, subst_term, var
+from .interp import (
+    _apply_index_bindings,
+    _chain_add,
+    _rename_tensor,
+    cat_factors,
+    cat_term,
+    flatten_product,
+    index_gaussian_batch,
+    subst_term,
+    var,
+)
 from .optimize import contract, contract_pair
-from .tensor import index_tensor, tensor_index
+from .tensor import index_tensor
 from .terms import GaussianLeaf, MarkovProd, Slice, TensorLeaf, Term, fresh_name
 
 
@@ -82,47 +95,49 @@ def _sequential(node: MarkovProd, T: int) -> Term:
     # chain; each step eliminates the set it binds.
     pairs = sorted(node.step, key=lambda pc: isinstance(types.typeof(pc[1]), Bounded))
     names = [{c: fresh_name(c) for _, c in pairs} for _ in range(2)]
-    result = _at(factors, {tv: 0}, {}, types)
+    result = _at(factors, {tv: _cell(0, T)}, {}, types)
     for k in range(1, T):
         mid = names[k % 2]
         carried = _at(result, {}, mid, types)
-        now = _at(factors, {tv: k}, {p: mid[c] for p, c in pairs}, types)
+        now = _at(factors, {tv: _cell(k, T)}, {p: mid[c] for p, c in pairs}, types)
         result = flatten_product(
             contract_pair(node.op, carried, now, list(mid.values()))
         )
     return _chain_add(result)
 
 
-def _at(factors, cells: Dict[str, int], renames: Dict[str, str], types) -> List[Term]:
-    """The factors at ground ``cells``, with ``renames`` applied.
+def _cell(k: int, size: int) -> Term:
+    return TensorLeaf(index_tensor(TypeContext(), np.float64(k), size))
 
-    Tables and quadratic factors are indexed as views and relabeled at
-    atom level; any other factor is substituted into as a term.
+
+def _at(factors, cells: Dict[str, Term], renames: Dict[str, str], types) -> List[Term]:
+    """The factors at ``cells``, with ``renames`` applied.
+
+    A cell is a ground index or a ``Slice``.  Tables and quadratic factors
+    are indexed and relabeled at atom level; any other factor is
+    substituted into as a term.
     """
-    index = {
-        n: index_tensor(TypeContext(), np.float64(i), types.typeof(n).size)
-        for n, i in cells.items()
-    }
     out: List[Term] = []
     for p in factors:
         if isinstance(p, TensorLeaf) and p.is_scalar_real():
-            atom = p.atom
-            for n, idx in index.items():
-                if n in atom.context:
-                    atom = tensor_index(atom, n, idx)
+            atom = _apply_index_bindings(
+                p.atom, {n: i for n, i in cells.items() if n in p.atom.context}
+            )
             if any(n in atom.context for n in renames):
                 atom = _rename_tensor(atom, renames)
             out.append(TensorLeaf(atom))
         elif isinstance(p, GaussianLeaf):
             g = p.atom
-            for n, idx in index.items():
-                if n in g.batch:
-                    g = gaussian_index_batch(g, n, idx)
+            for n, i in cells.items():
+                if n in g.batch and isinstance(i, Slice):
+                    g = index_gaussian_batch(g, {n: i})
+                elif n in g.batch:
+                    g = gaussian_index_batch(g, n, i.atom)
             if any(n in g.context for n in renames):
                 g = gaussian_rename(g, renames)
             out.append(GaussianLeaf(g))
         else:
-            bindings: Dict[str, Term] = {n: TensorLeaf(i) for n, i in index.items()}
+            bindings = dict(cells)
             bindings.update({n: var(m, types.typeof(n)) for n, m in renames.items()})
             out.extend(flatten_product(subst_term(p, bindings)))
     return out
@@ -131,26 +146,29 @@ def _at(factors, cells: Dict[str, int], renames: Dict[str, str], types) -> List[
 def _parallel(node: MarkovProd, T: int) -> Term:
     body, tv = node.body, node.timevar
     types = body.free_vars
-    f: Term = body
+    factors = flatten_product(body)
     size = T
     levels = 0
     while size > 1:
         half = size // 2
         xs = {c: fresh_name(c) for _, c in node.step}
-        even = {c: var(xs[c], types.typeof(c)) for _, c in node.step}
-        odd = {p: var(xs[c], types.typeof(c)) for p, c in node.step}
-        f_e = subst_term(f, {**even, tv: Slice(tv, 0, 2 * half - 1, 2, size)})
-        f_o = subst_term(f, {**odd, tv: Slice(tv, 1, 2 * half, 2, size)})
-        merged = contract(
-            node.op, list(xs.values()), flatten_product(f_e) + flatten_product(f_o)
-        )
+        halves: List[Term] = []
+        for k in (0, 1):
+            # Even cells' curr names and odd cells' prev names meet at ``xs``.
+            cells = {tv: Slice(tv, k, 2 * half - 1 + k, 2, size)}
+            renames = {pc[1 - k]: xs[pc[1]] for pc in node.step}
+            halves += _at(factors, cells, renames, types)
+        merged = flatten_product(contract(node.op, list(xs.values()), halves))
         if size % 2:
-            last = subst_term(f, {tv: size - 1})
-            f = cat_term(tv, [merged, last])
-        else:
-            f = merged
+            last = _at(factors, {tv: _cell(size - 1, size)}, {}, types)
+            joined = cat_factors(tv, [merged, last], (half, 1))
+            if joined is None:
+                # A point mass or a lazily kept factor: ``Cat`` keeps the join.
+                joined = [cat_term(tv, [_chain_add(merged), _chain_add(last)])]
+            merged = joined
+        factors = merged
         size = (size + 1) // 2
         levels += 1
     if _SCAN.stats is not None:
         _SCAN.stats["levels"] = levels
-    return subst_term(f, {tv: 0})
+    return _chain_add(_at(factors, {tv: _cell(0, 1)}, {}, types))

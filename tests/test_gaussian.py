@@ -14,6 +14,7 @@ from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import ContextMismatch, FunsorTypeError, RankDeficient
 from funsor.gaussian import (
     GaussianAtom,
+    _block_offsets,
     gaussian_affine_substitute,
     gaussian_cat,
     gaussian_eval,
@@ -28,7 +29,7 @@ from funsor.gaussian import (
     gaussian_substitute,
     reorder_like,
 )
-from funsor.tensor import TensorAtom, index_tensor
+from funsor.tensor import TensorAtom, align_array, index_tensor
 
 
 def random_gaussian(rng, reals, batch=()):
@@ -128,6 +129,56 @@ class TestFuse:
             for j in range(3):
                 idx = (i, j) if order == ("i", "j") else (j, i)
                 np.testing.assert_allclose(vf[idx], va[i] + vb[j], rtol=1e-12)
+
+    @staticmethod
+    def zero_padded(a, b):
+        """Both operands zero-padded over the union layout, summed, then
+        symmetrized: the reference for the in-place embedding."""
+        batch, reals = a.batch.union(b.batch), a.reals.union(b.reals)
+        offs = _block_offsets(reals)
+        bounds = tuple(tp.size for _, tp in batch.entries)
+        dim = offs[reals.names[-1]][1]
+        padded = []
+        for g in (a, b):
+            cols = np.asarray([k for n in g.reals.names for k in range(*offs[n])])
+            i = np.zeros(bounds + (dim,))
+            p = np.zeros(bounds + (dim, dim))
+            i[..., cols] = align_array(g.info_vec, g.batch, batch)
+            p[..., cols[:, None], cols] = align_array(g.precision, g.batch, batch)
+            padded.append((i, p))
+        (ia, pa), (ib, pb) = padded
+        p = pa + pb
+        return ia + ib, (p + np.swapaxes(p, -1, -2)) / 2.0
+
+    @pytest.mark.parametrize(
+        "a_reals, b_reals, a_batch, b_batch",
+        [
+            # b's blocks are out of the union's order: an index-array embed.
+            ([("x", 2), ("y", 1), ("z", 3)], [("z", 3), ("w", 2), ("x", 2)], [], []),
+            ([("x", 3), ("y", 2)], [("y", 2), ("z", 3)], [("t", 4)], [("t", 4)]),
+            # Disjoint blocks, both contiguous.
+            ([("x", 2)], [("y", 1), ("z", 2)], [("i", 2)], [("j", 3)]),
+            # One operand broadcast over the other's batch.
+            ([("x", 3), ("y", 3)], [("y", 3), ("b", 2)], [], [("t", 5)]),
+            ([("y", 3), ("b", 2)], [("x", 3), ("y", 3)], [("t", 5)], []),
+        ],
+    )
+    def test_fuse_equals_zero_padded_sum(self, a_reals, b_reals, a_batch, b_batch):
+        rng = np.random.default_rng(5)
+        a, b = (
+            random_gaussian(
+                rng,
+                [(n, RealArray((d,))) for n, d in reals],
+                [(n, Bounded(k)) for n, k in batch],
+            )
+            for reals, batch in ((a_reals, a_batch), (b_reals, b_batch))
+        )
+        fused = gaussian_fuse(a, b)
+        info, prec = self.zero_padded(a, b)
+        assert fused.batch.entries == a.batch.union(b.batch).entries
+        assert fused.reals.entries == a.reals.union(b.reals).entries
+        assert np.array_equal(fused.info_vec, info)
+        assert np.array_equal(fused.precision, prec)
 
 
 class TestNormalizer:

@@ -336,6 +336,133 @@ class TestSequentialFold:
                 assert closed_form_reductions() is folds, interp
 
 
+def term_parallel(node, T):
+    """The doubling scan on terms: each level substitutes stride-2 slices
+    and fresh matched names into the whole body and joins an odd tail with
+    ``Cat``.  The atom fold must reproduce it bit for bit."""
+    from funsor.interp import cat_term, flatten_product, var
+    from funsor.optimize import contract
+    from funsor.terms import Slice, fresh_name
+
+    body, tv = node.body, node.timevar
+    types = body.free_vars
+    f, size = body, T
+    while size > 1:
+        half = size // 2
+        xs = {c: fresh_name(c) for _, c in node.step}
+        even = {c: var(xs[c], types.typeof(c)) for _, c in node.step}
+        odd = {p: var(xs[c], types.typeof(c)) for p, c in node.step}
+        f_e = subst_term(f, {**even, tv: Slice(tv, 0, 2 * half - 1, 2, size)})
+        f_o = subst_term(f, {**odd, tv: Slice(tv, 1, 2 * half, 2, size)})
+        merged = contract(
+            node.op, list(xs.values()), flatten_product(f_e) + flatten_product(f_o)
+        )
+        if size % 2:
+            merged = cat_term(tv, [merged, subst_term(f, {tv: size - 1})])
+        f, size = merged, (size + 1) // 2
+    return subst_term(f, {tv: 0})
+
+
+def kalman_spec(rng, T, n=3, m=2):
+    from funsor.models import KalmanSpec
+
+    F = 0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = rng.normal(size=(m, m))
+    return KalmanSpec(
+        F=F,
+        Q=0.5 * np.eye(n),
+        H=rng.normal(size=(m, n)),
+        R=0.3 * np.eye(m),
+        observations=rng.normal(size=(T, m)),
+        bias_cov=A @ A.T + 0.5 * np.eye(m),
+    )
+
+
+def fold_bodies(T):
+    """Chains whose bodies hold only tables and quadratic factors."""
+    from funsor.models import kalman_factors
+
+    rng = np.random.default_rng(T)
+    hmm = chain_body(rng, T, 3)
+    with interpretation(LAZY):
+        kalman = kalman_factors(kalman_spec(rng, T))[1]
+    K, n = 3, 2
+    tab = TensorAtom(
+        TypeContext([("t", Bounded(T)), ("ap", Bounded(K)), ("ac", Bounded(K))]),
+        rng.normal(size=(T, K, K)),
+    )
+    Qi = np.linalg.inv(0.5 * np.eye(n))
+    F = 0.8 * np.eye(n)
+    prec = np.block([[F.T @ Qi @ F, -F.T @ Qi], [-Qi @ F, Qi]])
+    g = GaussianAtom(
+        TypeContext([("t", Bounded(T))]),
+        TypeContext([("xp", RealArray((n,))), ("xc", RealArray((n,)))]),
+        rng.normal(size=(T, 2 * n)),
+        np.broadcast_to(prec, (T, 2 * n, 2 * n)),
+    )
+    with interpretation(LAZY):
+        mixed = lift("add", to_term(tab), GaussianLeaf(g))
+    return {
+        "hmm": chain(hmm),
+        "kalman_bias": kalman,
+        "two_pairs": MarkovProd("t", (("ap", "ac"), ("xp", "xc")), mixed),
+    }
+
+
+class TestParallelFold:
+    """The doubling scan slices the body's atoms at every level and joins
+    an odd tail at atom level; it gives the term path's values exactly."""
+
+    @pytest.mark.parametrize("T", [2, 8, 5, 13])
+    @pytest.mark.parametrize("body", ["hmm", "kalman_bias", "two_pairs"])
+    def test_atom_bodies_substitute_no_terms(self, body, T, monkeypatch):
+        from funsor import markov
+        from funsor.optimize import OPTIMIZE
+
+        calls = []
+        real = markov.subst_term
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(markov, "subst_term", spy)
+        node = fold_bodies(T)[body]
+        for interp in (EXACT, OPTIMIZE):
+            stats = {}
+            with scan_mode("parallel", stats=stats):
+                interpret(interp, node)
+            assert calls == [], interp
+            assert stats["levels"] == math.ceil(math.log2(T))
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 7, 13, 64])
+    def test_equals_the_term_path(self, T, monkeypatch):
+        from funsor import markov
+
+        tables = chain_body(np.random.default_rng(100 + T), T, 4)
+        nodes = [*fold_bodies(T).values(), chain(tables, MAX_REDUCE)]
+        for node in nodes:
+            with scan_mode("parallel"):
+                got = interpret(EXACT, node)
+                with monkeypatch.context() as m:
+                    m.setattr(markov, "_parallel", term_parallel)
+                    want = interpret(EXACT, node)
+            assert got == want, pretty(node)
+
+    def test_monte_carlo_matches_the_term_path(self, monkeypatch):
+        from funsor import markov
+        from funsor.approx import MonteCarlo
+        from funsor.models import build_kalman
+
+        term = build_kalman(kalman_spec(np.random.default_rng(21), 13))
+        values = []
+        for scan in (markov._parallel, term_parallel):
+            monkeypatch.setattr(markov, "_parallel", scan)
+            with scan_mode("parallel"):
+                values.append(float(interpret(MonteCarlo(5), term).atom.data))
+        assert values[0] == values[1]
+
+
 class TestCarriedMonoid:
     """The elimination monoid is part of the chain term, so every rebuild
     must keep it; dropping it would silently turn a max chain into a sum."""
