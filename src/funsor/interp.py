@@ -660,9 +660,18 @@ def _apply_index_bindings(atom: TensorAtom, todo: Dict[str, Term]) -> TensorAtom
 def index_gaussian_batch(g: GaussianAtom, todo: Dict[str, Term]) -> GaussianAtom:
     """Bind batch variables of ``g`` to index values or slices.
 
-    The parameters go through ``_apply_index_bindings`` as tables; the
-    selected cells of a checked atom stay symmetric and are not checked.
+    A ground index selects a view of one cell; other values go through
+    ``_apply_index_bindings`` on the parameters as tables.  The selected
+    cells of a checked atom stay symmetric and are not checked.
     """
+    ground = [
+        n for n, v in todo.items() if not isinstance(v, Slice) and not v.atom.context
+    ]
+    for n in ground:
+        g = gaussian_index_batch(g, n, todo[n].atom)
+    todo = {n: v for n, v in todo.items() if n not in ground}
+    if not todo:
+        return g
     info = _apply_index_bindings(g.info_atom(), todo)
     prec = _apply_index_bindings(g.precision_atom(), todo)
     return GaussianAtom._unchecked(
@@ -980,47 +989,33 @@ def _w_contract_reduction(node: Reduce, recurse) -> Optional[Term]:
 
 
 def _h_cat(node: Cat) -> Optional[Term]:
-    parts = cat_factors(
-        node.over, [flatten_product(p) for p in node.parts], node.part_counts()
-    )
-    return None if parts is None else _chain_add(parts)
-
-
-def cat_factors(
-    over: str, parts: Sequence[Sequence[Term]], counts: Sequence[int]
-) -> Optional[List[Term]]:
-    """Concatenate factor lists along ``over``, part ``k`` spanning
-    ``counts[k]`` positions, into one table and one quadratic factor.
-
-    None when a part holds a point mass or a lazily kept factor, or when
-    only some parts hold a quadratic factor.
-    """
     from .gaussian import gaussian_expand_batch
 
     parts_nf: List[NormalForm] = []
-    for p in parts:
-        nf = normal_form_from_parts(p)
+    for p in node.parts:
+        nf = normal_form_from_parts(flatten_product(p))
         if nf.deltas or nf.lazy_rest:
             return None
         parts_nf.append(nf)
+    counts = node.part_counts()
     any_g = any(nf.gaussian is not None for nf in parts_nf)
     tensors: List[TensorAtom] = []
     gaussians: List[GaussianAtom] = []
     for nf, cnt in zip(parts_nf, counts):
         t = nf.tensor if nf.tensor is not None else scalar_tensor(0.0)
-        pad = zeros_tensor(TypeContext([(over, Bounded(cnt))]))
+        pad = zeros_tensor(TypeContext([(node.over, Bounded(cnt))]))
         tensors.append(tensor_apply(ADD, [t, pad]))
         if any_g:
             g = nf.gaussian
             if g is None:
                 return None
-            if over not in g.batch and cnt > 1:
-                g = gaussian_expand_batch(g, over, cnt)
+            if node.over not in g.batch and cnt > 1:
+                g = gaussian_expand_batch(g, node.over, cnt)
             gaussians.append(g)
-    out: List[Term] = [TensorLeaf(tensor_cat(over, tensors))]
+    parts: List[Term] = [TensorLeaf(tensor_cat(node.over, tensors))]
     if any_g:
-        out.append(GaussianLeaf(gaussian_cat(over, gaussians)))
-    return out
+        parts.append(GaussianLeaf(gaussian_cat(node.over, gaussians)))
+    return _chain_add(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,17 @@ number of larger contractions for the fold's linear chain of small ones.
 Both scans work on the evaluated body's factors, not on terms.  The fold
 takes the tables and quadratic factors at one time index as views; the
 doubling scan takes them at the even and the odd stride-2 slice of each
-level, and joins an odd level's last position to the merged pairs at
-atom level.  Matched names are relabeled at atom level, and the factor
-lists go to ``contract_pair`` (a fold step) or ``contract`` (a level).
-Under Exact and Optimize that runs the rules' kernels in the rules'
-order without dispatching a rule (so no fuel is spent); Monte Carlo and
-moment matching see every reduction through their rules.  Other factors,
+level.  Matched names are relabeled at atom level, and the factor lists
+go to ``contract_pair`` (a fold step) or ``contract`` (a level).  Under
+Exact and Optimize that runs the rules' kernels in the rules' order
+without dispatching a rule (so no fuel is spent); Monte Carlo and
+moment matching see every reduction through their rules.  An odd
+level's last position is joined to the merged pairs by a ``Cat`` term,
+whose rule concatenates the tables and the quadratic factors back into
+one of each, so the next level starts from atoms again.  Other factors,
 such as point masses or lazily kept reductions, are substituted into as
-terms, and an odd level holding one is joined by a ``Cat`` term.  The
-body and the interpretation decide the path; there is no setting.
+terms.  The body and the interpretation decide the path; there is no
+setting.
 """
 from __future__ import annotations
 
@@ -33,12 +35,11 @@ import numpy as np
 
 from .domains import Bounded, TypeContext
 from .errors import BoundsError
-from .gaussian import gaussian_index_batch, gaussian_rename
+from .gaussian import gaussian_rename
 from .interp import (
     _apply_index_bindings,
     _chain_add,
     _rename_tensor,
-    cat_factors,
     cat_term,
     flatten_product,
     index_gaussian_batch,
@@ -127,12 +128,9 @@ def _at(factors, cells: Dict[str, Term], renames: Dict[str, str], types) -> List
                 atom = _rename_tensor(atom, renames)
             out.append(TensorLeaf(atom))
         elif isinstance(p, GaussianLeaf):
-            g = p.atom
-            for n, i in cells.items():
-                if n in g.batch and isinstance(i, Slice):
-                    g = index_gaussian_batch(g, {n: i})
-                elif n in g.batch:
-                    g = gaussian_index_batch(g, n, i.atom)
+            g = index_gaussian_batch(
+                p.atom, {n: i for n, i in cells.items() if n in p.atom.batch}
+            )
             if any(n in g.context for n in renames):
                 g = gaussian_rename(g, renames)
             out.append(GaussianLeaf(g))
@@ -161,11 +159,10 @@ def _parallel(node: MarkovProd, T: int) -> Term:
         merged = flatten_product(contract(node.op, list(xs.values()), halves))
         if size % 2:
             last = _at(factors, {tv: _cell(size - 1, size)}, {}, types)
-            joined = cat_factors(tv, [merged, last], (half, 1))
-            if joined is None:
-                # A point mass or a lazily kept factor: ``Cat`` keeps the join.
-                joined = [cat_term(tv, [_chain_add(merged), _chain_add(last)])]
-            merged = joined
+            # ``concatenate-factors`` joins the last cell to the pairs.
+            merged = flatten_product(
+                cat_term(tv, [_chain_add(merged), _chain_add(last)])
+            )
         factors = merged
         size = (size + 1) // 2
         levels += 1

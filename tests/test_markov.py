@@ -411,7 +411,8 @@ def fold_bodies(T):
 
 class TestParallelFold:
     """The doubling scan slices the body's atoms at every level and joins
-    an odd tail at atom level; it gives the term path's values exactly."""
+    an odd tail through the concatenate-factors rule; it gives the term
+    path's values exactly."""
 
     @pytest.mark.parametrize("T", [2, 8, 5, 13])
     @pytest.mark.parametrize("body", ["hmm", "kalman_bias", "two_pairs"])
