@@ -106,7 +106,7 @@ def moment_match(
     logw = 0.5 * d * LOG_2PI - 0.5 * _chol_logdet(chol) + 0.5 * quad
     if weight is not None:
         logw = ADD.apply(align_array(weight.data, weight.context, union), logw)
-    w_full = TensorAtom(union, logw)
+    w_full = TensorAtom._unchecked(union, logw)
     total = logsumexp(logw, axis)
     p = np.exp(logw - np.expand_dims(total, axis))
     p = p / np.sum(p, axis=axis, keepdims=True)

@@ -21,6 +21,13 @@ while the kernels build their results, relabels included, through
 ``GaussianAtom._unchecked``, which symmetrizes as the checked constructor
 does and skips its tests.  A result that rounding left indefinite raises
 ``RankDeficient`` at its first factorization.
+
+The kernels a chain step runs are split into a half that reads only the
+contexts and an array core: ``embed_layout`` and ``embed`` (under
+``gaussian_fuse``), ``marginal_layout`` and ``marginalize`` (under
+``gaussian_marginalize``), and ``log_normalizer``.  The atom kernels
+derive the layout and run the core, so a replay of the cores on raw
+arrays computes what they compute.
 """
 from __future__ import annotations
 
@@ -36,7 +43,15 @@ from .errors import (
     NameAbsent,
     RankDeficient,
 )
-from .tensor import TensorAtom, align_array, ground_cell, tensor_cat, tensor_index
+from .tensor import (
+    TensorAtom,
+    align_array,
+    align_layout,
+    ground_cell,
+    realign,
+    tensor_cat,
+    tensor_index,
+)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -120,9 +135,10 @@ class GaussianAtom:
         _cholesky_jitter(self.precision)
 
     def _fill(self, batch, reals, info_vec, precision, symmetrize=True):
-        i = np.ascontiguousarray(info_vec, dtype=np.float64)
-        p = np.ascontiguousarray(precision, dtype=np.float64)
+        i = np.asarray(info_vec, dtype=np.float64)
+        p = np.asarray(precision, dtype=np.float64)
         if symmetrize:
+            i = np.ascontiguousarray(i)
             p = (p + np.swapaxes(p, -1, -2)) / 2.0
         p.setflags(write=False)
         i.setflags(write=False)
@@ -212,29 +228,46 @@ def reorder_like(g: GaussianAtom, template: GaussianAtom) -> GaussianAtom:
     )
 
 
-def _embedded(
-    parts: Sequence[GaussianAtom], batch: TypeContext, reals: TypeContext
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The parts' summed parameters over ``batch`` and the blocks of ``reals``.
+def embed_layout(parts, batch: TypeContext, reals: TypeContext):
+    """Where ``_embedded`` adds each part, given its ``(batch, reals)``.
 
-    One zeroed pair of arrays is allocated; each part is added into its
-    blocks, through a slice where they are contiguous.
+    Returns the output's batch bounds and dimension, and per part its
+    batch alignment and the row and column selectors of its blocks: a
+    slice where they are contiguous, index arrays otherwise.
     """
     offsets = _block_offsets(reals)
     dim = sum(tp.num_elements for _, tp in reals.entries)
     bounds = tuple(tp.size for _, tp in batch.entries)
-    info = np.zeros(bounds + (dim,))
-    prec = np.zeros(bounds + (dim, dim))
-    for g in parts:
-        cols = [k for name, _ in g.reals.entries for k in range(*offsets[name])]
+    places = []
+    for part_batch, part_reals in parts:
+        cols = [k for name, _ in part_reals.entries for k in range(*offsets[name])]
         if cols == list(range(cols[0], cols[-1] + 1)):
             rows = cols = slice(cols[0], cols[-1] + 1)
         else:
             cols = np.asarray(cols)
             rows = cols[:, None]
-        info[..., cols] += align_array(g.info_vec, g.batch, batch)
-        prec[..., rows, cols] += align_array(g.precision, g.batch, batch)
+        places.append((align_layout(part_batch, batch), rows, cols))
+    return bounds, dim, places
+
+
+def embed(layout, params) -> Tuple[np.ndarray, np.ndarray]:
+    """The array core of ``_embedded``: ``params`` are the parts'
+    ``(info_vec, precision)`` pairs, added in order into one zeroed pair."""
+    bounds, dim, places = layout
+    info = np.zeros(bounds + (dim,))
+    prec = np.zeros(bounds + (dim, dim))
+    for (align, rows, cols), (i, p) in zip(places, params):
+        info[..., cols] += realign(i, align)
+        prec[..., rows, cols] += realign(p, align)
     return info, prec
+
+
+def _embedded(
+    parts: Sequence[GaussianAtom], batch: TypeContext, reals: TypeContext
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The parts' summed parameters over ``batch`` and the blocks of ``reals``."""
+    layout = embed_layout([(g.batch, g.reals) for g in parts], batch, reals)
+    return embed(layout, [(g.info_vec, g.precision) for g in parts])
 
 
 def gaussian_fuse(a: GaussianAtom, b: GaussianAtom) -> GaussianAtom:
@@ -269,22 +302,49 @@ def gaussian_eval(g: GaussianAtom, assignment: Dict[str, np.ndarray]) -> np.ndar
 
 def gaussian_log_normalizer(g: GaussianAtom) -> TensorAtom:
     """Log integral over all real variables, as a tensor over the batch."""
-    chol = _cholesky_jitter(g.precision)
+    return TensorAtom._unchecked(g.batch, log_normalizer(g.info_vec, g.precision))
+
+
+def log_normalizer(info: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    """The array core of ``gaussian_log_normalizer``."""
+    chol = _cholesky_jitter(prec)
     logdet = _chol_logdet(chol)
-    mean = _chol_solve(chol, g.info_vec[..., None])[..., 0]
-    quad = np.sum(g.info_vec * mean, axis=-1)
-    w = 0.5 * g.dim * LOG_2PI - 0.5 * logdet + 0.5 * quad
-    return TensorAtom(g.batch, w)
+    mean = _chol_solve(chol, info[..., None])[..., 0]
+    quad = np.sum(info * mean, axis=-1)
+    return 0.5 * info.shape[-1] * LOG_2PI - 0.5 * logdet + 0.5 * quad
 
 
-def _split_indices(g: GaussianAtom, name: str):
-    offs = g.offsets()
+def marginal_layout(reals: TypeContext, name: str):
+    """The kept (``u``) and eliminated (``v``) coordinates of ``name``."""
+    offs = _block_offsets(reals)
     if name not in offs:
-        raise NameAbsent(f"{name!r} not a real variable of {g!r}")
+        raise NameAbsent(f"{name!r} not a real variable of {reals.pretty()}")
     lo, hi = offs[name]
+    dim = sum(tp.num_elements for _, tp in reals.entries)
     v = np.arange(lo, hi)
-    u = np.asarray([k for k in range(g.dim) if not lo <= k < hi], dtype=np.int64)
+    u = np.asarray([k for k in range(dim) if not lo <= k < hi], dtype=np.int64)
     return u, v
+
+
+def marginalize(u: np.ndarray, v: np.ndarray, info: np.ndarray, prec: np.ndarray):
+    """The array core of ``gaussian_marginalize`` for a nonempty ``u``.
+
+    Returns the log-normalizer over ``v`` and the Schur-complement
+    remainder over ``u``, its precision symmetrized as ``_fill`` does.
+    """
+    i_u = info[..., u]
+    i_v = info[..., v]
+    p_uu = prec[..., u[:, None], u[None, :]]
+    p_uv = prec[..., u[:, None], v[None, :]]
+    p_vv = prec[..., v[:, None], v[None, :]]
+    chol = _cholesky_jitter(p_vv)
+    logdet = _chol_logdet(chol)
+    x = _chol_solve(chol, i_v[..., None])[..., 0]
+    quad = np.sum(i_v * x, axis=-1)
+    w = 0.5 * len(v) * LOG_2PI - 0.5 * logdet + 0.5 * quad
+    i_new = i_u - (p_uv @ x[..., None])[..., 0]
+    p_new = p_uu - p_uv @ _chol_solve(chol, np.swapaxes(p_uv, -1, -2))
+    return w, i_new, (p_new + np.swapaxes(p_new, -1, -2)) / 2.0
 
 
 def gaussian_marginalize(
@@ -295,24 +355,14 @@ def gaussian_marginalize(
     Returns the log-normalizer tensor and the Schur-complement remainder
     (``None`` when ``name`` was the only real variable).
     """
-    u, v = _split_indices(g, name)
+    u, v = marginal_layout(g.reals, name)
     if len(u) == 0:
         return gaussian_log_normalizer(g), None
-    i_u = g.info_vec[..., u]
-    i_v = g.info_vec[..., v]
-    p_uu = g.precision[..., u[:, None], u[None, :]]
-    p_uv = g.precision[..., u[:, None], v[None, :]]
-    p_vv = g.precision[..., v[:, None], v[None, :]]
-    chol = _cholesky_jitter(p_vv)
-    logdet = _chol_logdet(chol)
-    x = _chol_solve(chol, i_v[..., None])[..., 0]
-    quad = np.sum(i_v * x, axis=-1)
-    dv = len(v)
-    w = TensorAtom(g.batch, 0.5 * dv * LOG_2PI - 0.5 * logdet + 0.5 * quad)
-    i_new = i_u - (p_uv @ x[..., None])[..., 0]
-    p_new = p_uu - p_uv @ _chol_solve(chol, np.swapaxes(p_uv, -1, -2))
-    rest = GaussianAtom._unchecked(g.batch, g.reals.remove(name), i_new, p_new)
-    return w, rest
+    w, i_new, p_new = marginalize(u, v, g.info_vec, g.precision)
+    rest = GaussianAtom._unchecked(
+        g.batch, g.reals.remove(name), i_new, p_new, symmetrize=False
+    )
+    return TensorAtom._unchecked(g.batch, w), rest
 
 
 def gaussian_substitute(
@@ -330,7 +380,7 @@ def gaussian_substitute(
             f"substituting {name!r}:{tp.pretty()} needs values of that type,"
             f" got {value.output.pretty()}"
         )
-    u, v = _split_indices(g, name)
+    u, v = marginal_layout(g.reals, name)
     union = g.batch.union(value.context)
     bounds = tuple(t.size for _, t in union.entries)
     dv = len(v)

@@ -942,22 +942,43 @@ def reduce_atoms(
 ) -> Optional[Tuple[Optional[TensorAtom], Optional[GaussianAtom]]]:
     """Reduce ``v`` out of a table plus a quadratic factor in closed form.
 
-    A real variable is integrated out of the quadratic factor and its
-    normalizer added onto the table; a label only the table mentions is
-    folded out of it.  Returns the new pair, or None where Exact leaves
+    Returns the new pair, or None where Exact leaves the reduction lazy
+    (see ``reduction_kind``).
+    """
+    kind = reduction_kind(
+        op,
+        None if tensor is None else tensor.context,
+        None if gaussian is None else (gaussian.batch, gaussian.reals),
+        v,
+    )
+    if kind == "marginalize":
+        w, g2 = gaussian_marginalize(gaussian, v)
+        return _fuse_tensor(tensor, w), g2
+    if kind == "fold":
+        return tensor_reduce(op, tensor, v), gaussian
+    return None
+
+
+def reduction_kind(op, table: Optional[TypeContext], gaussian, v: str) -> Optional[str]:
+    """How Exact reduces ``v`` out of a table over ``table`` plus a
+    quadratic factor over ``gaussian = (batch, reals)`` (either may be None).
+
+    ``"marginalize"``: a real variable is integrated out of the quadratic
+    factor and its normalizer added onto the table.  ``"fold"``: a label
+    only the table mentions is folded out of it.  None where Exact leaves
     the reduction lazy: a ``logaddexp`` over a label the quadratic factor
     is batched over (a mixture), or a ``max`` over a variable it mentions.
     """
+    batch, reals = ((), ()) if gaussian is None else gaussian
     if op.name == "logaddexp":
-        if gaussian is not None and v in gaussian.reals:
-            w, g2 = gaussian_marginalize(gaussian, v)
-            return _fuse_tensor(tensor, w), g2
-        if gaussian is not None and v in gaussian.batch:
+        if v in reals:
+            return "marginalize"
+        if v in batch:
             return None
-    elif op.name != "max" or (gaussian is not None and v in gaussian.context):
+    elif op.name != "max" or v in batch or v in reals:
         return None
-    if tensor is not None and v in tensor.context:
-        return tensor_reduce(op, tensor, v), gaussian
+    if table is not None and v in table:
+        return "fold"
     return None
 
 

@@ -17,13 +17,19 @@ level.  Matched names are relabeled at atom level, and the factor lists
 go to ``contract_pair`` (a fold step) or ``contract`` (a level).  Under
 Exact and Optimize that runs the rules' kernels in the rules' order
 without dispatching a rule (so no fuel is spent); Monte Carlo and
-moment matching see every reduction through their rules.  An odd
-level's last position is joined to the merged pairs by a ``Cat`` term,
-whose rule concatenates the tables and the quadratic factors back into
-one of each, so the next level starts from atoms again.  Other factors,
-such as point masses or lazily kept reductions, are substituted into as
-terms.  The body and the interpretation decide the path; there is no
-setting.
+moment matching see every reduction through their rules.  A fold whose
+body holds only tables and quadratic factors goes further under Exact
+and Optimize: each step's ``PairPlan`` (the layout half of
+``contract_pair``) is derived once per step signature, which repeats
+with period two as the matched names alternate, and replayed on raw
+arrays, so atoms are built for the result only; a step that Exact
+would leave lazy hands the rest of the chain back to ``contract_pair``.
+An odd level's last position is joined to the merged pairs by a ``Cat``
+term, whose rule concatenates the tables and the quadratic factors back
+into one of each, so the next level starts from atoms again.  Other
+factors, such as point masses or lazily kept reductions, are substituted
+into as terms.  The body and the interpretation decide the path; there
+is no setting.
 """
 from __future__ import annotations
 
@@ -41,12 +47,21 @@ from .interp import (
     _chain_add,
     _rename_tensor,
     cat_term,
+    closed_form_reductions,
     flatten_product,
     index_gaussian_batch,
     subst_term,
     var,
 )
-from .optimize import contract, contract_pair
+from .optimize import (
+    contract,
+    contract_pair,
+    factor_arrays,
+    factor_layout,
+    factor_leaves,
+    is_atom_factor,
+    pair_plan,
+)
 from .tensor import index_tensor
 from .terms import GaussianLeaf, MarkovProd, Slice, TensorLeaf, Term, fresh_name
 
@@ -96,8 +111,11 @@ def _sequential(node: MarkovProd, T: int) -> Term:
     # chain; each step eliminates the set it binds.
     pairs = sorted(node.step, key=lambda pc: isinstance(types.typeof(pc[1]), Bounded))
     names = [{c: fresh_name(c) for _, c in pairs} for _ in range(2)]
-    result = _at(factors, {tv: _cell(0, T)}, {}, types)
-    for k in range(1, T):
+    if closed_form_reductions() and all(is_atom_factor(p) for p in factors):
+        result, start = _replay(node, factors, pairs, names, T)
+    else:
+        result, start = _at(factors, {tv: _cell(0, T)}, {}, types), 1
+    for k in range(start, T):
         mid = names[k % 2]
         carried = _at(result, {}, mid, types)
         now = _at(factors, {tv: _cell(k, T)}, {p: mid[c] for p, c in pairs}, types)
@@ -105,6 +123,85 @@ def _sequential(node: MarkovProd, T: int) -> Term:
             contract_pair(node.op, carried, now, list(mid.values()))
         )
     return _chain_add(result)
+
+
+def _replay(node: MarkovProd, factors, pairs, names, T: int):
+    """Fold the chain's steps on arrays while they are in closed form.
+
+    A step's ``PairPlan`` depends only on its signature: the layouts of
+    the carried factors and of the body's cells, which alternate with the
+    two matched name sets.  Each plan is derived once per signature and
+    replayed on the carried arrays and on views of the body's arrays at
+    the step's time index; atoms are built for the result only.  Returns
+    the carried factors and the first step left to the term path (``T``
+    when none is): a step whose reduction Exact leaves lazy.
+    """
+    tv = node.timevar
+    layouts = [factor_layout(p) for p in factors]
+    arrays = [factor_arrays(p) for p in factors]
+    cuts = []
+    cell_layouts = []
+    for lay in layouts:
+        batch = lay if isinstance(lay, TypeContext) else lay[0]
+        if tv in batch:
+            cuts.append((slice(None),) * batch.names.index(tv))
+            batch = batch.remove(tv)
+        else:
+            cuts.append(None)
+        cell_layouts.append(batch if isinstance(lay, TypeContext) else (batch, lay[1]))
+    cells = [
+        [_renamed(lay, {p: mid[c] for p, c in pairs}) for lay in cell_layouts]
+        for mid in names
+    ]
+
+    def at(k):
+        out = []
+        for x, cut in zip(arrays, cuts):
+            if cut is None:
+                out.append(x)
+            elif isinstance(x, np.ndarray):
+                out.append(x[cut + (k,)])
+            else:
+                out.append(tuple(a[cut + (k,)] for a in x))
+        return out
+
+    # ``held`` are the carried factors' layouts, under the step's own names.
+    carried, held = at(0), cell_layouts
+    signatures: Dict[tuple, int] = {}
+    plans: Dict[tuple, tuple] = {}
+    sig = _intern(signatures, held)
+    for k in range(1, T):
+        key = (k % 2, sig)
+        hit = plans.get(key)
+        if hit is None:
+            mid = names[k % 2]
+            plan = pair_plan(
+                node.op,
+                [_renamed(lay, mid) for lay in held] + cells[k % 2],
+                list(mid.values()),
+            )
+            if plan.rest:
+                return factor_leaves(held, carried), k
+            hit = plans[key] = (plan, _intern(signatures, plan.out))
+        plan, sig = hit
+        carried, held = plan.run(carried + at(k)), plan.out
+    return factor_leaves(held, carried), T
+
+
+def _renamed(layout, renames: Dict[str, str]):
+    """A ``factor_layout`` with variables relabeled."""
+    if isinstance(layout, TypeContext):
+        return TypeContext([(renames.get(n, n), t) for n, t in layout.entries])
+    return tuple(_renamed(ctx, renames) for ctx in layout)
+
+
+def _intern(signatures: Dict[tuple, int], layouts) -> int:
+    """A small integer naming an ordered list of ``factor_layout``s."""
+    key = tuple(
+        lay.entries if isinstance(lay, TypeContext) else tuple(c.entries for c in lay)
+        for lay in layouts
+    )
+    return signatures.setdefault(key, len(signatures))
 
 
 def _cell(k: int, size: int) -> Term:

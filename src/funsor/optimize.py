@@ -12,7 +12,10 @@ plus one, matching how large the dense and quadratic blocks get.
 lazily built reductions and Optimize's plans all go through it (a
 sequential chain step calls its pairwise step, ``contract_pair``,
 directly), and every plan runs under the caller's interpretation, so
-approximate rules still see each planned reduction.  Exact plans one
+approximate rules still see each planned reduction.  A pairwise step on
+tables and quadratic factors is a ``PairPlan``: derived from the
+factors' layouts alone and run on their arrays, so a sequential chain
+derives it once per step signature and replays it.  Exact plans one
 reduction at a time; Optimize gathers directly nested sums over a
 shared product into one joint plan instead of collapsing them
 innermost-first.
@@ -23,21 +26,27 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .domains import Bounded, TypeContext
+from .gaussian import (
+    GaussianAtom,
+    embed,
+    embed_layout,
+    log_normalizer,
+    marginal_layout,
+    marginalize,
+)
 from .interp import (
     EXACT,
     Interpretation,
-    NormalForm,
     WholeRule,
     _chain_add,
     closed_form_reductions,
     flatten_product,
     lift,
-    normal_form_from_parts,
-    reduce_atoms,
     reduce_term,
+    reduction_kind,
 )
 from .ops import ADD, REDUCE_OPS, ReduceOp
-from .tensor import tensor_contract
+from .tensor import TensorAtom, fold_axis, pointwise, pointwise_layout, tensor_contract
 from .terms import Apply, GaussianLeaf, Reduce, TensorLeaf, Term
 
 
@@ -128,6 +137,138 @@ def greedy_plan(
     return plan
 
 
+def factor_layout(p: Term):
+    """A table factor's context, or a quadratic factor's ``(batch, reals)``."""
+    a = p.atom
+    return a.context if isinstance(p, TensorLeaf) else (a.batch, a.reals)
+
+
+def factor_arrays(p: Term):
+    """A table factor's data, or a quadratic factor's ``(info_vec, precision)``."""
+    a = p.atom
+    return a.data if isinstance(p, TensorLeaf) else (a.info_vec, a.precision)
+
+
+def factor_leaves(layouts, arrays) -> List[Term]:
+    """Leaves over the given layouts holding arrays the kernels computed."""
+    return [
+        TensorLeaf(TensorAtom._unchecked(lay, x))
+        if isinstance(lay, TypeContext)
+        else GaussianLeaf(GaussianAtom._unchecked(*lay, *x, symmetrize=False))
+        for lay, x in zip(layouts, arrays)
+    ]
+
+
+def is_atom_factor(p: Term) -> bool:
+    """A real scalar table or a quadratic factor."""
+    if isinstance(p, TensorLeaf):
+        return p.is_scalar_real()
+    return isinstance(p, GaussianLeaf)
+
+
+def _sum_layout(a: TypeContext, b: TypeContext):
+    """``tensor_apply(ADD, ...)``'s layout for two real scalar tables."""
+    union, lays = pointwise_layout([a, b], (0, 0))
+    return union, (lays, tuple(t.size for _, t in union.entries))
+
+
+@dataclass
+class PairPlan:
+    """The array-level schedule of one ``contract_pair`` step on atoms.
+
+    Derived by ``pair_plan`` from the layouts of the parts alone.  ``run``
+    takes the parts' arrays (``factor_arrays``) and runs the kernels'
+    array cores in the order the kernels run them: tables summed left to
+    right, quadratic factors fused left to right, then each reduction in
+    closed form.  It returns the arrays of the result, whose layouts are
+    ``out`` (a table first, then a quadratic factor).  ``rest`` lists the
+    variables from the first one Exact leaves lazy on.
+    """
+
+    op: ReduceOp
+    parts: List
+    rvars: Tuple[str, ...]
+    contracted: bool = False
+    tables: List = field(default_factory=list)
+    gaussians: List = field(default_factory=list)
+    reductions: List = field(default_factory=list)
+    rest: List[str] = field(default_factory=list)
+    out: List = field(default_factory=list)
+
+    def run(self, arrays: Sequence) -> List:
+        if self.contracted:
+            atoms = [TensorAtom._unchecked(c, x) for c, x in zip(self.parts, arrays)]
+            return [tensor_contract(self.op, atoms, self.rvars).data]
+        t = g = None
+        for k, lay in self.tables:
+            t = arrays[k] if lay is None else pointwise(ADD, *lay, [t, arrays[k]])
+        for k, lay in self.gaussians:
+            g = arrays[k] if lay is None else embed(lay, [g, arrays[k]])
+        for kind, how, lay in self.reductions:
+            if kind == "fold":
+                t = fold_axis(self.op, t, how)
+                continue
+            if how is None:
+                w, g = log_normalizer(*g), None
+            else:
+                w, i, p = marginalize(*how, *g)
+                g = (i, p)
+            t = w if lay is None else pointwise(ADD, *lay, [t, w])
+        return [x for x in (t, g) if x is not None]
+
+
+def pair_plan(op: ReduceOp, parts: Sequence, rvars: Sequence[str]) -> PairPlan:
+    """Derive the ``PairPlan`` of a step from its parts' layouts.
+
+    ``parts`` are ``factor_layout``s.  Two tables contract through
+    ``tensor_contract``, as ``contract_pair`` does; otherwise the step is
+    the closed form of ``normal_form_from_parts`` followed by
+    ``reduce_atoms`` per variable.
+    """
+    plan = PairPlan(op, list(parts), tuple(rvars))
+    tabular = [isinstance(c, TypeContext) for c in parts]
+    if len(parts) == 2 and all(tabular):
+        kept = parts[0].union(parts[1])
+        for v in rvars:
+            kept = kept.remove(v)
+        plan.contracted, plan.out = True, [kept]
+        return plan
+    t = g = None
+    for k, lay in enumerate(parts):
+        if tabular[k]:
+            t, step = (lay, None) if t is None else _sum_layout(t, lay)
+            plan.tables.append((k, step))
+        elif g is None:
+            g = lay
+            plan.gaussians.append((k, None))
+        else:
+            fused = (g[0].union(lay[0]), g[1].union(lay[1]))
+            g, step = fused, embed_layout([g, lay], *fused)
+            plan.gaussians.append((k, step))
+    rest = list(rvars)
+    while rest:
+        v = rest[0]
+        kind = reduction_kind(op, t, g, v)
+        if kind == "marginalize":
+            u, vs = marginal_layout(g[1], v)
+            t, step = (g[0], None) if t is None else _sum_layout(t, g[0])
+            if len(u):
+                plan.reductions.append((kind, (u, vs), step))
+                g = (g[0], g[1].remove(v))
+            else:
+                plan.reductions.append((kind, None, step))
+                g = None
+        elif kind == "fold":
+            plan.reductions.append((kind, t.names.index(v), None))
+            t = t.remove(v)
+        else:
+            break
+        rest.pop(0)
+    plan.rest = rest
+    plan.out = [lay for lay in (t, g) if lay is not None]
+    return plan
+
+
 def contract_pair(
     op: ReduceOp, a: Sequence[Term], b: Sequence[Term], rvars: Sequence[str]
 ) -> Term:
@@ -136,10 +277,10 @@ def contract_pair(
     ``a`` and ``b`` are flat factor lists, as ``flatten_product`` returns
     them.  Two real scalar tables go through ``tensor_contract`` without
     building their union table.  When Exact's rules would evaluate the
-    step and every factor is a table or a quadratic factor, the atoms are
-    fused and reduced by the same kernels, in the same order, without
-    building or dispatching the intermediate terms.  Other factors are
-    lifted and reduced by the rules.
+    step and every factor is a table or a quadratic factor, the step's
+    ``PairPlan`` runs the rules' kernels' array cores in the rules' order,
+    without building or dispatching the intermediate terms.  Other factors
+    are lifted and reduced by the rules.
     """
     parts = [*a, *b]
     if len(parts) == 2 and all(
@@ -147,18 +288,11 @@ def contract_pair(
     ):
         return TensorLeaf(tensor_contract(op, [p.atom for p in parts], rvars))
     rest = list(rvars)
-    if closed_form_reductions() and all(
-        isinstance(p, GaussianLeaf) or (isinstance(p, TensorLeaf) and p.is_scalar_real())
-        for p in parts
-    ):
-        nf = normal_form_from_parts(parts)
-        while rest:
-            reduced = reduce_atoms(op, nf.tensor, nf.gaussian, rest[0])
-            if reduced is None:
-                break
-            nf = NormalForm((), *reduced)
-            rest.pop(0)
-        out = nf.to_term()
+    if closed_form_reductions() and all(is_atom_factor(p) for p in parts):
+        plan = pair_plan(op, [factor_layout(p) for p in parts], rvars)
+        arrays = plan.run([factor_arrays(p) for p in parts])
+        out = _chain_add(factor_leaves(plan.out, arrays))
+        rest = plan.rest
     else:
         out = lift(ADD, _chain_add(a), _chain_add(b))
     for v in rest:

@@ -9,7 +9,13 @@ for integer variables.
 
 Every layout of batch axes over a wider context (permuting them into
 another context's order, inserting singleton axes for names an atom
-lacks) goes through one helper, ``align_array``.
+lacks) goes through one helper, ``align_array``: ``align_layout`` reads
+the contexts, ``realign`` applies the result to an array.  The pointwise
+and reduction kernels are split the same way (``pointwise_layout`` and
+``pointwise``; ``fold_axis``), so a caller that knows the layouts in
+advance can replay the array arithmetic without building atoms.
+Kernel results are built through ``TensorAtom._unchecked``; the checked
+constructor serves builders and user leaves.
 """
 from __future__ import annotations
 
@@ -32,20 +38,17 @@ from .ops import ADD, LiftedOp, ReduceOp, TAKE
 def logsumexp(data: np.ndarray, axis: int) -> np.ndarray:
     """Log-sum-exp along one axis with the max-shift trick.
 
-    All-(-inf) slices give -inf rather than NaN; NaN inputs give NaN.
+    All-(-inf) slices give -inf rather than NaN (the shift is zero where
+    the max is not finite, and ``log(0)`` is ``-inf``); NaN inputs give NaN
+    (``np.max`` propagates NaN, even beside ``+inf``).
     """
-    data = np.asarray(data, dtype=np.float64)
+    if not (isinstance(data, np.ndarray) and data.dtype == np.float64):
+        data = np.asarray(data, dtype=np.float64)
     with np.errstate(all="ignore"):
         peak = np.max(data, axis=axis, keepdims=True)
         shift = np.where(np.isfinite(peak), peak, 0.0)
-        out = np.log(np.sum(np.exp(data - shift), axis=axis)) + np.squeeze(shift, axis)
-        collapsed = np.squeeze(peak, axis)
-        out = np.where(np.isneginf(collapsed), -np.inf, out)
-        # max() swallows NaN only when another lane is +inf; reinstate it.
-        nan_mask = np.any(np.isnan(data), axis=axis)
-        if np.any(nan_mask):
-            out = np.where(nan_mask, np.nan, out)
-    return out
+        out = np.log(np.sum(np.exp(data - shift), axis=axis, keepdims=True)) + shift
+    return np.squeeze(out, axis)
 
 
 def _expected_shape(context: TypeContext, output: FunsorType) -> Tuple[int, ...]:
@@ -92,11 +95,25 @@ class TensorAtom:
                 raise IndexOutOfRange(
                     f"index-valued tensor holds values outside Z{output.size}"
                 )
+        self._fill(context, arr, output)
+
+    def _fill(self, context, arr, output):
         arr.setflags(write=False)
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "output", output)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _unchecked(cls, context, data, output: FunsorType = RealArray(())):
+        """A table the kernels computed from checked atoms, left unchecked.
+
+        Skips the context, shape and index-range tests of ``__init__``;
+        the data is still held as a read-only view.
+        """
+        self = object.__new__(cls)
+        self._fill(context, np.asarray(data, dtype=np.float64).view(), output)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorAtom is immutable")
@@ -155,6 +172,28 @@ def index_tensor(context: TypeContext, data, bound: int) -> TensorAtom:
     return TensorAtom(context, data, Bounded(bound))
 
 
+def align_layout(ctx: TypeContext, union: TypeContext):
+    """How ``align_array`` lays ``ctx``'s batch axes out over ``union``.
+
+    None when the two layouts already agree; otherwise the permutation of
+    the batch axes and the selector that inserts the missing singletons.
+    """
+    if ctx.entries == union.entries:
+        return None
+    names = ctx.names
+    perm = tuple(names.index(n) for n, _ in union.entries if n in ctx)
+    sel = tuple(slice(None) if n in ctx else np.newaxis for n, _ in union.entries)
+    return perm, sel
+
+
+def realign(arr: np.ndarray, layout) -> np.ndarray:
+    """Apply an ``align_layout`` to ``arr``; trailing axes are kept."""
+    if layout is None:
+        return arr
+    perm, sel = layout
+    return arr.transpose(perm + tuple(range(len(perm), arr.ndim)))[sel]
+
+
 def align_array(arr: np.ndarray, ctx: TypeContext, union: TypeContext) -> np.ndarray:
     """View of ``arr`` with its batch axes laid out over ``union``.
 
@@ -163,13 +202,30 @@ def align_array(arr: np.ndarray, ctx: TypeContext, union: TypeContext) -> np.nda
     union name ``ctx`` lacks.  Trailing axes are kept as they are.  When
     the two layouts already agree, ``arr`` itself is returned.
     """
-    if ctx.entries == union.entries:
-        return arr
-    names = ctx.names
-    nb = len(names)
-    perm = [names.index(n) for n, _ in union.entries if n in ctx]
-    arr = arr.transpose(tuple(perm) + tuple(range(nb, arr.ndim)))
-    return arr[tuple(slice(None) if n in ctx else np.newaxis for n, _ in union.entries)]
+    return realign(arr, align_layout(ctx, union))
+
+
+def pointwise_layout(contexts: Sequence[TypeContext], ranks: Sequence[int]):
+    """The union of ``contexts`` and, per operand, how it is laid over it.
+
+    An operand's layout is its ``align_layout`` and the singleton output
+    axes that left-pad its output rank (``ranks``) to the largest one.
+    """
+    union = TypeContext()
+    for c in contexts:
+        union = union.union(c)
+    n, top = len(union), max(ranks, default=0)
+    lays = [
+        (align_layout(c, union), tuple(range(n, n + top - r)))
+        for c, r in zip(contexts, ranks)
+    ]
+    return union, lays
+
+
+def _laid(arr: np.ndarray, lay) -> np.ndarray:
+    align, pad = lay
+    arr = realign(arr, align)
+    return np.expand_dims(arr, pad) if pad else arr
 
 
 def align_atoms(atoms: Sequence[TensorAtom]):
@@ -178,18 +234,10 @@ def align_atoms(atoms: Sequence[TensorAtom]):
     Batch axes are matched by name in the union's canonical order; output
     axes stay trailing, left-padded with singleton dims to a common rank.
     """
-    union = TypeContext()
-    for a in atoms:
-        union = union.union(a.context)
-    out_rank = max((a.out_rank for a in atoms), default=0)
-    views = []
-    for a in atoms:
-        view = align_array(a.data, a.context, union)
-        if a.out_rank < out_rank:
-            pad = range(len(union), len(union) + out_rank - a.out_rank)
-            view = np.expand_dims(view, tuple(pad))
-        views.append(view)
-    return union, views
+    union, lays = pointwise_layout(
+        [a.context for a in atoms], [a.out_rank for a in atoms]
+    )
+    return union, [_laid(a.data, lay) for a, lay in zip(atoms, lays)]
 
 
 def _absent_name(*contexts: TypeContext) -> str:
@@ -202,13 +250,19 @@ def tensor_apply(op: LiftedOp, atoms: Sequence[TensorAtom]) -> TensorAtom:
     if op is TAKE or op.name == "take":
         return tensor_take(atoms[0], atoms[1])
     out_type = op.result_type(*(a.output for a in atoms))
-    union, arrays = align_atoms(atoms)
-    with np.errstate(all="ignore"):
-        data = op.apply(*arrays)
+    union, lays = pointwise_layout(
+        [a.context for a in atoms], [a.out_rank for a in atoms]
+    )
     target = _expected_shape(union, out_type)
-    if data.shape != target:
-        data = np.broadcast_to(data, target)
-    return TensorAtom(union, data, out_type)
+    data = pointwise(op, lays, target, [a.data for a in atoms])
+    return TensorAtom._unchecked(union, data, out_type)
+
+
+def pointwise(op: LiftedOp, lays, target: Tuple[int, ...], arrays) -> np.ndarray:
+    """The array core of ``tensor_apply``: operands laid out by
+    ``pointwise_layout``, the op applied, the result broadcast to ``target``."""
+    data = op.apply(*(_laid(x, lay) for x, lay in zip(arrays, lays)))
+    return data if data.shape == target else np.broadcast_to(data, target)
 
 
 def tensor_take(arr: TensorAtom, idx: TensorAtom) -> TensorAtom:
@@ -229,15 +283,20 @@ def tensor_reduce(op: ReduceOp, atom: TensorAtom, name: str) -> TensorAtom:
     axis = atom.context.names.index(name) if name in atom.context else None
     if axis is None:
         raise NameAbsent(f"{name!r} not in context {atom.context.pretty()}")
-    if op.name == "logaddexp":
-        data = logsumexp(atom.data, axis)
-    elif op.name == "add":
-        data = np.sum(atom.data, axis=axis)
-    elif op.name == "max":
-        data = np.max(atom.data, axis=axis)
-    else:
+    if op.name not in ("logaddexp", "add", "max"):
         raise FunsorTypeError(f"unknown reduction {op!r}")
-    return TensorAtom(atom.context.remove(name), data, atom.output)
+    return TensorAtom._unchecked(
+        atom.context.remove(name), fold_axis(op, atom.data, axis), atom.output
+    )
+
+
+def fold_axis(op: ReduceOp, data: np.ndarray, axis: int) -> np.ndarray:
+    """The array core of ``tensor_reduce``: fold one axis with the monoid."""
+    if op.name == "logaddexp":
+        return logsumexp(data, axis)
+    if op.name == "add":
+        return np.sum(data, axis=axis)
+    return np.max(data, axis=axis)
 
 
 # Scaled sums below this may be built from subnormal products, whose
@@ -392,7 +451,7 @@ def tensor_contract(
             cells = np.nonzero(suspect) if nk else ()
             exact = _exact_cells(arrays, red, cells)
             out[cells] = exact if nk else exact[0]
-    return TensorAtom(kept, out, RealArray(()))
+    return TensorAtom._unchecked(kept, out)
 
 
 def _is_rename(atom: TensorAtom, idx: TensorAtom) -> bool:

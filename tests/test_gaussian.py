@@ -254,6 +254,41 @@ class TestMarginalize:
             np.testing.assert_allclose(got, quad, atol=1e-6)
 
 
+    def test_strided_batch_views_give_the_contiguous_results(self):
+        """A stride-2 batch slice keeps its arrays as views, and the fuse
+        and marginalize kernels give the same bits on it as on a
+        contiguous copy."""
+        from funsor.interp import index_gaussian_batch
+        from funsor.terms import Slice
+
+        rng = np.random.default_rng(10)
+        reals = [("x", RealArray((2,))), ("y", RealArray((3,)))]
+        g = random_gaussian(rng, reals, [("t", Bounded(9))])
+        view = index_gaussian_batch(g, {"t": Slice("t", 0, 9, 2, 9)})
+        assert np.shares_memory(view.precision, g.precision)
+        assert not view.precision.flags.c_contiguous
+        copy = GaussianAtom(
+            view.batch,
+            view.reals,
+            np.ascontiguousarray(view.info_vec),
+            np.ascontiguousarray(view.precision),
+        )
+        other = random_gaussian(
+            rng, [("y", RealArray((3,))), ("z", RealArray(()))], [("t", Bounded(5))]
+        )
+        pairs = [
+            (gaussian_fuse(view, other), gaussian_fuse(copy, other)),
+            (gaussian_fuse(other, view), gaussian_fuse(other, copy)),
+        ]
+        for name in ("x", "y"):
+            (w_a, g_a), (w_b, g_b) = (gaussian_marginalize(h, name) for h in (view, copy))
+            np.testing.assert_array_equal(w_a.data, w_b.data)
+            pairs.append((g_a, g_b))
+        for a, b in pairs:
+            np.testing.assert_array_equal(a.info_vec, b.info_vec)
+            np.testing.assert_array_equal(a.precision, b.precision)
+
+
 class TestSubstitute:
     def test_full_substitution_recovers_eval(self):
         rng = np.random.default_rng(10)

@@ -409,6 +409,147 @@ def fold_bodies(T):
     }
 
 
+def term_sequential(node):
+    """The fold on terms: each step substitutes a time index and fresh
+    matched names into the evaluated body and reduces the names through
+    the rules, reals first.  The replay must reproduce it bit for bit."""
+    from funsor.interp import var
+    from funsor.terms import fresh_name
+
+    body, tv = interpret(EXACT, node.body), node.timevar
+    types = body.free_vars
+    T = types.typeof(tv).size
+    pairs = sorted(node.step, key=lambda pc: isinstance(types.typeof(pc[1]), Bounded))
+    f = subst_term(body, {tv: 0})
+    for k in range(1, T):
+        xs = {c: fresh_name(c) for _, c in pairs}
+        carried = subst_term(f, {c: var(xs[c], types.typeof(c)) for _, c in pairs})
+        now = subst_term(
+            body, {tv: k, **{p: var(xs[c], types.typeof(c)) for p, c in pairs}}
+        )
+        f = lift("add", carried, now)
+        for _, c in pairs:
+            f = reduce_term(node.op, xs[c], f)
+    return f
+
+
+def shifting_bodies(T, K=3, n=2):
+    """Chains whose first step has another layout than the later ones.
+
+    Cell factors list the current names before the previous ones, so the
+    first step's carried factors are ordered ``(mid, prev)`` and later
+    ones ``(prev, mid)``.
+    """
+    rng = np.random.default_rng([T, K, n])
+    tab = TensorAtom(
+        TypeContext([("ac", Bounded(K)), ("t", Bounded(T)), ("ap", Bounded(K))]),
+        rng.normal(size=(K, T, K)),
+    )
+    Qi = np.linalg.inv(0.5 * np.eye(n))
+    F = 0.8 * np.eye(n) + 0.05 * rng.normal(size=(n, n))
+    # Blocks ordered (xc, xp).
+    prec = np.block([[Qi, -Qi @ F], [-F.T @ Qi, F.T @ Qi @ F]])
+    g = GaussianAtom(
+        TypeContext([("t", Bounded(T))]),
+        TypeContext([("xc", RealArray((n,))), ("xp", RealArray((n,)))]),
+        rng.normal(size=(T, 2 * n)),
+        np.broadcast_to(prec, (T, 2 * n, 2 * n)),
+    )
+    with interpretation(LAZY):
+        mixed = lift("add", to_term(tab), GaussianLeaf(g))
+        gauss = lift("add", to_term(TensorAtom(TypeContext([("t", Bounded(T))]),
+                                                rng.normal(size=T))), GaussianLeaf(g))
+    return [
+        MarkovProd("t", (("ap", "ac"), ("xp", "xc")), mixed),
+        MarkovProd("t", (("xp", "xc"),), gauss),
+        MarkovProd("t", (("ap", "ac"),), TensorLeaf(tab), MAX_REDUCE),
+    ]
+
+
+class TestSequentialReplay:
+    """Closed-form chain steps replay one array-level plan per step
+    signature instead of building and contracting atoms at every step."""
+
+    def test_contexts_built_do_not_grow_with_the_horizon(self, monkeypatch):
+        from funsor.models import build_kalman
+
+        init = TypeContext.__init__
+        built = []
+
+        def counting(self, *args, **kwargs):
+            built[-1] += 1
+            init(self, *args, **kwargs)
+
+        values = []
+        for T in (32, 128):
+            term = build_kalman(kalman_spec(np.random.default_rng(T), T))
+            built.append(0)
+            with monkeypatch.context() as m:
+                m.setattr(TypeContext, "__init__", counting)
+                with scan_mode("sequential"):
+                    values.append(float(interpret(EXACT, term).atom.data))
+        assert np.all(np.isfinite(values))
+        assert built[0] == built[1]
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 17])
+    def test_equals_the_rule_path(self, T, monkeypatch):
+        from funsor import markov
+        from funsor.optimize import OPTIMIZE
+
+        derived = []
+        real = markov.pair_plan
+
+        def spy(*args):
+            derived.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(markov, "pair_plan", spy)
+        for node in shifting_bodies(T):
+            for interp in (EXACT, OPTIMIZE):
+                with interpretation(interp):
+                    want = term_sequential(node)
+                derived.clear()
+                with scan_mode("sequential"):
+                    got = interpret(interp, node)
+                assert got == want, (pretty(node), interp)
+                # The first step's signature, then the two alternating ones.
+                assert len(derived) == min(T - 1, 3)
+
+    def test_step_left_lazy_goes_to_the_term_path(self):
+        """A Gaussian batched over a matched label makes the step's label
+        sum a mixture, which Exact leaves lazy: the replay stops at the
+        first step and the term path takes it."""
+        rng = np.random.default_rng(2)
+        T, K, n = 2, 2, 1
+        g = GaussianAtom(
+            TypeContext([("t", Bounded(T)), ("ap", Bounded(K))]),
+            TypeContext([("xp", RealArray((n,))), ("xc", RealArray((n,)))]),
+            rng.normal(size=(T, K, 2 * n)),
+            np.broadcast_to(np.array([[2.0, -1.0], [-1.0, 2.0]]), (T, K, 2, 2)),
+        )
+        tab = TensorAtom(
+            TypeContext([("t", Bounded(T)), ("ap", Bounded(K)), ("ac", Bounded(K))]),
+            rng.normal(size=(T, K, K)),
+        )
+        with interpretation(LAZY):
+            body = lift("add", to_term(tab), GaussianLeaf(g))
+        node = MarkovProd("t", (("ap", "ac"), ("xp", "xc")), body)
+        point = {"xp": np.array([0.3]), "xc": np.array([-0.2])}
+        with scan_mode("sequential"):
+            out = interpret(EXACT, node)
+            assert not isinstance(out, TensorLeaf)
+            got = interpret(EXACT, subst_term(out, point))
+        with interpretation(EXACT):
+            want = subst_term(term_sequential(node), point)
+        np.testing.assert_allclose(
+            got.atom.data,
+            want.atom.data.transpose(
+                *[want.atom.context.names.index(n) for n in got.atom.context.names]
+            ),
+            rtol=1e-12,
+        )
+
+
 class TestParallelFold:
     """The doubling scan slices the body's atoms at every level and joins
     an odd tail through the concatenate-factors rule; it gives the term

@@ -177,6 +177,26 @@ class TestReduce:
         np.testing.assert_allclose(got, want)
         assert np.isfinite(got).all()
 
+    def test_logsumexp_helper_on_non_finite_slices(self):
+        inf, nan = np.inf, np.nan
+        slices = [
+            [-inf, -inf, -inf],  # all -inf: -inf, not NaN
+            [0.5, nan, 1.0],  # NaN propagates
+            [nan, inf, 0.0],  # NaN beside +inf is still NaN
+            [inf, -inf, -inf],  # +inf wins over -inf
+            [inf, inf, inf],  # all +inf
+            [1.0, -inf, 2.0],  # finite cells ignore -inf
+        ]
+        want = [-inf, nan, nan, inf, inf, np.logaddexp(1.0, 2.0)]
+        got = logsumexp(np.array(slices), axis=1)
+        np.testing.assert_array_equal(got, want)
+        # One slice along the leading axis, and a list input.
+        np.testing.assert_array_equal(logsumexp(np.array(slices).T, axis=0), want)
+        for row, w in zip(slices, want):
+            out = logsumexp(row, axis=0)
+            assert isinstance(out, np.ndarray) and out.shape == ()
+            np.testing.assert_array_equal(out, w)
+
 
 class TestIndexingAndShaping:
     def test_index_substitutes_positions(self):
