@@ -455,10 +455,10 @@ def shifting_bodies(T, K=3, n=2):
         rng.normal(size=(T, 2 * n)),
         np.broadcast_to(prec, (T, 2 * n, 2 * n)),
     )
+    const = TensorAtom(TypeContext([("t", Bounded(T))]), rng.normal(size=T))
     with interpretation(LAZY):
         mixed = lift("add", to_term(tab), GaussianLeaf(g))
-        gauss = lift("add", to_term(TensorAtom(TypeContext([("t", Bounded(T))]),
-                                                rng.normal(size=T))), GaussianLeaf(g))
+        gauss = lift("add", to_term(const), GaussianLeaf(g))
     return [
         MarkovProd("t", (("ap", "ac"), ("xp", "xc")), mixed),
         MarkovProd("t", (("xp", "xc"),), gauss),
@@ -544,7 +544,7 @@ class TestSequentialReplay:
         np.testing.assert_allclose(
             got.atom.data,
             want.atom.data.transpose(
-                *[want.atom.context.names.index(n) for n in got.atom.context.names]
+                *[want.atom.context.names.index(v) for v in got.atom.context.names]
             ),
             rtol=1e-12,
         )
