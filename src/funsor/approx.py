@@ -4,9 +4,12 @@ Both interpretations intercept ``logaddexp`` reductions and fall back to
 the exact rules for everything else.  Moment matching collapses a
 mixture of quadratic factors over one bounded variable into the single
 quadratic factor with the mixture's mean and covariance, leaving the
-matched total weight behind.  Monte Carlo replaces the reduced factor
-with a weighted point mass at a sampled value, so downstream factors see
-the sample while the total weight stays an unbiased estimate.
+matched total weight behind; the matching is split into a layout half
+(``match_layout``) and an array core (``match``), which the rule and the
+switching model's replayed steps share.  Monte Carlo replaces the
+reduced factor with a weighted point mass at a sampled value, so
+downstream factors see the sample while the total weight stays an
+unbiased estimate.
 
 Randomness is deterministic given a seed: draws come from a counter-mode
 bit generator, and every draw advances the counter, so a fresh
@@ -20,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .delta import DeltaAtom
-from .domains import Bounded
+from .domains import Bounded, TypeContext
 from .errors import BoundsError, NameAbsent
 from .gaussian import (
     LOG_2PI,
@@ -29,6 +32,7 @@ from .gaussian import (
     _chol_solve,
     _cholesky_jitter,
     gaussian_log_normalizer,
+    log_normalizer,
 )
 from .interp import (
     EXACT,
@@ -40,13 +44,17 @@ from .interp import (
     normal_form_from_parts,
     reduce_atoms,
     reduce_term,
+    reduction_kind,
 )
 from .ops import ADD, LOGADDEXP_REDUCE, SUB
 from .tensor import (
     TensorAtom,
-    align_array,
+    align_layout,
+    fold_axis,
     logsumexp,
-    tensor_apply,
+    pointwise,
+    pointwise_layout,
+    realign,
     tensor_reduce,
     zeros_tensor,
 )
@@ -74,6 +82,87 @@ class RngState:
         return np.random.Generator(bit)
 
 
+def match_layout(weight: Optional[TypeContext], batch: TypeContext, v: str):
+    """The layout half of ``moment_match``, from the contexts alone.
+
+    ``weight`` is the weight table's context (None for no table) and
+    ``batch`` the component family's batch context.  Returns the
+    context the matched factor and its weight keep, and the layout
+    ``match`` runs on: the union's bounds, the mixture axis, the
+    alignments of both inputs over the union, the ``SUB`` layout of the
+    matched normalizer against the union, and the axis the weight folds.
+    """
+    union = batch if weight is None else weight.union(batch)
+    if v not in union:
+        raise NameAbsent(f"{v!r} indexes neither the weights nor the factor")
+    kept = union.remove(v)
+    bounds = tuple(tp.size for _, tp in union.entries)
+    w_align = None if weight is None else align_layout(weight, union)
+    # The difference's context is ``union`` itself (``kept`` adds no
+    # names), so the folded weight is over ``kept``.
+    diff, sub = pointwise_layout([union, kept], (0, 0))
+    return kept, (
+        bounds,
+        union.names.index(v),
+        align_layout(batch, union),
+        w_align,
+        sub,
+        diff.names.index(v),
+    )
+
+
+def match(layout, weight: Optional[np.ndarray], info: np.ndarray, prec: np.ndarray):
+    """The array core of ``moment_match``, on a ``match_layout``.
+
+    Returns the folded weight and the matched factor's ``(info_vec,
+    precision)``, laid out as ``GaussianAtom._unchecked`` stores them:
+    a contiguous information vector and a symmetrized precision.  A cell
+    whose components all weigh ``-inf`` matches them evenly, so its
+    factor is finite and its weight stays ``-inf``; other cells are
+    untouched by that case.
+    """
+    bounds, axis, g_align, w_align, sub, fold = layout
+    d = info.shape[-1]
+    i_full = np.broadcast_to(realign(info, g_align), bounds + (d,))
+    p_full = np.broadcast_to(realign(prec, g_align), bounds + (d, d))
+    chol = _cholesky_jitter(p_full)
+    mu = _chol_solve(chol, i_full[..., None])[..., 0]
+    eye = np.broadcast_to(np.eye(d), bounds + (d, d))
+    cov = _chol_solve(chol, eye)
+
+    quad = np.sum(i_full * mu, axis=-1)
+    logw = 0.5 * d * LOG_2PI - 0.5 * _chol_logdet(chol) + 0.5 * quad
+    if weight is not None:
+        logw = ADD.apply(realign(weight, w_align), logw)
+    total = logsumexp(logw, axis)
+    dead = np.isneginf(total)
+    some_dead = dead.any()
+    if some_dead:
+        total = np.where(dead, 0.0, total)
+    p = np.exp(logw - np.expand_dims(total, axis))
+    if some_dead:
+        p = np.where(np.expand_dims(dead, axis), 1.0, p)
+    p = p / np.sum(p, axis=axis, keepdims=True)
+    mu2 = np.sum(p[..., None] * mu, axis=axis)
+    diff = mu - np.expand_dims(mu2, axis)
+    spread = cov + diff[..., :, None] * diff[..., None, :]
+    cov2 = np.sum(p[..., None, None] * spread, axis=axis)
+    try:
+        prec2 = np.linalg.inv(cov2)
+    except np.linalg.LinAlgError:
+        chol2 = _cholesky_jitter(cov2)
+        eye2 = np.broadcast_to(np.eye(d), cov2.shape)
+        prec2 = _chol_solve(chol2, eye2)
+    prec2 = 0.5 * (prec2 + np.swapaxes(prec2, -1, -2))
+    info2 = np.ascontiguousarray((prec2 @ mu2[..., None])[..., 0])
+    # Symmetrized once more, as ``GaussianAtom._unchecked`` stores a kernel
+    # result: the matched normalizer is taken from these bits.
+    prec2 = (prec2 + np.swapaxes(prec2, -1, -2)) / 2.0
+
+    w_out = pointwise(SUB, sub, bounds, [logw, log_normalizer(info2, prec2)])
+    return fold_axis(LOGADDEXP_REDUCE, w_out, fold), info2, prec2
+
+
 def moment_match(
     weight: Optional[TensorAtom], g: GaussianAtom, v: str
 ) -> Tuple[GaussianAtom, TensorAtom]:
@@ -87,47 +176,19 @@ def moment_match(
     matched factor's own normalizer, so that weight times matched factor
     integrates to exactly the mixture's mass.  The components' normalizers
     come from the same factorization as their means and covariances.
+    Where every component weighs ``-inf`` the total mass is ``-inf`` and
+    the matched factor is their even mixture.  The layout comes from
+    ``match_layout`` and the arithmetic from ``match``, which a replayed
+    plan runs on raw arrays.
     """
-    union = g.batch if weight is None else weight.context.union(g.batch)
-    if v not in union:
-        raise NameAbsent(f"{v!r} indexes neither the weights nor the factor")
-    axis = union.names.index(v)
-    bounds = tuple(tp.size for _, tp in union.entries)
-    d = g.dim
-
-    i_full = np.broadcast_to(align_array(g.info_vec, g.batch, union), bounds + (d,))
-    p_full = np.broadcast_to(align_array(g.precision, g.batch, union), bounds + (d, d))
-    chol = _cholesky_jitter(p_full)
-    mu = _chol_solve(chol, i_full[..., None])[..., 0]
-    eye = np.broadcast_to(np.eye(d), bounds + (d, d))
-    cov = _chol_solve(chol, eye)
-
-    quad = np.sum(i_full * mu, axis=-1)
-    logw = 0.5 * d * LOG_2PI - 0.5 * _chol_logdet(chol) + 0.5 * quad
-    if weight is not None:
-        logw = ADD.apply(align_array(weight.data, weight.context, union), logw)
-    w_full = TensorAtom._unchecked(union, logw)
-    total = logsumexp(logw, axis)
-    p = np.exp(logw - np.expand_dims(total, axis))
-    p = p / np.sum(p, axis=axis, keepdims=True)
-    mu2 = np.sum(p[..., None] * mu, axis=axis)
-    diff = mu - np.expand_dims(mu2, axis)
-    spread = cov + diff[..., :, None] * diff[..., None, :]
-    cov2 = np.sum(p[..., None, None] * spread, axis=axis)
-    try:
-        prec2 = np.linalg.inv(cov2)
-    except np.linalg.LinAlgError:
-        chol2 = _cholesky_jitter(cov2)
-        eye2 = np.broadcast_to(np.eye(d), cov2.shape)
-        prec2 = _chol_solve(chol2, eye2)
-    prec2 = 0.5 * (prec2 + np.swapaxes(prec2, -1, -2))
-    info2 = (prec2 @ mu2[..., None])[..., 0]
-
-    matched = GaussianAtom._unchecked(union.remove(v), g.reals, info2, prec2)
-    norm2 = gaussian_log_normalizer(matched)
-    w_out = tensor_apply(SUB, [w_full, norm2])
-    w_red = tensor_reduce(LOGADDEXP_REDUCE, w_out, v)
-    return matched, w_red
+    kept, layout = match_layout(
+        None if weight is None else weight.context, g.batch, v
+    )
+    w, info, prec = match(
+        layout, None if weight is None else weight.data, g.info_vec, g.precision
+    )
+    matched = GaussianAtom._unchecked(kept, g.reals, info, prec, symmetrize=False)
+    return matched, TensorAtom._unchecked(kept, w)
 
 
 def match_atoms(
@@ -136,15 +197,29 @@ def match_atoms(
     """A ``logaddexp`` reduction over ``v`` of a table plus a quadratic
     factor, as moment matching evaluates it.
 
-    A mixture (the factor batched over ``v``) collapses by
-    ``moment_match``; any other reduction runs Exact's closed form
+    A mixture (the factor batched over ``v``, ``match_kind``'s
+    ``"match"``) collapses by ``moment_match``, whose table is the
+    mixture's weight; any other reduction runs Exact's closed form
     (``reduce_atoms``).  Returns the new pair, or None where neither
-    applies.
+    applies.  A ``PairPlan`` classified by ``match_kind`` runs the same
+    cores on raw arrays.
     """
     if gaussian is not None and v in gaussian.batch:
         matched, w_red = moment_match(tensor, gaussian, v)
         return w_red, matched
     return reduce_atoms(LOGADDEXP_REDUCE, tensor, gaussian, v)
+
+
+def match_kind(op, table: Optional[TypeContext], gaussian, v: str) -> Optional[str]:
+    """How moment matching reduces ``v``, in ``reduction_kind``'s terms.
+
+    ``"match"`` for a ``logaddexp`` over a label the quadratic factor is
+    batched over (a mixture ``match_atoms`` collapses), and Exact's kind
+    otherwise.
+    """
+    if op.name == "logaddexp" and gaussian is not None and v in gaussian[0]:
+        return "match"
+    return reduction_kind(op, table, gaussian, v)
 
 
 class MomentMatching(Interpretation):

@@ -59,8 +59,10 @@ from .optimize import (
     factor_arrays,
     factor_layout,
     factor_leaves,
+    intern_layouts,
     is_atom_factor,
     pair_plan,
+    rename_layout,
 )
 from .tensor import index_tensor
 from .terms import GaussianLeaf, MarkovProd, Slice, TensorLeaf, Term, fresh_name
@@ -150,7 +152,7 @@ def _replay(node: MarkovProd, factors, pairs, names, T: int):
             cuts.append(None)
         cell_layouts.append(batch if isinstance(lay, TypeContext) else (batch, lay[1]))
     cells = [
-        [_renamed(lay, {p: mid[c] for p, c in pairs}) for lay in cell_layouts]
+        [rename_layout(lay, {p: mid[c] for p, c in pairs}) for lay in cell_layouts]
         for mid in names
     ]
 
@@ -169,7 +171,7 @@ def _replay(node: MarkovProd, factors, pairs, names, T: int):
     carried, held = at(0), cell_layouts
     signatures: Dict[tuple, int] = {}
     plans: Dict[tuple, tuple] = {}
-    sig = _intern(signatures, held)
+    sig = intern_layouts(signatures, held)
     for k in range(1, T):
         key = (k % 2, sig)
         hit = plans.get(key)
@@ -177,31 +179,15 @@ def _replay(node: MarkovProd, factors, pairs, names, T: int):
             mid = names[k % 2]
             plan = pair_plan(
                 node.op,
-                [_renamed(lay, mid) for lay in held] + cells[k % 2],
+                [rename_layout(lay, mid) for lay in held] + cells[k % 2],
                 list(mid.values()),
             )
             if plan.rest:
                 return factor_leaves(held, carried), k
-            hit = plans[key] = (plan, _intern(signatures, plan.out))
+            hit = plans[key] = (plan, intern_layouts(signatures, plan.out))
         plan, sig = hit
         carried, held = plan.run(carried + at(k)), plan.out
     return factor_leaves(held, carried), T
-
-
-def _renamed(layout, renames: Dict[str, str]):
-    """A ``factor_layout`` with variables relabeled."""
-    if isinstance(layout, TypeContext):
-        return TypeContext([(renames.get(n, n), t) for n, t in layout.entries])
-    return tuple(_renamed(ctx, renames) for ctx in layout)
-
-
-def _intern(signatures: Dict[tuple, int], layouts) -> int:
-    """A small integer naming an ordered list of ``factor_layout``s."""
-    key = tuple(
-        lay.entries if isinstance(lay, TypeContext) else tuple(c.entries for c in lay)
-        for lay in layouts
-    )
-    return signatures.setdefault(key, len(signatures))
 
 
 def _cell(k: int, size: int) -> Term:

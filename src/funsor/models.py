@@ -4,9 +4,10 @@ The chain builders return closed lazy terms, so one model can be
 evaluated under several interpretations and scan strategies; the
 switching and mixture builders run their collapse loop eagerly, because
 the order in which mixtures are matched is part of the model.  The
-switching loop folds atoms, not terms: it carries its joint as one
-table and one quadratic factor and calls the kernels the moment-matching
-rules would call, in their order, so its value is bit-identical to the
+switching loop works on arrays, not terms: each step is one
+``optimize.PairPlan`` over names relative to the step, derived once per
+step signature and replayed, which runs the kernels the moment-matching
+rules would run, in their order, so its value is bit-identical to the
 same loop built from terms.  The mixture loop substitutes an affine
 index into its factors and stays on terms.
 
@@ -23,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .approx import MomentMatching, match_atoms
+from .approx import MomentMatching, match_kind
 from .domains import Bounded, RealArray, TypeContext
 from .errors import BoundsError, FunsorTypeError
 from .gaussian import (
@@ -31,10 +32,7 @@ from .gaussian import (
     GaussianAtom,
     _chol_solve,
     _cholesky_jitter,
-    gaussian_fuse,
-    gaussian_index_batch,
     gaussian_log_normalizer,
-    gaussian_rename,
 )
 from .interp import (
     LAZY,
@@ -46,8 +44,9 @@ from .interp import (
     to_term,
     var,
 )
-from .ops import ADD, TAKE
-from .tensor import TensorAtom, index_tensor, tensor_apply
+from .ops import LOGADDEXP_REDUCE, TAKE
+from .optimize import intern_layouts, pair_plan, rename_layout
+from .tensor import TensorAtom
 from .terms import TensorLeaf, Term
 
 
@@ -365,9 +364,21 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
 
     Factors enter one step at a time; once the window is full, the
     oldest continuous state and then its switch state are reduced, so at
-    most ``window + 1`` slices are ever joint.  The joint is carried as a
-    table plus one quadratic factor, and every step calls the kernels
-    the moment-matching rules would (``match_atoms``), in their order.
+    most ``window + 1`` slices are ever joint.  After the last step the
+    remaining continuous states and then the switch states are reduced.
+
+    The joint is carried as the arrays of one table and one quadratic
+    factor, over names relative to the step (``x@j`` is the continuous
+    state ``j`` steps back, ``s@j`` its switch state).  A step is one
+    ``PairPlan`` over ``[table, transition, dynamics constant,
+    observation constant, quadratic factor, dynamics, observation]``
+    that sums the tables and fuses the quadratic factors left to right,
+    then reduces as ``approx.match_kind`` says: it runs the kernels the
+    moment-matching rules run on the same loop built from terms, in
+    their order, so the value is bit-identical.  Its signature (the carried layouts and the variables reduced) repeats
+    after a few steps, so each plan is derived once and replayed on raw
+    arrays, with views of the observations at the step; an atom is built
+    for the final table only.
     """
     observations = np.asarray(observations, dtype=np.float64)
     _expect_shape("observations", observations, (None, spec.H.shape[0]))
@@ -381,48 +392,52 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
     i_dyn, p_dyn, c_dyn = conditional_gaussian(spec.F, np.zeros((K, n)), spec.Q)
     i_0, p_0, c_0 = dense_gaussian(spec.init_mean, spec.init_cov)
     i_ob, p_ob, c_ob = observation_factor(spec.H, spec.R, observations)
-    # Each parameter set is checked once, over generic names; every step
-    # relabels the dynamics and takes its own cell of the observations.
     x_n = RealArray((n,))
     z_k = Bounded(K)
-    dyn_reals = TypeContext([("prev", x_n), ("curr", x_n)])
-    dyn_atom = GaussianAtom(TypeContext([("s", z_k)]), dyn_reals, i_dyn, p_dyn)
+    now = TypeContext([("s@0", z_k)])
+    scalar = TypeContext()
+    # Each parameter set is checked once, where it enters.
+    init = GaussianAtom(scalar, TypeContext([("x@0", x_n)]), i_0, p_0)
+    dyn = GaussianAtom(now, TypeContext([("x@1", x_n), ("x@0", x_n)]), i_dyn, p_dyn)
     p_ob = np.broadcast_to(p_ob, (T, n, n))
-    obs_atom = GaussianAtom(
-        TypeContext([("t", Bounded(T))]), TypeContext([("curr", x_n)]), i_ob, p_ob
-    )
+    obs = GaussianAtom(TypeContext([("t", Bounded(T))]), init.reals, i_ob, p_ob)
+    prior = (init.info_vec, init.precision)
+    dynamics = (dyn.info_vec, dyn.precision)
 
-    # Tables fuse left to right (joint, transition, dynamics constant,
-    # observation constant) and quadratic factors as joint, dynamics,
-    # observation: the order the product rules fuse them in.
-    table = TensorAtom(TypeContext([("s0", z_k)]), log_trans[0])
-    table = tensor_apply(ADD, [table, TensorAtom(TypeContext(), c_0)])
-    gauss = GaussianAtom(TypeContext(), TypeContext([("x0", x_n)]), i_0, p_0)
+    # The first step starts the joint from the first switch state's
+    # table and the prior; later steps add the dynamics to the carried pair.
+    first = [now, scalar, scalar, (scalar, init.reals), (scalar, obs.reals)]
+    pair = TypeContext([("s@1", z_k), ("s@0", z_k)])
+    older = {f"{v}@{j}": f"{v}@{j + 1}" for j in range(L + 1) for v in "xs"}
+    oldest = [f"x@{L}", f"s@{L}"]
+    tail = range(min(T, L) - 1, -1, -1)
+    tail = [f"x@{j}" for j in tail] + [f"s@{j}" for j in tail]
+
+    signatures: dict = {}
+    plans: dict = {}
+    held, sig = [], intern_layouts(signatures, [])
     for t in range(T):
-        x_t = f"x{t}"
-        if t > 0:
-            s_t = f"s{t}"
-            pair = TypeContext([(f"s{t - 1}", z_k), (s_t, z_k)])
-            table = tensor_apply(ADD, [table, TensorAtom(pair, log_trans)])
-            table = tensor_apply(
-                ADD, [table, TensorAtom(TypeContext([(s_t, z_k)]), c_dyn)]
-            )
-            names = {"s": s_t, "prev": f"x{t - 1}", "curr": x_t}
-            gauss = gaussian_fuse(gauss, gaussian_rename(dyn_atom, names))
-        obs = gaussian_index_batch(
-            obs_atom, "t", index_tensor(TypeContext(), float(t), T)
-        )
-        table = tensor_apply(ADD, [table, TensorAtom(TypeContext(), c_ob[t])])
-        gauss = gaussian_fuse(gauss, gaussian_rename(obs, {"curr": x_t}))
-        if t >= L:
-            for v in (f"x{t - L}", f"s{t - L}"):
-                table, gauss = match_atoms(table, gauss, v)
-    # Real variables go first so the trailing switch states reduce
-    # over a plain table once no quadratic factor mentions them.
-    tail = range(max(0, T - L), T)
-    for v in [f"x{t}" for t in tail] + [f"s{t}" for t in tail]:
-        table, gauss = match_atoms(table, gauss, v)
-    return TensorLeaf(table)
+        key = (sig, t >= L, t == T - 1)
+        hit = plans.get(key)
+        if hit is None:
+            rvars = (oldest if t >= L else []) + (tail if t == T - 1 else [])
+            parts = first if t == 0 else [
+                held[0], pair, now, scalar,
+                held[1], (dyn.batch, dyn.reals), (scalar, obs.reals),
+            ]
+            plan = pair_plan(LOGADDEXP_REDUCE, parts, rvars, match_kind)
+            aged = [rename_layout(lay, older) for lay in plan.out]
+            hit = plans[key] = (plan, aged, intern_layouts(signatures, aged))
+        plan, held, sig = hit
+        obs_t = (obs.info_vec[t], obs.precision[t])
+        if t == 0:
+            arrays = [log_trans[0], c_0, c_ob[0], prior, obs_t]
+        else:
+            table, gauss = carried
+            arrays = [table, log_trans, c_dyn, c_ob[t], gauss, dynamics, obs_t]
+        carried = plan.run(arrays)
+    (out,), (total,) = plan.out, carried
+    return TensorLeaf(TensorAtom._unchecked(out, total))
 
 
 # ---------------------------------------------------------------------------

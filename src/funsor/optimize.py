@@ -15,16 +15,18 @@ directly), and every plan runs under the caller's interpretation, so
 approximate rules still see each planned reduction.  A pairwise step on
 tables and quadratic factors is a ``PairPlan``: derived from the
 factors' layouts alone and run on their arrays, so a sequential chain
-derives it once per step signature and replays it.  Exact plans one
-reduction at a time; Optimize gathers directly nested sums over a
-shared product into one joint plan instead of collapsing them
-innermost-first.
+derives it once per step signature and replays it.  The switching
+model's collapse loop replays its steps the same way, with moment
+matching as one more reduction kind.  Exact plans one reduction at a
+time; Optimize gathers directly nested sums over a shared product into
+one joint plan instead of collapsing them innermost-first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from .approx import match, match_layout
 from .domains import Bounded, TypeContext
 from .gaussian import (
     GaussianAtom,
@@ -182,7 +184,7 @@ class PairPlan:
     right, quadratic factors fused left to right, then each reduction in
     closed form.  It returns the arrays of the result, whose layouts are
     ``out`` (a table first, then a quadratic factor).  ``rest`` lists the
-    variables from the first one Exact leaves lazy on.
+    variables from the first one the classifier leaves lazy on.
     """
 
     op: ReduceOp
@@ -208,6 +210,10 @@ class PairPlan:
             if kind == "fold":
                 t = fold_axis(self.op, t, how)
                 continue
+            if kind == "match":
+                t, i, p = match(how, t, *g)
+                g = (i, p)
+                continue
             if how is None:
                 w, g = log_normalizer(*g), None
             else:
@@ -217,13 +223,18 @@ class PairPlan:
         return [x for x in (t, g) if x is not None]
 
 
-def pair_plan(op: ReduceOp, parts: Sequence, rvars: Sequence[str]) -> PairPlan:
+def pair_plan(
+    op: ReduceOp, parts: Sequence, rvars: Sequence[str], classify=reduction_kind
+) -> PairPlan:
     """Derive the ``PairPlan`` of a step from its parts' layouts.
 
     ``parts`` are ``factor_layout``s.  Two tables contract through
     ``tensor_contract``, as ``contract_pair`` does; otherwise the step is
-    the closed form of ``normal_form_from_parts`` followed by
-    ``reduce_atoms`` per variable.
+    the closed form of ``normal_form_from_parts`` followed by one
+    reduction per variable.  ``classify`` says how each variable is
+    reduced, with ``reduction_kind``'s signature: Exact's kinds by
+    default, or also ``"match"`` (``approx.match_kind``), a mixture
+    collapsed by ``moment_match`` onto its weight table.
     """
     plan = PairPlan(op, list(parts), tuple(rvars))
     tabular = [isinstance(c, TypeContext) for c in parts]
@@ -248,8 +259,12 @@ def pair_plan(op: ReduceOp, parts: Sequence, rvars: Sequence[str]) -> PairPlan:
     rest = list(rvars)
     while rest:
         v = rest[0]
-        kind = reduction_kind(op, t, g, v)
-        if kind == "marginalize":
+        kind = classify(op, t, g, v)
+        if kind == "match":
+            kept, how = match_layout(t, g[0], v)
+            plan.reductions.append((kind, how, None))
+            t, g = kept, (kept, g[1])
+        elif kind == "marginalize":
             u, vs = marginal_layout(g[1], v)
             t, step = (g[0], None) if t is None else _sum_layout(t, g[0])
             if len(u):
@@ -267,6 +282,25 @@ def pair_plan(op: ReduceOp, parts: Sequence, rvars: Sequence[str]) -> PairPlan:
     plan.rest = rest
     plan.out = [lay for lay in (t, g) if lay is not None]
     return plan
+
+
+def rename_layout(layout, renames: Dict[str, str]):
+    """A ``factor_layout`` with variables relabeled."""
+    if isinstance(layout, TypeContext):
+        return TypeContext([(renames.get(n, n), t) for n, t in layout.entries])
+    return tuple(rename_layout(ctx, renames) for ctx in layout)
+
+
+def intern_layouts(signatures: Dict[tuple, int], layouts) -> int:
+    """A small integer naming an ordered list of ``factor_layout``s.
+
+    Loops that replay plans key them by it, so equal layouts share one.
+    """
+    key = tuple(
+        lay.entries if isinstance(lay, TypeContext) else tuple(c.entries for c in lay)
+        for lay in layouts
+    )
+    return signatures.setdefault(key, len(signatures))
 
 
 def contract_pair(

@@ -169,6 +169,30 @@ class TestMomentMatch:
             np.testing.assert_allclose(matched.precision[b], m_b.precision, rtol=1e-12)
             np.testing.assert_allclose(reduced.data[b], r_b.data, rtol=1e-12)
 
+    def test_cell_without_mass_matches_evenly(self):
+        """A cell whose components all weigh -inf keeps weight -inf and
+        gets a finite factor, without a floating-point warning; the other
+        cells do not depend on it, bit for bit."""
+        rng = np.random.default_rng(6)
+        info = rng.normal(size=(2, 3, 2))
+        a = rng.normal(size=(2, 3, 2, 2))
+        prec = a @ np.swapaxes(a, -1, -2) + np.eye(2)
+        ctx = TypeContext([("b", Bounded(2)), ("c", Bounded(3))])
+        gauss = GaussianAtom(ctx, TypeContext([("x", RealArray((2,)))]), info, prec)
+        w = rng.normal(size=(2, 3))
+        w[0, 1] = -np.inf
+        dead = w.copy()
+        dead[1] = -np.inf
+        with np.errstate(all="raise"):
+            m_dead, r_dead = moment_match(TensorAtom(ctx, dead), gauss, "c")
+        m_live, r_live = moment_match(TensorAtom(ctx, w), gauss, "c")
+        assert r_dead.data[1] == -np.inf
+        assert np.all(np.isfinite(m_dead.info_vec[1]))
+        assert np.all(np.linalg.eigvalsh(m_dead.precision[1]) > 0)
+        np.testing.assert_array_equal(r_dead.data[0], r_live.data[0])
+        np.testing.assert_array_equal(m_dead.info_vec[0], m_live.info_vec[0])
+        np.testing.assert_array_equal(m_dead.precision[0], m_live.precision[0])
+
     def test_missing_variable_raises(self):
         rng = np.random.default_rng(5)
         weight, gauss = random_mixture(rng, 3)

@@ -433,3 +433,26 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["model"] == "hmm"
+
+    def test_sparse_slds_prints_finite_json(self, tmp_path):
+        """A zero in the switch transition leaves mixture cells without
+        mass; the run still prints a finite value as strict JSON and
+        writes nothing on stderr."""
+        doc = slds_doc(np.random.default_rng(22), T=8)
+        doc["transition"] = [[1.0, 0.0], [0.5, 0.5]]
+        path = write_model(tmp_path, "slds.json", doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "funsor.cli", "run", path,
+             "--interp", "momentmatching"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout, parse_constant=reject)
+        assert math.isfinite(payload["log_value"])

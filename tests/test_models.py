@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from funsor import models
 from funsor.approx import MomentMatching
 from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import BoundsError, FunsorTypeError
@@ -238,6 +239,11 @@ SLDS_FOLD_CASES = [
     for T in (1, 2, 5, 17)
     for window in sorted({1, 2, 3, T})
     if K ** min(window, T) <= 3 ** 5
+]
+
+# Long steady states: the step plan is replayed for most of the horizon.
+SLDS_REPLAY_CASES = [
+    (n, K, window) for n in (1, 3) for K in (2, 3) for window in (1, 2, 3)
 ]
 
 
@@ -528,6 +534,70 @@ class TestSlds:
         spec, ys = random_slds(np.random.default_rng([K, T, window]), K, 2, T, window)
         got = value(build_slds_marginal(spec, ys))
         assert got == value(term_level_slds(spec, ys))
+
+    @pytest.mark.parametrize("n,K,window", SLDS_REPLAY_CASES)
+    def test_replay_equals_the_rule_path_on_long_steady_states(self, n, K, window):
+        rng = np.random.default_rng([n, K, window, 40])
+        spec, ys = random_slds(rng, K, n, 40, window)
+        got = value(build_slds_marginal(spec, ys))
+        assert got == value(term_level_slds(spec, ys))
+
+    def test_step_plans_are_derived_once_per_signature(self, monkeypatch):
+        """Plan derivations and context constructions do not grow with
+        the horizon: every step replays a plan derived for its signature."""
+        spec, ys = random_slds(np.random.default_rng(25), 2, 2, 128, window=2)
+        derive = models.pair_plan
+        init = TypeContext.__init__
+        counts = {}
+
+        def counting_derive(*args):
+            counts["plans"] += 1
+            return derive(*args)
+
+        def counting_init(self, *args):
+            counts["contexts"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(models, "pair_plan", counting_derive)
+        monkeypatch.setattr(TypeContext, "__init__", counting_init)
+        seen = []
+        for T in (32, 128):
+            counts.update(plans=0, contexts=0)
+            assert np.isfinite(value(build_slds_marginal(spec, ys[:T])))
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["plans"] <= 6
+
+    def test_identity_transition_equals_plain_filter(self):
+        """With the switch stuck in its first state every mixture has one
+        live component, and the cells of the dead state weigh -inf."""
+        rng = np.random.default_rng(26)
+        n, T = 2, 8
+        kal = random_kalman(rng, n, 1, T)
+        for window in (1, 2, 3):
+            spec = SldsSpec(
+                transition=np.eye(2),
+                F=np.stack([kal.F, rng.normal(size=(n, n))]),
+                Q=kal.Q,
+                H=kal.H,
+                R=kal.R,
+                init_mean=kal.F @ kal.init_mean,
+                init_cov=kal.F @ kal.init_cov @ kal.F.T + kal.Q,
+                window=window,
+            )
+            with np.errstate(all="raise"):
+                got = value(build_slds_marginal(spec, kal.observations))
+            np.testing.assert_allclose(got, value(build_kalman(kal)), atol=1e-8)
+
+    def test_sparse_transition_full_window_matches_enumeration(self):
+        rng = np.random.default_rng(27)
+        for T in (2, 4, 5):
+            spec, ys = random_slds(rng, 2, 2, T, window=T)
+            spec.transition = np.array([[1.0, 0.0], [0.5, 0.5]])
+            got = value(build_slds_marginal(spec, ys))
+            with np.errstate(divide="ignore"):
+                want = slds_enumeration(spec, ys)
+            np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_window_below_one_rejected(self):
         with pytest.raises(BoundsError):
