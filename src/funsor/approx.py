@@ -42,7 +42,6 @@ from .interp import (
     flatten_product,
     lift,
     normal_form_from_parts,
-    reduce_atoms,
     reduce_term,
     reduction_kind,
 )
@@ -191,31 +190,12 @@ def moment_match(
     return matched, TensorAtom._unchecked(kept, w)
 
 
-def match_atoms(
-    tensor: Optional[TensorAtom], gaussian: Optional[GaussianAtom], v: str
-) -> Optional[Tuple[Optional[TensorAtom], Optional[GaussianAtom]]]:
-    """A ``logaddexp`` reduction over ``v`` of a table plus a quadratic
-    factor, as moment matching evaluates it.
-
-    A mixture (the factor batched over ``v``, ``match_kind``'s
-    ``"match"``) collapses by ``moment_match``, whose table is the
-    mixture's weight; any other reduction runs Exact's closed form
-    (``reduce_atoms``).  Returns the new pair, or None where neither
-    applies.  A ``PairPlan`` classified by ``match_kind`` runs the same
-    cores on raw arrays.
-    """
-    if gaussian is not None and v in gaussian.batch:
-        matched, w_red = moment_match(tensor, gaussian, v)
-        return w_red, matched
-    return reduce_atoms(LOGADDEXP_REDUCE, tensor, gaussian, v)
-
-
 def match_kind(op, table: Optional[TypeContext], gaussian, v: str) -> Optional[str]:
     """How moment matching reduces ``v``, in ``reduction_kind``'s terms.
 
     ``"match"`` for a ``logaddexp`` over a label the quadratic factor is
-    batched over (a mixture ``match_atoms`` collapses), and Exact's kind
-    otherwise.
+    batched over: a mixture, which ``moment_match`` collapses onto its
+    weight table as the rule does.  Exact's kind otherwise.
     """
     if op.name == "logaddexp" and gaussian is not None and v in gaussian[0]:
         return "match"
@@ -244,7 +224,8 @@ class MomentMatching(Interpretation):
         # Elsewhere Exact's rules run the same closed form.
         if nf.gaussian is None or v not in nf.gaussian.batch:
             return None
-        return NormalForm((), *match_atoms(nf.tensor, nf.gaussian, v)).to_term()
+        matched, w_red = moment_match(nf.tensor, nf.gaussian, v)
+        return NormalForm((), w_red, matched).to_term()
 
 
 def mc_sample_discrete(
