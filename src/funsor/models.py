@@ -375,10 +375,11 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
     that sums the tables and fuses the quadratic factors left to right,
     then reduces as ``approx.match_kind`` says: it runs the kernels the
     moment-matching rules run on the same loop built from terms, in
-    their order, so the value is bit-identical.  Its signature (the carried layouts and the variables reduced) repeats
-    after a few steps, so each plan is derived once and replayed on raw
-    arrays, with views of the observations at the step; an atom is built
-    for the final table only.
+    their order, so the value is bit-identical.  Its signature (the
+    carried layouts and the variables reduced) repeats after a few
+    steps, so each plan is derived once and replayed on raw arrays, with
+    views of the observations at the step; an atom is built for the
+    final table only.
     """
     observations = np.asarray(observations, dtype=np.float64)
     _expect_shape("observations", observations, (None, spec.H.shape[0]))
@@ -410,6 +411,8 @@ def build_slds_marginal(spec: SldsSpec, observations) -> Term:
     pair = TypeContext([("s@1", z_k), ("s@0", z_k)])
     older = {f"{v}@{j}": f"{v}@{j + 1}" for j in range(L + 1) for v in "xs"}
     oldest = [f"x@{L}", f"s@{L}"]
+    # Real variables go first so the trailing switch states reduce
+    # over a plain table once no quadratic factor mentions them.
     tail = range(min(T, L) - 1, -1, -1)
     tail = [f"x@{j}" for j in tail] + [f"s@{j}" for j in tail]
 

@@ -182,9 +182,10 @@ class PairPlan:
     takes the parts' arrays (``factor_arrays``) and runs the kernels'
     array cores in the order the kernels run them: tables summed left to
     right, quadratic factors fused left to right, then each reduction in
-    closed form.  It returns the arrays of the result, whose layouts are
-    ``out`` (a table first, then a quadratic factor).  ``rest`` lists the
-    variables from the first one the classifier leaves lazy on.
+    closed form or, for the ``"match"`` kind, by moment matching.  It
+    returns the arrays of the result, whose layouts are ``out`` (a table
+    first, then a quadratic factor).  ``rest`` lists the variables from
+    the first one the classifier leaves lazy on.
     """
 
     op: ReduceOp
