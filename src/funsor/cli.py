@@ -1,6 +1,6 @@
 """Command line front end: evaluate model files.
 
-``funsor run model.json`` prints one JSON object with the log value.
+``funsor run model.json`` prints one strict JSON object with the log value.
 Model files carry a ``"model"`` discriminator naming the family;
 probabilities are written in linear space and converted to log
 internally, matrices as nested row-major lists.  The model builders
@@ -203,12 +203,12 @@ def cmd_run(config: RunConfig) -> int:
     payload = {
         "model": family,
         "interpretation": reported,
-        "log_value": value,
+        "log_value": value if np.isfinite(value) else str(value),
         "wall_ms": wall_ms,
     }
     if levels is not None:
         payload["levels"] = levels
-    print(json.dumps(payload))
+    print(json.dumps(payload, allow_nan=False))
     return 0
 
 

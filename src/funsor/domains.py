@@ -63,14 +63,6 @@ FunsorType = Union[Bounded, RealArray]
 Real = RealArray(())
 
 
-def is_discrete(t: FunsorType) -> bool:
-    return isinstance(t, Bounded)
-
-
-def is_real(t: FunsorType) -> bool:
-    return isinstance(t, RealArray)
-
-
 def check_user_name(name: str) -> str:
     """Validate a user-supplied variable name.
 
@@ -197,18 +189,10 @@ class TypeContext:
             raise NameAbsent(f"cannot remove absent name {name!r} from {self.pretty()}")
         return TypeContext(e for e in self._entries if e[0] != name)
 
-    def restrict(self, names) -> "TypeContext":
-        """Keep only the given names, in this context's order."""
-        keep = set(names)
-        return TypeContext(e for e in self._entries if e[0] in keep)
-
     @property
     def num_elements(self) -> int:
         """Product of per-entry element counts (bounds and flattened dims)."""
         return math.prod(tp.num_elements for _, tp in self._entries)
-
-    def discrete_entries(self) -> Tuple[Tuple[str, Bounded], ...]:
-        return tuple(e for e in self._entries if isinstance(e[1], Bounded))
 
     def real_entries(self) -> Tuple[Tuple[str, RealArray], ...]:
         return tuple(e for e in self._entries if isinstance(e[1], RealArray))

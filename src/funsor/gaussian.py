@@ -28,6 +28,12 @@ contexts and an array core: ``embed_layout`` and ``embed`` (under
 ``gaussian_marginalize``), and ``log_normalizer``.  The atom kernels
 derive the layout and run the core, so a replay of the cores on raw
 arrays computes what they compute.
+
+A precision that repeats along a batch axis stays a stride-0 view, as
+model builders and ``gaussian_expand_batch`` make it.  Precision-only
+terms (Cholesky factors, symmetrization, the constructor's checks,
+``embed``'s sums, the Schur complement) are computed once per distinct
+cell (``_distinct``) and broadcast back.  The information vector is never shared.
 """
 from __future__ import annotations
 
@@ -56,8 +62,31 @@ from .tensor import (
 LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _distinct(mats: np.ndarray, like: Optional[np.ndarray] = None) -> np.ndarray:
+    """``mats`` cut to length 1 along each batch axis that ``like`` (by
+    default ``mats``) repeats along: stride 0 and length above 1.  ``mats``
+    itself when there is none; the last two axes are the matrices."""
+    like = mats if like is None else like
+    if 0 not in like.strides[:-2]:
+        return mats
+    cut = [s == 0 and n > 1 for s, n in zip(like.strides, like.shape[:-2])]
+    if not any(cut):
+        return mats
+    return mats[tuple(slice(None, 1 if c else None) for c in cut)]
+
+
+def _spread(mats: np.ndarray, batch: Tuple[int, ...]) -> np.ndarray:
+    """``mats``, computed on distinct cells, broadcast back over ``batch``."""
+    if mats.shape[:-2] == batch:
+        return mats
+    return np.broadcast_to(mats, batch + mats.shape[-2:])
+
+
 def _cholesky_jitter(mats: np.ndarray) -> np.ndarray:
     """Batched Cholesky with one jitter retry; raises ``RankDeficient``."""
+    cells = _distinct(mats)
+    if cells is not mats:
+        return _spread(_cholesky_jitter(cells), mats.shape[:-2])
     try:
         return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
@@ -127,8 +156,9 @@ class GaussianAtom:
         i = np.asarray(info_vec, dtype=np.float64)
         p = np.asarray(precision, dtype=np.float64)
         _check_shapes(batch, reals, i, p)
-        asym = np.max(np.abs(p - np.swapaxes(p, -1, -2))) if p.size else 0.0
-        tol = 1e-8 * max(1.0, float(np.max(np.abs(p))) if p.size else 1.0)
+        c = _distinct(p)
+        asym = np.max(np.abs(c - np.swapaxes(c, -1, -2))) if p.size else 0.0
+        tol = 1e-8 * max(1.0, float(np.max(np.abs(c))) if p.size else 1.0)
         if asym > tol:
             raise ContextMismatch(f"precision asymmetric beyond tolerance ({asym:.3e})")
         self._fill(batch, reals, i, p)
@@ -139,7 +169,8 @@ class GaussianAtom:
         p = np.asarray(precision, dtype=np.float64)
         if symmetrize:
             i = np.ascontiguousarray(i)
-            p = (p + np.swapaxes(p, -1, -2)) / 2.0
+            cells = _distinct(p)
+            p = _spread((cells + np.swapaxes(cells, -1, -2)) / 2.0, p.shape[:-2])
         p.setflags(write=False)
         i.setflags(write=False)
         object.__setattr__(self, "batch", batch)
@@ -252,14 +283,17 @@ def embed_layout(parts, batch: TypeContext, reals: TypeContext):
 
 def embed(layout, params) -> Tuple[np.ndarray, np.ndarray]:
     """The array core of ``_embedded``: ``params`` are the parts'
-    ``(info_vec, precision)`` pairs, added in order into one zeroed pair."""
+    ``(info_vec, precision)`` pairs, added in order into one zeroed pair.
+    The precision is shared over the batch axes no part varies along."""
     bounds, dim, places = layout
     info = np.zeros(bounds + (dim,))
-    prec = np.zeros(bounds + (dim, dim))
-    for (align, rows, cols), (i, p) in zip(places, params):
+    precs = [realign(_distinct(p), a) for (a, _, _), (_, p) in zip(places, params)]
+    cells = bounds and tuple(map(max, zip(*[p.shape[:-2] for p in precs])))
+    prec = np.zeros(cells + (dim, dim))
+    for (align, rows, cols), (i, _), p in zip(places, params, precs):
         info[..., cols] += realign(i, align)
-        prec[..., rows, cols] += realign(p, align)
-    return info, prec
+        prec[..., rows, cols] += p
+    return info, _spread(prec, bounds)
 
 
 def _embedded(
@@ -307,7 +341,7 @@ def gaussian_log_normalizer(g: GaussianAtom) -> TensorAtom:
 
 def log_normalizer(info: np.ndarray, prec: np.ndarray) -> np.ndarray:
     """The array core of ``gaussian_log_normalizer``."""
-    chol = _cholesky_jitter(prec)
+    chol = _cholesky_jitter(_distinct(prec))
     logdet = _chol_logdet(chol)
     mean = _chol_solve(chol, info[..., None])[..., 0]
     quad = np.sum(info * mean, axis=-1)
@@ -331,20 +365,25 @@ def marginalize(u: np.ndarray, v: np.ndarray, info: np.ndarray, prec: np.ndarray
 
     Returns the log-normalizer over ``v`` and the Schur-complement
     remainder over ``u``, its precision symmetrized as ``_fill`` does.
+    The precision-only terms cut the ``p_uv`` the per-cell product uses, so
+    numpy picks its matmul kernel from the same memory layout for both.
     """
     i_u = info[..., u]
     i_v = info[..., v]
-    p_uu = prec[..., u[:, None], u[None, :]]
+    cells = _distinct(prec)
+    p_uu = cells[..., u[:, None], u[None, :]]
     p_uv = prec[..., u[:, None], v[None, :]]
-    p_vv = prec[..., v[:, None], v[None, :]]
+    p_vv = cells[..., v[:, None], v[None, :]]
     chol = _cholesky_jitter(p_vv)
     logdet = _chol_logdet(chol)
     x = _chol_solve(chol, i_v[..., None])[..., 0]
     quad = np.sum(i_v * x, axis=-1)
     w = 0.5 * len(v) * LOG_2PI - 0.5 * logdet + 0.5 * quad
     i_new = i_u - (p_uv @ x[..., None])[..., 0]
+    p_uv = _distinct(p_uv, prec)
     p_new = p_uu - p_uv @ _chol_solve(chol, np.swapaxes(p_uv, -1, -2))
-    return w, i_new, (p_new + np.swapaxes(p_new, -1, -2)) / 2.0
+    p_new = _spread((p_new + np.swapaxes(p_new, -1, -2)) / 2.0, prec.shape[:-2])
+    return w, i_new, p_new
 
 
 def gaussian_marginalize(

@@ -554,16 +554,3 @@ def tensor_cat(name: str, atoms: Sequence[TensorAtom]) -> TensorAtom:
         pieces.append(np.broadcast_to(arr, tuple(bounds) + a.out_shape))
     return TensorAtom(union, np.concatenate(pieces, axis=axis), out)
 
-
-def tensor_eval(atom: TensorAtom, assignment: dict) -> np.ndarray:
-    """Look up one cell (or output array) at a full integer assignment."""
-    idx = []
-    for n, tp in atom.context.entries:
-        try:
-            v = int(assignment[n])
-        except KeyError:
-            raise ContextMismatch(f"no value for {n!r}") from None
-        if not 0 <= v < tp.size:
-            raise IndexOutOfRange(f"{n!r}={v} outside Z{tp.size}")
-        idx.append(v)
-    return atom.data[tuple(idx)]

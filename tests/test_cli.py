@@ -174,6 +174,25 @@ class TestRunHmm:
             best = max(best, float(score))
         np.testing.assert_allclose(payload["log_value"], best, rtol=1e-10)
 
+    @pytest.mark.parametrize("scan", ["sequential", "parallel"])
+    def test_non_finite_log_value_is_strict_json(self, tmp_path, capsys, scan):
+        # The state cannot move, and each step rules out the other state.
+        doc = {
+            "model": "hmm",
+            "transition": np.eye(2).tolist(),
+            "emission_loglik": [[0.0, -np.inf], [-np.inf, 0.0]],
+        }
+        path = write_model(tmp_path, "hmm.json", doc)
+        code, out, _ = run_cli(capsys, ["run", path, "--scan", scan])
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["log_value"] == "-inf"
+        assert float(payload["log_value"]) == -np.inf
+
     def test_repeat_runs_identical_but_for_wall_ms(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         path = write_model(tmp_path, "hmm.json", hmm_doc(rng))
@@ -241,6 +260,65 @@ class TestRunOtherFamilies:
         assert "momentmatching" in err
         _, second, _ = run_json(capsys, ["run", path])
         assert first["log_value"] == second["log_value"]
+
+
+def kalman_filter(F, Q, H, R, observations, bias_cov=None):
+    """Log evidence by a moment-form Kalman filter.
+
+    ``y_t = H x_{t+1} + bias + noise`` with ``x_{t+1} = F x_t + noise`` and
+    ``x_0 ~ N(0, I)``; the shared bias rides along as static extra state.
+    """
+    n, m = F.shape[0], H.shape[0]
+    d = n if bias_cov is None else n + m
+    Fa, Qa, cov = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
+    Ha = np.zeros((m, d))
+    Fa[:n, :n], Qa[:n, :n], Ha[:, :n], cov[:n, :n] = F, Q, H, np.eye(n)
+    if bias_cov is not None:
+        Fa[n:, n:], Ha[:, n:], cov[n:, n:] = np.eye(m), np.eye(m), bias_cov
+    mean, total = np.zeros(d), 0.0
+    for y in observations:
+        mean, cov = Fa @ mean, Fa @ cov @ Fa.T + Qa
+        S = Ha @ cov @ Ha.T + R
+        e = y - Ha @ mean
+        L = np.linalg.cholesky(S)
+        z = np.linalg.solve(L, e)
+        total -= 0.5 * (m * np.log(2 * np.pi) + z @ z) + np.sum(np.log(np.diag(L)))
+        gain = np.linalg.solve(S, Ha @ cov).T
+        mean, cov = mean + gain @ e, cov - gain @ S @ gain.T
+        cov = 0.5 * (cov + cov.T)
+    return total
+
+
+class TestOddLengthParallelChains:
+    """The doubling scan joins an odd level's last cell to the merged
+    pairs; with a bias the observation precision is one cell shared over
+    time, and the merged pairs' precisions meet the last cell's there."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 7, 13, 2047])
+    def test_scans_agree_with_moment_filter(self, tmp_path, capsys, T):
+        rng = np.random.default_rng(700 + T)
+        n, m = 3, 2
+        F = 0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0]
+        spd = [rng.normal(size=(k, k)) for k in (n, m, m)]
+        Q, R, B = (a @ a.T + 0.5 * np.eye(len(a)) for a in spd)
+        H = rng.normal(size=(m, n))
+        bias, x, ys = np.linalg.cholesky(B) @ rng.normal(size=m), rng.normal(size=n), []
+        for _ in range(T):
+            x = F @ x + np.linalg.cholesky(Q) @ rng.normal(size=n)
+            ys.append(H @ x + bias + np.linalg.cholesky(R) @ rng.normal(size=m))
+        arrays = {"F": F, "Q": Q, "H": H, "R": R, "bias_cov": B, "observations": ys}
+        doc = {"model": "kalman", **{k: np.asarray(v).tolist() for k, v in arrays.items()}}
+        path = write_model(tmp_path, "kalman.json", doc)
+        values = {}
+        for scan in ("parallel", "sequential"):
+            code, payload, _ = run_json(capsys, ["run", path, "--scan", scan])
+            assert code == 0
+            values[scan] = payload["log_value"]
+            if scan == "parallel":
+                assert payload["levels"] == math.ceil(math.log2(T))
+        want = kalman_filter(F, Q, H, R, np.array(ys), bias_cov=B)
+        assert abs(values["parallel"] - values["sequential"]) <= 1e-6
+        assert abs(values["parallel"] - want) <= 1e-6
 
 
 class TestRunErrors:

@@ -7,8 +7,6 @@ from funsor.domains import (
     RealArray,
     TypeContext,
     check_user_name,
-    is_discrete,
-    is_real,
 )
 from funsor.errors import NameAbsent, TypeConflict
 
@@ -32,10 +30,6 @@ class TestTypes:
         assert RealArray((2, 3)).num_elements == 6
         with pytest.raises(TypeConflict):
             RealArray((0,))
-
-    def test_discrimination(self):
-        assert is_discrete(Bounded(2)) and not is_real(Bounded(2))
-        assert is_real(RealArray(())) and not is_discrete(RealArray(()))
 
     def test_equality(self):
         assert Bounded(4) == Bounded(4)
@@ -116,15 +110,10 @@ class TestTypeContext:
         with pytest.raises(NameAbsent):
             c.remove("z")
 
-    def test_restrict_keeps_order(self):
-        c = TypeContext([("a", Bounded(2)), ("b", Bounded(3)), ("c", Bounded(4))])
-        assert c.restrict(["c", "a"]).names == ("a", "c")
-
     def test_num_elements(self):
         c = TypeContext([("x", Bounded(2)), ("v", RealArray((3,)))])
         assert c.num_elements == 6
 
     def test_partition_by_kind(self):
         c = TypeContext([("x", Bounded(2)), ("v", RealArray((3,)))])
-        assert [n for n, _ in c.discrete_entries()] == ["x"]
         assert [n for n, _ in c.real_entries()] == ["v"]

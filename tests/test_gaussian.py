@@ -15,6 +15,10 @@ from funsor.errors import ContextMismatch, FunsorTypeError, RankDeficient
 from funsor.gaussian import (
     GaussianAtom,
     _block_offsets,
+    _cholesky_jitter,
+    _distinct,
+    embed,
+    embed_layout,
     gaussian_affine_substitute,
     gaussian_cat,
     gaussian_eval,
@@ -27,6 +31,9 @@ from funsor.gaussian import (
     gaussian_rename,
     gaussian_scale,
     gaussian_substitute,
+    log_normalizer,
+    marginal_layout,
+    marginalize,
     reorder_like,
 )
 from funsor.tensor import TensorAtom, align_array, index_tensor
@@ -590,3 +597,161 @@ class TestTrustBoundary:
             gaussian_log_normalizer(g)
         with pytest.raises(RankDeficient):
             gaussian_marginalize(g, "x")
+
+
+# Shared cells: a precision repeated along ``t`` (12 cells) is a stride-0
+# view; ``k`` varies.  ``info`` is per cell.
+SHARED_BATCH = TypeContext([("t", Bounded(12)), ("k", Bounded(2))])
+SHARED_REALS = TypeContext([("x", RealArray((2,))), ("y", RealArray(()))])
+
+
+def shared_params(rng):
+    a = rng.normal(size=(2, 3, 3))
+    cell = a @ np.swapaxes(a, -1, -2) + 1.5 * np.eye(3)
+    prec = np.broadcast_to(cell, (12, 2, 3, 3))
+    return rng.normal(size=(12, 2, 3)), prec
+
+
+def assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        a = a.data if isinstance(a, TensorAtom) else a
+        b = b.data if isinstance(b, TensorAtom) else b
+        if isinstance(a, GaussianAtom):
+            assert a.batch.entries == b.batch.entries
+            assert a.reals.entries == b.reals.entries
+            a, b = (a.info_vec, a.precision), (b.info_vec, b.precision)
+            assert_bitwise(a, b)
+        elif a is None:
+            assert b is None
+        else:
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+
+
+class TestSharedCells:
+    """A precision that repeats along a batch axis stays a stride-0 view;
+    the cores compute on its distinct cells and give the bits they give
+    on a full copy."""
+
+    def atoms(self, rng):
+        info, prec = shared_params(rng)
+        full = np.ascontiguousarray(prec)
+        return (
+            GaussianAtom(SHARED_BATCH, SHARED_REALS, info, prec),
+            GaussianAtom(SHARED_BATCH, SHARED_REALS, info, full),
+        )
+
+    def test_atom_keeps_the_view(self):
+        shared, _ = self.atoms(np.random.default_rng(0))
+        assert shared.precision.strides[0] == 0
+        assert shared.precision.strides[1] != 0
+
+    def test_cut_keeps_varying_and_length_one_axes(self):
+        _, prec = shared_params(np.random.default_rng(1))
+        assert _distinct(prec).shape == (1, 2, 3, 3)
+        full = np.ascontiguousarray(prec)
+        assert _distinct(full) is full
+        # numpy reports stride 0 for these length-1 axes; they are not shared.
+        single = np.broadcast_to(full[:1, :1], (1, 1, 3, 3))
+        assert single.strides[:2] == (0, 0)
+        assert _distinct(single) is single
+        assert_bitwise([_cholesky_jitter(single)], [np.linalg.cholesky(single)])
+        edge = np.broadcast_to(full[0, :1], (1, 9, 3, 3))
+        assert _distinct(edge).shape == (1, 1, 3, 3)
+
+    def test_cholesky(self):
+        _, prec = shared_params(np.random.default_rng(2))
+        got = _cholesky_jitter(prec)
+        assert got.strides[0] == 0
+        assert_bitwise([got], [_cholesky_jitter(np.ascontiguousarray(prec))])
+
+    def test_embed(self):
+        rng = np.random.default_rng(3)
+        info, prec = shared_params(rng)
+        other = random_gaussian(rng, [("y", RealArray(())), ("z", RealArray(()))])
+        reals = SHARED_REALS.union(other.reals)
+        layout = embed_layout(
+            [(SHARED_BATCH, SHARED_REALS), (other.batch, other.reals)],
+            SHARED_BATCH,
+            reals,
+        )
+        theirs = (other.info_vec, other.precision)
+        got = embed(layout, [(info, prec), theirs])
+        want = embed(layout, [(info, np.ascontiguousarray(prec)), theirs])
+        assert got[1].strides[0] == 0 and want[1].strides[0] != 0
+        assert_bitwise(got, want)
+        # No part varies along any axis: one cell, shared over both.
+        lone = embed(layout[:2] + (layout[2][1:],), [theirs])
+        assert lone[1].shape == (12, 2, 4, 4) and lone[1].strides[:2] == (0, 0)
+
+    @pytest.mark.parametrize("varying", [2, None])
+    @pytest.mark.parametrize("dx, name", [(2, "x"), (2, "y"), (4, "x")])
+    def test_marginalize(self, dx, name, varying):
+        # Keeping one coordinate against four eliminated ones makes the
+        # Schur product a dot product, whose kernel numpy picks from the
+        # operands' layout; the cut must keep the full product's layout.
+        reals = TypeContext([("x", RealArray((dx,))), ("y", RealArray(()))])
+        batch = (12,) if varying is None else (12, varying)
+        u, v = marginal_layout(reals, name)
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            a = rng.normal(size=batch[1:] + (dx + 1, dx + 1))
+            cell = a @ np.swapaxes(a, -1, -2) + 1.5 * np.eye(dx + 1)
+            prec = np.broadcast_to(cell, batch + cell.shape[-2:])
+            info = rng.normal(size=batch + (dx + 1,))
+            got = marginalize(u, v, info, prec)
+            want = marginalize(u, v, info, np.ascontiguousarray(prec))
+            assert got[2].strides[0] == 0
+            assert_bitwise(got, want)
+
+    def test_log_normalizer(self):
+        info, prec = shared_params(np.random.default_rng(5))
+        got = log_normalizer(info, prec)
+        assert_bitwise([got], [log_normalizer(info, np.ascontiguousarray(prec))])
+
+    def test_atom_kernels(self):
+        rng = np.random.default_rng(6)
+        shared, full = self.atoms(rng)
+        other = random_gaussian(rng, [("y", RealArray(()))], [("t", Bounded(3))])
+        picks = index_tensor(
+            TypeContext([("s", Bounded(4))]), np.array([11.0, 0.0, 5.0, 5.0]), 12
+        )
+        template = GaussianAtom._unchecked(
+            TypeContext([("k", Bounded(2)), ("t", Bounded(12))]),
+            TypeContext([("y", RealArray(())), ("x", RealArray((2,)))]),
+            np.zeros((2, 12, 3)),
+            np.zeros((2, 12, 3, 3)),
+            symmetrize=False,
+        )
+        y_val = TensorAtom(TypeContext([("j", Bounded(3))]), rng.normal(size=3))
+        kernels = {
+            "plated_product": lambda g: gaussian_plated_product(g, "t"),
+            "plated_product_k": lambda g: gaussian_plated_product(g, "k"),
+            "cat": lambda g: gaussian_cat("t", [g, other]),
+            "index_batch": lambda g: gaussian_index_batch(g, "t", picks),
+            "reorder_like": lambda g: reorder_like(g, template),
+            "substitute": lambda g: gaussian_substitute(g, "y", y_val),
+            "marginalize": lambda g: gaussian_marginalize(g, "x"),
+            "log_normalizer": lambda g: gaussian_log_normalizer(g),
+        }
+        for name, kernel in kernels.items():
+            got, want = kernel(shared), kernel(full)
+            if not isinstance(got, tuple):
+                got, want = (got,), (want,)
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("bad", ["asymmetric", "indefinite"])
+    def test_checks_reject_a_shared_precision_as_a_full_one(self, bad):
+        info, prec = shared_params(np.random.default_rng(7))
+        cell = np.array(prec[0])
+        if bad == "asymmetric":
+            cell[:, 0, 1] += 1.0
+        else:
+            cell[1] = np.diag([1.0, -1.0, 1.0])
+        errors = []
+        for p in (np.broadcast_to(cell, prec.shape), np.broadcast_to(cell, prec.shape).copy()):
+            with pytest.raises((ContextMismatch, RankDeficient)) as exc:
+                GaussianAtom(SHARED_BATCH, SHARED_REALS, info, p)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]

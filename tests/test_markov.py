@@ -591,6 +591,34 @@ class TestParallelFold:
                     want = interpret(EXACT, node)
             assert got == want, pretty(node)
 
+    def test_shared_precision_is_factored_once_per_level(self, monkeypatch):
+        """With a bias, every observation cell has the same precision, so
+        the first level marginalizes over 1024 cells of one precision and
+        factors that precision once."""
+        from funsor import optimize
+        from funsor.models import build_kalman
+
+        term = build_kalman(kalman_spec(np.random.default_rng(8), 2048))
+        batches, factored = [], []
+        marginalize, cholesky = optimize.marginalize, np.linalg.cholesky
+
+        def spy_marginalize(u, v, info, prec):
+            batches.append(prec.shape[:-2])
+            return marginalize(u, v, info, prec)
+
+        def spy_cholesky(mats):
+            factored.append(mats.shape[:-2])
+            return cholesky(mats)
+
+        monkeypatch.setattr(optimize, "marginalize", spy_marginalize)
+        monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
+        stats = {}
+        with scan_mode("parallel", stats=stats):
+            interpret(EXACT, term)
+        assert stats["levels"] == 11
+        assert batches[:3] == [(1024,), (512,), (256,)]
+        assert factored and all(math.prod(cells) == 1 for cells in factored)
+
     def test_monte_carlo_matches_the_term_path(self, monkeypatch):
         from funsor import markov
         from funsor.approx import MonteCarlo

@@ -20,7 +20,6 @@ from funsor.tensor import (
     tensor_apply,
     tensor_cat,
     tensor_contract,
-    tensor_eval,
     tensor_index,
     tensor_reduce,
     tensor_slice,
@@ -206,9 +205,7 @@ class TestIndexingAndShaping:
         out = tensor_index(a, "i", idx)
         assert out.context.names == ("j", "k")
         for k, i in enumerate([2, 0]):
-            np.testing.assert_allclose(
-                tensor_eval(out, {"j": 1, "k": k}), a.data[i, 1]
-            )
+            np.testing.assert_allclose(out.data[1, k], a.data[i, 1])
 
     @pytest.mark.parametrize("bad", [-1.0, 3.0, 1.5, np.nan, np.inf, -np.inf])
     def test_index_values_outside_the_bound_raise(self, bad):
@@ -440,19 +437,3 @@ class TestRename:
         )
         assert not np.shares_memory(perm.data, a.data)
         np.testing.assert_array_equal(perm.data, a.data[[2, 0, 1]].T)
-
-
-class TestEval:
-    def test_eval_matches_direct_indexing(self):
-        rng = np.random.default_rng(11)
-        a = random_atom(rng, [("i", Bounded(3)), ("j", Bounded(4))])
-        for i in range(3):
-            for j in range(4):
-                np.testing.assert_allclose(
-                    tensor_eval(a, {"i": i, "j": j}), a.data[i, j]
-                )
-
-    def test_eval_rejects_out_of_range(self):
-        a = TensorAtom(TypeContext([("i", Bounded(2))]), np.zeros(2))
-        with pytest.raises(IndexOutOfRange):
-            tensor_eval(a, {"i": 2})
