@@ -4,9 +4,11 @@ Both interpretations intercept ``logaddexp`` reductions and fall back to
 the exact rules for everything else.  Moment matching collapses a
 mixture of quadratic factors over one bounded variable into the single
 quadratic factor with the mixture's mean and covariance, leaving the
-matched total weight behind; the matching is split into a layout half
-(``match_layout``) and an array core (``match``), which the rule and the
-switching model's replayed steps share.  Monte Carlo replaces the
+matched total weight behind.  It declares ``match_kind`` as its
+reduction classifier, so its rule, its chain steps and the switching
+model's steps run one ``PairPlan`` step, whose ``"match"`` kind is
+``match_layout`` plus the array core ``match``.  Monte Carlo declares
+none and sees every reduction through its rule, which replaces the
 reduced factor with a weighted point mass at a sampled value, so
 downstream factors see the sample while the total weight stays an
 unbiased estimate.
@@ -37,11 +39,11 @@ from .gaussian import (
 from .interp import (
     EXACT,
     Interpretation,
-    NormalForm,
     Rule,
     flatten_product,
     lift,
     normal_form_from_parts,
+    reduce_normal_form,
     reduce_term,
     reduction_kind,
 )
@@ -210,6 +212,7 @@ class MomentMatching(Interpretation):
             "momentmatching",
             rules=[Rule(Reduce, self._h_reduce, "match-moments")],
             fallback=EXACT,
+            classify=match_kind,
         )
 
     def _h_reduce(self, node: Reduce) -> Optional[Term]:
@@ -224,8 +227,7 @@ class MomentMatching(Interpretation):
         # Elsewhere Exact's rules run the same closed form.
         if nf.gaussian is None or v not in nf.gaussian.batch:
             return None
-        matched, w_red = moment_match(nf.tensor, nf.gaussian, v)
-        return NormalForm((), w_red, matched).to_term()
+        return reduce_normal_form(node.op, nf, v, match_kind)
 
 
 def mc_sample_discrete(

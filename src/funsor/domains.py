@@ -63,19 +63,6 @@ FunsorType = Union[Bounded, RealArray]
 Real = RealArray(())
 
 
-def check_user_name(name: str) -> str:
-    """Validate a user-supplied variable name.
-
-    ``#`` is reserved for generated fresh names and rejected here; generated
-    names do not pass through this check.
-    """
-    if not isinstance(name, str) or not name:
-        raise TypeConflict(f"variable names must be nonempty strings, got {name!r}")
-    if "#" in name:
-        raise TypeConflict(f"'#' is reserved for generated names: {name!r}")
-    return name
-
-
 def _conflict(name: str, prev: FunsorType, tp: FunsorType) -> TypeConflict:
     return TypeConflict(f"name {name!r} used at both {prev.pretty()} and {tp.pretty()}")
 

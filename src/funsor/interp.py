@@ -119,7 +119,12 @@ class WholeRule:
 
 
 class Interpretation:
-    """An ordered rule list with an optional fallback chain."""
+    """An ordered rule list with an optional fallback chain.
+
+    ``classify`` (``reduction_kind``'s signature; not inherited) declares
+    how the interpretation reduces tables and quadratic factors, so steps
+    over them run as ``PairPlan``s without dispatching a rule.
+    """
 
     def __init__(
         self,
@@ -127,11 +132,13 @@ class Interpretation:
         rules: Sequence[Rule] = (),
         fallback: Optional["Interpretation"] = None,
         whole_rules: Sequence[WholeRule] = (),
+        classify: Optional[Callable] = None,
     ):
         self.name = name
         self.rules = list(rules)
         self.fallback = fallback
         self.whole_rules = list(whole_rules)
+        self.classify = classify
 
     def chain(self):
         interp = self
@@ -931,32 +938,25 @@ def _h_reduce_product(node: Reduce) -> Optional[Term]:
         return None
     if any(v in t.free_vars for t in nf.lazy_rest):
         return None
-    reduced = reduce_atoms(node.op, nf.tensor, nf.gaussian, v)
-    if reduced is None:
-        return None
-    return NormalForm(nf.deltas, *reduced, nf.lazy_rest).to_term()
+    # Exact's kinds, whichever interpretation's rules declined first.
+    return reduce_normal_form(node.op, nf, v, reduction_kind)
 
 
-def reduce_atoms(
-    op, tensor: Optional[TensorAtom], gaussian: Optional[GaussianAtom], v: str
-) -> Optional[Tuple[Optional[TensorAtom], Optional[GaussianAtom]]]:
-    """Reduce ``v`` out of a table plus a quadratic factor in closed form.
-
-    Returns the new pair, or None where Exact leaves the reduction lazy
-    (see ``reduction_kind``).
+def reduce_normal_form(op, nf: NormalForm, v: str, classify) -> Optional[Term]:
+    """Reduce ``v`` out of a normal form's table and quadratic factor by
+    the one-step ``PairPlan`` ``classify`` gives, keeping the other factors
+    (which must not mention ``v``); None where ``classify`` leaves it lazy.
     """
-    kind = reduction_kind(
-        op,
-        None if tensor is None else tensor.context,
-        None if gaussian is None else (gaussian.batch, gaussian.reals),
-        v,
-    )
-    if kind == "marginalize":
-        w, g2 = gaussian_marginalize(gaussian, v)
-        return _fuse_tensor(tensor, w), g2
-    if kind == "fold":
-        return tensor_reduce(op, tensor, v), gaussian
-    return None
+    from .optimize import factor_layout, pair_plan
+
+    parts = [TensorLeaf(nf.tensor)] if nf.tensor is not None else []
+    if nf.gaussian is not None:
+        parts.append(GaussianLeaf(nf.gaussian))
+    plan = pair_plan(op, [factor_layout(p) for p in parts], [v], classify)
+    if plan.rest:
+        return None
+    deltas = [DeltaLeaf(d) for d in nf.deltas]
+    return _chain_add(deltas + plan.run_leaves(parts) + list(nf.lazy_rest))
 
 
 def reduction_kind(op, table: Optional[TypeContext], gaussian, v: str) -> Optional[str]:
@@ -980,21 +980,6 @@ def reduction_kind(op, table: Optional[TypeContext], gaussian, v: str) -> Option
     if table is not None and v in table:
         return "fold"
     return None
-
-
-def closed_form_reductions() -> bool:
-    """Whether reductions built now would run Exact's closed-form rules.
-
-    True when Exact is in the current interpretation's chain and no
-    interpretation ahead of it claims a sum or a reduction, so folding
-    atoms directly gives what dispatching the terms would.
-    """
-    for interp in current_interpretation().chain():
-        if interp is EXACT:
-            return True
-        if any(issubclass(h, r.head) for r in interp.rules for h in (Apply, Reduce)):
-            return False
-    return False
 
 
 def _h_markov(node: MarkovProd) -> Optional[Term]:
@@ -1127,4 +1112,5 @@ EXACT = Interpretation(
     ],
     fallback=LAZY,
     whole_rules=[WholeRule(Reduce, _w_contract_reduction, "contract-reduction")],
+    classify=reduction_kind,
 )

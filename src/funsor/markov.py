@@ -15,15 +15,16 @@ takes the tables and quadratic factors at one time index as views; the
 doubling scan takes them at the even and the odd stride-2 slice of each
 level.  Matched names are relabeled at atom level, and the factor lists
 go to ``contract_pair`` (a fold step) or ``contract`` (a level).  Under
-Exact and Optimize that runs the rules' kernels in the rules' order
-without dispatching a rule (so no fuel is spent); Monte Carlo and
-moment matching see every reduction through their rules.  A fold whose
-body holds only tables and quadratic factors goes further under Exact
-and Optimize: each step's ``PairPlan`` (the layout half of
-``contract_pair``) is derived once per step signature, which repeats
-with period two as the matched names alternate, and replayed on raw
-arrays, so atoms are built for the result only; a step that Exact
-would leave lazy hands the rest of the chain back to ``contract_pair``.
+an interpretation that declares a reduction classifier (Exact, Optimize,
+moment matching) that runs the rules' kernels in the rules' order
+without dispatching a rule (so no fuel is spent); Monte Carlo declares
+none and sees every reduction through its rules.  A fold whose body
+holds only tables and quadratic factors goes further: each step's
+``PairPlan`` (the layout half of ``contract_pair``) is derived once per
+step signature, which repeats with period two as the matched names
+alternate, and replayed on raw arrays, so atoms are built for the
+result only; a step the classifier leaves lazy hands the rest of the
+chain back to ``contract_pair``.
 An odd level's last position is joined to the merged pairs by a ``Cat``
 term, whose rule concatenates the tables and the quadratic factors back
 into one of each, so the next level starts from atoms again.  Other
@@ -47,7 +48,7 @@ from .interp import (
     _chain_add,
     _rename_tensor,
     cat_term,
-    closed_form_reductions,
+    current_interpretation,
     flatten_product,
     index_gaussian_batch,
     subst_term,
@@ -113,8 +114,9 @@ def _sequential(node: MarkovProd, T: int) -> Term:
     # chain; each step eliminates the set it binds.
     pairs = sorted(node.step, key=lambda pc: isinstance(types.typeof(pc[1]), Bounded))
     names = [{c: fresh_name(c) for _, c in pairs} for _ in range(2)]
-    if closed_form_reductions() and all(is_atom_factor(p) for p in factors):
-        result, start = _replay(node, factors, pairs, names, T)
+    classify = current_interpretation().classify
+    if classify is not None and all(is_atom_factor(p) for p in factors):
+        result, start = _replay(node, factors, pairs, names, T, classify)
     else:
         result, start = _at(factors, {tv: _cell(0, T)}, {}, types), 1
     for k in range(start, T):
@@ -127,8 +129,8 @@ def _sequential(node: MarkovProd, T: int) -> Term:
     return _chain_add(result)
 
 
-def _replay(node: MarkovProd, factors, pairs, names, T: int):
-    """Fold the chain's steps on arrays while they are in closed form.
+def _replay(node: MarkovProd, factors, pairs, names, T: int, classify):
+    """Fold the chain's steps on arrays while ``classify`` reduces them.
 
     A step's ``PairPlan`` depends only on its signature: the layouts of
     the carried factors and of the body's cells, which alternate with the
@@ -136,7 +138,7 @@ def _replay(node: MarkovProd, factors, pairs, names, T: int):
     replayed on the carried arrays and on views of the body's arrays at
     the step's time index; atoms are built for the result only.  Returns
     the carried factors and the first step left to the term path (``T``
-    when none is): a step whose reduction Exact leaves lazy.
+    when none is): a step with a reduction ``classify`` leaves lazy.
     """
     tv = node.timevar
     layouts = [factor_layout(p) for p in factors]
@@ -181,6 +183,7 @@ def _replay(node: MarkovProd, factors, pairs, names, T: int):
                 node.op,
                 [rename_layout(lay, mid) for lay in held] + cells[k % 2],
                 list(mid.values()),
+                classify,
             )
             if plan.rest:
                 return factor_leaves(held, carried), k

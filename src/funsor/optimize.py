@@ -11,15 +11,15 @@ plus one, matching how large the dense and quadratic blocks get.
 ``contract`` is the one contraction path: chain steps, Exact's
 lazily built reductions and Optimize's plans all go through it (a
 sequential chain step calls its pairwise step, ``contract_pair``,
-directly), and every plan runs under the caller's interpretation, so
-approximate rules still see each planned reduction.  A pairwise step on
-tables and quadratic factors is a ``PairPlan``: derived from the
-factors' layouts alone and run on their arrays, so a sequential chain
-derives it once per step signature and replays it.  The switching
-model's collapse loop replays its steps the same way, with moment
-matching as one more reduction kind.  Exact plans one reduction at a
-time; Optimize gathers directly nested sums over a shared product into
-one joint plan instead of collapsing them innermost-first.
+directly), and every plan runs under the caller's interpretation.  A
+pairwise step on tables and quadratic factors is a ``PairPlan``: derived
+from the factors' layouts alone, with each reduction classified as the
+interpretation declares, and run on their arrays.  Chains replay it per
+step signature, and the rules run it as a one-step plan; Monte Carlo
+declares no classifier, so its rules see every reduction.  Exact plans
+one reduction at a time; Optimize gathers directly nested sums over a
+shared product into one joint plan instead of collapsing them
+innermost-first.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .interp import (
     Interpretation,
     WholeRule,
     _chain_add,
-    closed_form_reductions,
+    current_interpretation,
     flatten_product,
     lift,
     reduce_term,
@@ -223,19 +223,21 @@ class PairPlan:
             t = w if lay is None else pointwise(ADD, *lay, [t, w])
         return [x for x in (t, g) if x is not None]
 
+    def run_leaves(self, parts: Sequence[Term]) -> List[Term]:
+        """``run`` on the arrays of factor leaves; returns the result's leaves."""
+        return factor_leaves(self.out, self.run([factor_arrays(p) for p in parts]))
 
-def pair_plan(
-    op: ReduceOp, parts: Sequence, rvars: Sequence[str], classify=reduction_kind
-) -> PairPlan:
+
+def pair_plan(op: ReduceOp, parts: Sequence, rvars: Sequence[str], classify) -> PairPlan:
     """Derive the ``PairPlan`` of a step from its parts' layouts.
 
     ``parts`` are ``factor_layout``s.  Two tables contract through
     ``tensor_contract``, as ``contract_pair`` does; otherwise the step is
     the closed form of ``normal_form_from_parts`` followed by one
     reduction per variable.  ``classify`` says how each variable is
-    reduced, with ``reduction_kind``'s signature: Exact's kinds by
-    default, or also ``"match"`` (``approx.match_kind``), a mixture
-    collapsed by ``moment_match`` onto its weight table.
+    reduced, with ``reduction_kind``'s signature: Exact's kinds
+    (``reduction_kind``), or also ``"match"`` (``approx.match_kind``), a
+    mixture collapsed by ``moment_match`` onto its weight table.
     """
     plan = PairPlan(op, list(parts), tuple(rvars))
     tabular = [isinstance(c, TypeContext) for c in parts]
@@ -311,11 +313,11 @@ def contract_pair(
 
     ``a`` and ``b`` are flat factor lists, as ``flatten_product`` returns
     them.  Two real scalar tables go through ``tensor_contract`` without
-    building their union table.  When Exact's rules would evaluate the
-    step and every factor is a table or a quadratic factor, the step's
-    ``PairPlan`` runs the rules' kernels' array cores in the rules' order,
-    without building or dispatching the intermediate terms.  Other factors
-    are lifted and reduced by the rules.
+    building their union table.  When the current interpretation declares
+    a classifier and every factor is a table or a quadratic factor, the
+    step's ``PairPlan`` runs the rules' kernels' array cores in the rules'
+    order, without building or dispatching the intermediate terms.  The
+    rules reduce the rest: other factors, and what the classifier leaves.
     """
     parts = [*a, *b]
     if len(parts) == 2 and all(
@@ -323,10 +325,10 @@ def contract_pair(
     ):
         return TensorLeaf(tensor_contract(op, [p.atom for p in parts], rvars))
     rest = list(rvars)
-    if closed_form_reductions() and all(is_atom_factor(p) for p in parts):
-        plan = pair_plan(op, [factor_layout(p) for p in parts], rvars)
-        arrays = plan.run([factor_arrays(p) for p in parts])
-        out = _chain_add(factor_leaves(plan.out, arrays))
+    classify = current_interpretation().classify
+    if classify is not None and all(is_atom_factor(p) for p in parts):
+        plan = pair_plan(op, [factor_layout(p) for p in parts], rvars, classify)
+        out = _chain_add(plan.run_leaves(parts))
         rest = plan.rest
     else:
         out = lift(ADD, _chain_add(a), _chain_add(b))
@@ -403,4 +405,5 @@ OPTIMIZE = Interpretation(
     rules=[],
     fallback=EXACT,
     whole_rules=[WholeRule(Reduce, _w_plan_reduction, "plan-contraction")],
+    classify=reduction_kind,
 )

@@ -34,7 +34,7 @@ _FRESH_LOCK = threading.Lock()
 
 
 def fresh_name(base: str) -> str:
-    """A name guaranteed distinct from every user name and prior fresh name."""
+    """A name distinct from prior fresh names and from any name without ``#``."""
     stem = base.split("#", 1)[0] or "v"
     with _FRESH_LOCK:
         n = next(_FRESH)

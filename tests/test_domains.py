@@ -2,12 +2,7 @@
 
 import pytest
 
-from funsor.domains import (
-    Bounded,
-    RealArray,
-    TypeContext,
-    check_user_name,
-)
+from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import NameAbsent, TypeConflict
 
 
@@ -37,19 +32,6 @@ class TestTypes:
         assert RealArray((2,)) == RealArray((2,))
         assert RealArray((2,)) != RealArray((3,))
         assert Bounded(2) != RealArray((2,))
-
-
-class TestUserNames:
-    def test_accepts_plain_names(self):
-        assert check_user_name("state") == "state"
-
-    def test_rejects_reserved_marker(self):
-        with pytest.raises(TypeConflict):
-            check_user_name("state#1")
-
-    def test_rejects_empty(self):
-        with pytest.raises(TypeConflict):
-            check_user_name("")
 
 
 class TestTypeContext:

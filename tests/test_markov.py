@@ -320,20 +320,23 @@ class TestSequentialFold:
         want = fold_chain(body.atom.data, max_compose)
         np.testing.assert_array_equal(got.atom.data, want)
 
-    def test_atoms_fold_only_where_exact_reduces(self):
-        from funsor.approx import MomentMatching, MonteCarlo
-        from funsor.interp import closed_form_reductions
+    def test_interpretations_declare_their_classifier(self):
+        """Exact and Optimize reduce in closed form and moment matching
+        also matches mixtures; Monte Carlo and Lazy declare nothing, so
+        their steps dispatch every reduction."""
+        from funsor.approx import MomentMatching, MonteCarlo, match_kind
+        from funsor.interp import reduction_kind
         from funsor.optimize import OPTIMIZE
 
-        for interp, folds in [
-            (EXACT, True),
-            (OPTIMIZE, True),
-            (MomentMatching(), False),
-            (MonteCarlo(0), False),
-            (LAZY, False),
+        for interp, classify in [
+            (EXACT, reduction_kind),
+            (OPTIMIZE, reduction_kind),
+            (MomentMatching(), match_kind),
+            (MonteCarlo(0), None),
+            (LAZY, None),
+            (Interpretation("plain", fallback=EXACT), None),
         ]:
-            with interpretation(interp):
-                assert closed_form_reductions() is folds, interp
+            assert interp.classify is classify, interp
 
 
 def term_parallel(node, T):
@@ -548,6 +551,91 @@ class TestSequentialReplay:
             ),
             rtol=1e-12,
         )
+
+
+def switching_chain(K=2, n=2, T=9):
+    """A switching linear-Gaussian chain with its boundary reduced.
+
+    The table is over ``(sp, sc)`` and the quadratic factor over
+    ``(xp, xc)`` is batched over ``sc``, so every step's switch sum is a
+    mixture, which moment matching collapses.
+    """
+    rng = np.random.default_rng([K, n, T, 0])
+    tab = TensorAtom(
+        TypeContext([("t", Bounded(T)), ("sp", Bounded(K)), ("sc", Bounded(K))]),
+        np.log(rng.dirichlet(np.ones(K), size=(T, K))),
+    )
+    Qi = np.linalg.inv(0.5 * np.eye(n))
+    precs = []
+    for _ in range(K):
+        F = 0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0]
+        trans = np.block([[F.T @ Qi @ F, -F.T @ Qi], [-Qi @ F, Qi]])
+        precs.append(trans + np.diag([0.1] * n + [1.0] * n))
+    g = GaussianAtom(
+        TypeContext([("t", Bounded(T)), ("sc", Bounded(K))]),
+        TypeContext([("xp", RealArray((n,))), ("xc", RealArray((n,)))]),
+        rng.normal(size=(T, K, 2 * n)),
+        np.broadcast_to(np.stack(precs), (T, K, 2 * n, 2 * n)),
+    )
+    with interpretation(LAZY):
+        out = MarkovProd(
+            "t", (("sp", "sc"), ("xp", "xc")), lift("add", to_term(tab), GaussianLeaf(g))
+        )
+        for v in ("xp", "xc", "sp", "sc"):
+            out = reduce_term("logaddexp", v, out)
+    return out
+
+
+class TestDeclaredClassifier:
+    """Chain steps run as plans under the classifier the interpretation
+    declares, and through the rules when it declares none."""
+
+    # The values the rules gave before moment matching replayed its steps.
+    SWITCHING = {
+        "sequential": "0x1.0f08622a23bf2p+4",
+        "parallel": "0x1.10c3ac3bd4686p+4",
+    }
+
+    @pytest.mark.parametrize("mode", SCAN_MODES)
+    def test_moment_matching_plans_switching_chains(self, mode, monkeypatch):
+        from funsor import optimize
+        from funsor.approx import MomentMatching
+
+        matched = []
+        real = optimize.match
+
+        def spy(*args):
+            matched.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimize, "match", spy)
+        with scan_mode(mode):
+            got = interpret(MomentMatching(), switching_chain())
+        assert float(got.atom.data).hex() == self.SWITCHING[mode]
+        assert matched
+
+    def test_undeclared_interpretation_takes_the_rule_path(self, monkeypatch):
+        from funsor import markov
+        from funsor.models import kalman_factors
+
+        plain = Interpretation("plain", fallback=EXACT)
+        with interpretation(LAZY):
+            term = kalman_factors(kalman_spec(np.random.default_rng(30), 33))[1]
+        derived = []
+        real = markov.pair_plan
+
+        def spy(*args):
+            derived.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(markov, "pair_plan", spy)
+        with scan_mode("sequential"):
+            want = interpret(EXACT, term)
+            assert derived
+            derived.clear()
+            got = interpret(plain, term)
+        assert derived == []
+        assert got == want
 
 
 class TestParallelFold:

@@ -442,6 +442,26 @@ class TestKalman:
             got = value(build_kalman(spec))
         np.testing.assert_allclose(got, target, atol=1e-6)
 
+    def test_long_moment_matching_chain_fits_the_default_fuel(self, monkeypatch):
+        """Moment matching declares its classifier, so its sequential steps
+        replay plans and spend no fuel, as Exact's do."""
+        monkeypatch.delenv("FUNSOR_FUEL", raising=False)
+        rng = np.random.default_rng(16)
+        n, m, T = 3, 2, 5100
+        a, b = rng.normal(size=(n, n)), rng.normal(size=(m, m))
+        spec = KalmanSpec(
+            F=0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0],
+            Q=a @ a.T + 0.5 * np.eye(n),
+            H=rng.normal(size=(m, n)),
+            R=b @ b.T + 0.5 * np.eye(m),
+            observations=rng.normal(size=(T, m)),
+        )
+        term = build_kalman(spec)
+        with scan_mode("sequential"):
+            exact = value(term)
+            matched = float(interpret(MomentMatching(), term).atom.data)
+        assert matched == exact
+
     def test_folded_steps_equal_the_rule_path(self):
         """Exact folds each sequential step's atoms directly; moment
         matching claims reductions, so its steps dispatch the rules.  Both
