@@ -11,12 +11,14 @@ interpretation.  Terms no rule claims are left as lazy syntax.
 Whole-term rules see a node before ``reinterpret`` rebuilds its
 children.  They belong to the interpretation that declares them: unlike
 ordinary rules, they are not inherited through the fallback chain.
+Only Optimize declares one.
 
 The default interpretation is Exact, which evaluates products,
 substitutions and reductions of the atomic factors in closed form and
-leaves everything else lazy.  Its one whole-term rule hands each lazily
-built reduction over a product to the contraction planner before the
-product is fused, so the factors' union table is never built.
+leaves everything else lazy.  A sum of tables that no one of them spans
+stays unfused, built eagerly or lazily alike, since fusing it would
+build a table larger than any of them; a ``logaddexp`` or ``max``
+reduction over it hands the tables to the contraction planner.
 
 Lazy only pushes substitutions through non-atomic structure, and its
 rule is the only code that pushes a substitution through ``Apply``,
@@ -611,17 +613,26 @@ def _h_variable(node: Variable) -> Optional[Term]:
     return None
 
 
+def _spread_tables(parts: Sequence[Term]) -> bool:
+    """Whether the summands are real scalar tables that no one of them
+    spans, so that fusing them would build a larger table than any."""
+    if not all(isinstance(p, TensorLeaf) and p.is_scalar_real() for p in parts):
+        return False
+    names = [set(p.atom.context.names) for p in parts]
+    return set().union(*names) not in names
+
+
 def _h_apply_tensors(node: Apply) -> Optional[Term]:
+    if node.op.name == "add" and _spread_tables(node.args):
+        return None
     if all(isinstance(a, TensorLeaf) for a in node.args):
         return TensorLeaf(tensor_apply(node.op, [a.atom for a in node.args]))
     return None
 
 
 def _h_product_normalize(node: Apply) -> Optional[Term]:
-    if node.op.name != "add" or not node.is_scalar_real():
-        return None
     parts = flatten_product(node)
-    if len(parts) < 2:
+    if len(parts) < 2 or _spread_tables(parts):
         return None
     candidate = normal_form_from_parts(parts).to_term()
     if candidate == node:
@@ -890,14 +901,10 @@ def _h_reduce_product(node: Reduce) -> Optional[Term]:
     from .gaussian import gaussian_scale
 
     body = node.body
-    if not (
-        isinstance(body, Apply)
-        and body.op.name == "add"
-        and body.is_scalar_real()
-    ):
+    parts = flatten_product(body)
+    if len(parts) < 2:
         return None
     v = node.var
-    parts = flatten_product(body)
     if node.op.name == "add":
         n = body.free_vars.typeof(v).size
         out_parts: List[Term] = []
@@ -918,6 +925,10 @@ def _h_reduce_product(node: Reduce) -> Optional[Term]:
         for p in out_parts[1:]:
             out = lift(ADD, out, p)
         return out
+    if _spread_tables(parts):
+        from .optimize import contract
+
+        return contract(node.op, [v], parts)
 
     nf = normal_form_from_parts(parts)
     named = [d for d in nf.deltas if d.name == v]
@@ -986,12 +997,6 @@ def _h_markov(node: MarkovProd) -> Optional[Term]:
     from . import markov as _markov
 
     return _markov.evaluate_markov(node)
-
-
-def _w_contract_reduction(node: Reduce, recurse) -> Optional[Term]:
-    from .optimize import contract_reduction
-
-    return contract_reduction(node, recurse)
 
 
 def _h_cat(node: Cat) -> Optional[Term]:
@@ -1111,6 +1116,5 @@ EXACT = Interpretation(
         Rule(Cat, _h_cat, "concatenate-factors"),
     ],
     fallback=LAZY,
-    whole_rules=[WholeRule(Reduce, _w_contract_reduction, "contract-reduction")],
     classify=reduction_kind,
 )

@@ -9,17 +9,17 @@ product of its bounded sizes times the squared flattened real dimension
 plus one, matching how large the dense and quadratic blocks get.
 
 ``contract`` is the one contraction path: chain steps, Exact's
-lazily built reductions and Optimize's plans all go through it (a
-sequential chain step calls its pairwise step, ``contract_pair``,
-directly), and every plan runs under the caller's interpretation.  A
-pairwise step on tables and quadratic factors is a ``PairPlan``: derived
-from the factors' layouts alone, with each reduction classified as the
-interpretation declares, and run on their arrays.  Chains replay it per
-step signature, and the rules run it as a one-step plan; Monte Carlo
-declares no classifier, so its rules see every reduction.  Exact plans
-one reduction at a time; Optimize gathers directly nested sums over a
-shared product into one joint plan instead of collapsing them
-innermost-first.
+reductions over tables it leaves unfused and Optimize's plans all go
+through it (a sequential chain step calls its pairwise step,
+``contract_pair``, directly), and every plan runs under the caller's
+interpretation.  A pairwise step on tables and quadratic factors is a
+``PairPlan``: derived from the factors' layouts alone, with each
+reduction classified as the interpretation declares, and run on their
+arrays.  Chains replay it per step signature, and the rules run it as a
+one-step plan; Monte Carlo declares no classifier, so its rules see
+every reduction.  Exact plans one reduction at a time; Optimize's
+whole-term rule gathers directly nested sums over a lazily built product
+into one joint plan instead of collapsing them innermost-first.
 """
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ from .interp import (
 )
 from .ops import ADD, REDUCE_OPS, ReduceOp
 from .tensor import TensorAtom, fold_axis, pointwise, pointwise_layout, tensor_contract
-from .terms import Apply, GaussianLeaf, Reduce, TensorLeaf, Term
+from .terms import GaussianLeaf, Reduce, TensorLeaf, Term
 
 
 def context_cost(ctx: TypeContext) -> float:
@@ -368,42 +368,31 @@ def contract(op, rvars: Sequence[str], parts: Sequence[Term]) -> Term:
     return execute_plan(greedy_plan(parts, remaining, op), parts)
 
 
-def contract_reduction(node: Reduce, recurse, joint: bool = False) -> Optional[Term]:
-    """Contract a lazily built reduction over a product through ``contract``.
+def contract_reduction(node: Reduce, recurse) -> Optional[Term]:
+    """Plan directly nested reductions over one product jointly.
 
-    Runs before the product is rebuilt, so its factors are never fused
-    into one union table.  ``recurse`` evaluates each factor.  With
-    ``joint``, directly nested reductions of the same op join one plan;
-    otherwise only ``node``'s own variable is planned, and an inner
-    reduction is contracted on its own when the rebuild reaches it.
+    Optimize's whole-term rule: it runs before the product is rebuilt, so
+    its factors are never fused into one union table, and the sums of the
+    same op stacked over it join one ``contract`` call instead of
+    collapsing innermost-first.  ``recurse`` evaluates each factor.
     """
     if node.op.name not in ("logaddexp", "max"):
         return None
     rvars = [node.var]
     body = node.body
-    while joint and isinstance(body, Reduce) and body.op.name == node.op.name:
+    while isinstance(body, Reduce) and body.op.name == node.op.name:
         rvars.append(body.var)
         body = body.body
-    if not (
-        isinstance(body, Apply)
-        and body.op.name == "add"
-        and body.is_scalar_real()
-    ):
-        return None
     raw_parts = flatten_product(body)
     if len(raw_parts) < 2:
         return None
     return contract(node.op, rvars, [recurse(p) for p in raw_parts])
 
 
-def _w_plan_reduction(node: Reduce, recurse) -> Optional[Term]:
-    return contract_reduction(node, recurse, joint=True)
-
-
 OPTIMIZE = Interpretation(
     "optimize",
     rules=[],
     fallback=EXACT,
-    whole_rules=[WholeRule(Reduce, _w_plan_reduction, "plan-contraction")],
+    whole_rules=[WholeRule(Reduce, contract_reduction, "plan-contraction")],
     classify=reduction_kind,
 )

@@ -614,6 +614,20 @@ class TestDeclaredClassifier:
         assert float(got.atom.data).hex() == self.SWITCHING[mode]
         assert matched
 
+    @pytest.mark.parametrize("mode", SCAN_MODES)
+    def test_interpretations_agree_to_the_bit_with_a_bias(self, mode):
+        """Exact reduces a lazily built product through the same rules as
+        the interpretations that fall back to it, so a Kalman model with a
+        bias prints the same bits under each of them."""
+        from funsor.approx import MomentMatching
+        from funsor.models import build_kalman
+
+        term = build_kalman(kalman_spec(np.random.default_rng(30), 33))
+        interps = (EXACT, MomentMatching(), Interpretation("plain", fallback=EXACT))
+        with scan_mode(mode):
+            got = {float(interpret(i, term).atom.data).hex() for i in interps}
+        assert len(got) == 1, got
+
     def test_undeclared_interpretation_takes_the_rule_path(self, monkeypatch):
         from funsor import markov
         from funsor.models import kalman_factors

@@ -463,9 +463,10 @@ class TestKalman:
         assert matched == exact
 
     def test_folded_steps_equal_the_rule_path(self):
-        """Exact folds each sequential step's atoms directly; moment
-        matching claims reductions, so its steps dispatch the rules.  Both
-        run the same kernels in the same order: the values are equal."""
+        """Exact and moment matching both declare a classifier, so each
+        replays the sequential steps' plans.  No step holds a mixture, so
+        both plans run the same cores in the same order: the values are
+        equal."""
         from funsor.approx import MomentMatching
 
         spec = random_kalman(np.random.default_rng(15), 3, 2, 64)

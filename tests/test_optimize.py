@@ -1,7 +1,8 @@
 """Contraction planning: singleton pushing, greedy pairing, plan execution.
 
-The oracle for every planned contraction is the unplanned one: fuse all
-factors with a pointwise sum and reduce the variables one at a time.
+The oracle for every planned contraction is the unplanned one in plain
+numpy: broadcast every table onto the union of their variables, sum, and
+reduce the variables one at a time.
 """
 
 import numpy as np
@@ -32,13 +33,32 @@ def table(rng, entries):
 
 
 def brute_reduce(op_name, rvars, parts):
-    with interpretation(EXACT):
-        out = parts[0]
-        for p in parts[1:]:
-            out = lift("add", out, p)
-        for v in rvars:
-            out = reduce_term(op_name, v, out)
-    return interpret(EXACT, out)
+    """The unplanned reduction of a table product, in plain numpy.
+
+    Returns the kept variables, sorted, and the array over them.
+    """
+    names = sorted({n for p in parts for n in p.atom.context.names})
+    total = 0.0
+    for p in parts:
+        own = list(p.atom.context.names)
+        order = sorted(own, key=names.index)
+        data = np.transpose(p.atom.data, [own.index(n) for n in order])
+        shape = [p.atom.context.typeof(n).size if n in own else 1 for n in names]
+        total = total + data.reshape(shape)
+    fold = np.logaddexp.reduce if op_name == "logaddexp" else np.max
+    for v in sorted(rvars, key=names.index, reverse=True):
+        total = fold(total, axis=names.index(v))
+    return [n for n in names if n not in rvars], total
+
+
+def assert_table(got, want, rtol):
+    """``got``, a table leaf, equals ``brute_reduce``'s ``want``."""
+    names, data = want
+    own = list(got.atom.context.names)
+    assert sorted(own) == names
+    np.testing.assert_allclose(
+        np.transpose(got.atom.data, [own.index(n) for n in names]), data, rtol=rtol
+    )
 
 
 def random_factor_graph(rng, n_vars=4, n_factors=4, max_bound=3):
@@ -86,10 +106,10 @@ class TestPushSingletonSums:
         rng = np.random.default_rng(2)
         parts, rvars = random_factor_graph(rng)
         pushed, residual = push_singleton_sums(list(parts), rvars)
-        with interpretation(EXACT):
-            done = brute_reduce("logaddexp", sorted(residual), pushed)
-        want = brute_reduce("logaddexp", rvars, parts)
-        np.testing.assert_allclose(done.atom.data, want.atom.data, rtol=1e-12)
+        done_names, done = brute_reduce("logaddexp", sorted(residual), pushed)
+        want_names, want = brute_reduce("logaddexp", rvars, parts)
+        assert done_names == want_names
+        np.testing.assert_allclose(done, want, rtol=1e-12)
 
 
 class TestGreedyPlan:
@@ -139,23 +159,20 @@ class TestExecutePlan:
             pushed, residual = push_singleton_sums(list(parts), rvars)
             plan = greedy_plan(pushed, sorted(residual))
             got = interpret(EXACT, execute_plan(plan, pushed))
-            want = brute_reduce("logaddexp", rvars, parts)
-            np.testing.assert_allclose(got.atom.data, want.atom.data, rtol=1e-10)
+            assert_table(got, brute_reduce("logaddexp", rvars, parts), rtol=1e-10)
 
     def test_max_semiring(self):
         for seed in range(8):
             rng = np.random.default_rng(100 + seed)
             parts, rvars = random_factor_graph(rng)
             got = interpret(EXACT, contract("max", rvars, parts))
-            want = brute_reduce("max", rvars, parts)
-            np.testing.assert_allclose(got.atom.data, want.atom.data, rtol=1e-12)
+            assert_table(got, brute_reduce("max", rvars, parts), rtol=1e-12)
 
     def test_empty_reduction_is_identity(self):
         rng = np.random.default_rng(6)
         parts = [table(rng, [("i", Bounded(2))]), table(rng, [("i", Bounded(2))])]
         got = interpret(EXACT, contract("logaddexp", [], parts))
-        want = brute_reduce("logaddexp", [], parts)
-        np.testing.assert_allclose(got.atom.data, want.atom.data)
+        assert_table(got, brute_reduce("logaddexp", [], parts), rtol=1e-7)
         assert set(got.atom.context.names) == {"i"}
 
     def test_two_factors_sharing_every_variable_skip_the_planner(self, monkeypatch):
@@ -286,3 +303,43 @@ class TestExactContraction:
         assert got.atom.context.names == ("i", "k")
         np.testing.assert_allclose(got.atom.data, want, rtol=1e-12)
         assert peak < 4 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
+
+    def test_eager_reduction_skips_the_union_table(self):
+        """Exact leaves an eagerly built sum of tables that no one of them
+        spans unfused, and its reduction contracts the tables: at K=96 the
+        (K, K, K) union table is never built.  Sums that nest still fuse.
+        """
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        K = 96
+        a = table(rng, [("i", Bounded(K)), ("j", Bounded(K))])
+        b = table(rng, [("j", Bounded(K)), ("k", Bounded(K))])
+        want = brute_reduce("logaddexp", ["j"], [a, b])
+        forms = (
+            lambda: reduce_term("logaddexp", "j", lift("add", a, b)),
+            lambda: (a + b).reduce("logaddexp", "j"),
+        )
+        for form in forms:
+            tracemalloc.start()
+            try:
+                with interpretation(EXACT):
+                    got = form()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert isinstance(got, TensorLeaf)
+            assert_table(got, want, rtol=1e-12)
+            assert peak < 4 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
+
+        i, j = [("i", Bounded(3))], [("j", Bounded(4))]
+        nested = [
+            (table(rng, i), table(rng, i)),
+            (table(rng, i + j), table(rng, j)),
+            (table(rng, j), table(rng, i + j)),
+        ]
+        with interpretation(EXACT):
+            for x, y in nested:
+                got = x + y
+                assert isinstance(got, TensorLeaf)
+                assert_table(got, brute_reduce("logaddexp", [], [x, y]), rtol=1e-12)

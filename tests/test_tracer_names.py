@@ -4,8 +4,10 @@
 modules; deleting or renaming one of them breaks ``--trace 1`` at install
 time.  This installs the tracer and restores it again.  Rules are timed
 by name, so every rule and whole-term rule of the wrapped interpretations
-must be among the names the tracer reports.
+must be among the names the tracer reports, and every rule metric the
+benchmark declares must name one of them.
 """
+import json
 import os
 import sys
 
@@ -13,7 +15,8 @@ import funsor.tensor
 from funsor.interp import EXACT, LAZY
 from funsor.optimize import OPTIMIZE
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import tracer  # noqa: E402
 
@@ -39,3 +42,23 @@ def test_tracer_times_every_rule_by_name():
     for interp in (LAZY, EXACT, OPTIMIZE):
         for rule in interp.rules + interp.whole_rules:
             assert rule.name in names, (interp.name, rule.name)
+
+
+def test_benchmark_rule_metrics_name_traced_rules():
+    """A declared rule metric the tracer never records fails ``--trace 1``
+    with "benchmark did not measure"."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        metrics = [m["name"] for m in json.load(f)["per_layer"]]
+    declared = {
+        m[len("interp.rule."):].rsplit(".", 1)[0]
+        for m in metrics
+        if m.startswith("interp.rule.")
+    }
+    assert declared
+    t = tracer.Tracer()
+    try:
+        t.install()
+        names = set(t.rule_names)
+    finally:
+        t.restore()
+    assert declared <= names, sorted(declared - names)
