@@ -15,7 +15,8 @@ factorization: on failure the factorization is retried once with
 
 Batched matrix products and matrix-vector products use ``@`` on stacked
 arrays (BLAS); affine substitution forms ``M' P M`` and ``M' (i - P m)``
-with ``P m`` computed once.  Parameters are checked once, where they
+with ``P m`` computed once, and a ground value is the affine substitution
+with no coefficients.  Parameters are checked once, where they
 enter: ``GaussianAtom(...)`` serves model builders and user-built leaves,
 while the kernels build their results, relabels included, through
 ``GaussianAtom._unchecked``, which symmetrizes as the checked constructor
@@ -409,9 +410,10 @@ def gaussian_substitute(
 ) -> Tuple[TensorAtom, Optional[GaussianAtom]]:
     """Plug ground (possibly batched) values in for one real variable.
 
-    The result is the constant tensor ``i_v'x - x'L_vv x/2`` plus, when
-    other real variables remain, a Gaussian with the cross terms folded
-    into its information vector.
+    This is the affine substitution with no coefficients: the result is
+    the constant tensor ``i_v'x - x'L_vv x/2`` plus, when other real
+    variables remain, a Gaussian with the cross terms folded into its
+    information vector.
     """
     tp = g.reals.typeof(name)
     if value.output != tp:
@@ -419,29 +421,7 @@ def gaussian_substitute(
             f"substituting {name!r}:{tp.pretty()} needs values of that type,"
             f" got {value.output.pretty()}"
         )
-    u, v = marginal_layout(g.reals, name)
-    union = g.batch.union(value.context)
-    bounds = tuple(t.size for _, t in union.entries)
-    dv = len(v)
-    x = align_array(
-        value.data.reshape(value.data.shape[: len(value.context)] + (dv,)),
-        value.context,
-        union,
-    )
-    i_v = align_array(g.info_vec[..., v], g.batch, union)
-    p_vv = align_array(g.precision[..., v[:, None], v[None, :]], g.batch, union)
-    p_x = (p_vv @ x[..., None])[..., 0]
-    t = np.sum(i_v * x, axis=-1) - 0.5 * np.sum(x * p_x, axis=-1)
-    const = TensorAtom(union, t)
-    if len(u) == 0:
-        return const, None
-    i_u = align_array(g.info_vec[..., u], g.batch, union)
-    p_uv = align_array(g.precision[..., u[:, None], v[None, :]], g.batch, union)
-    p_uu = align_array(g.precision[..., u[:, None], u[None, :]], g.batch, union)
-    i_new = i_u - (p_uv @ x[..., None])[..., 0]
-    p_uu = np.broadcast_to(p_uu, bounds + (len(u), len(u)))
-    rest = GaussianAtom._unchecked(union, g.reals.remove(name), i_new, p_uu)
-    return const, rest
+    return gaussian_affine_substitute(g, name, value, ())
 
 
 def gaussian_plated_product(g: GaussianAtom, name: str) -> GaussianAtom:
@@ -518,34 +498,36 @@ def gaussian_affine_substitute(
                 f"coefficient for {u_name!r} must be R{dv}x{du},"
                 f" got {mat.output.pretty()}"
             )
-    if not new_reals.entries:
-        # Pure constant: plain substitution.
-        return gaussian_substitute(g, name, const)
-
-    union = g.batch.union(const.context)
+    coeff_axes = TypeContext()
     for _, _, mat in coeffs:
-        union = union.union(mat.context)
+        coeff_axes = coeff_axes.union(mat.context)
+    union = g.batch.union(const.context).union(coeff_axes)
     bounds = tuple(t.size for _, t in union.entries)
-
-    new_offsets = _block_offsets(new_reals)
-    d_new = sum(t.num_elements for _, t in new_reals.entries)
     old_offsets = g.offsets()
-    d_old = g.dim
-
-    m_map = np.zeros(bounds + (d_old, d_new))
-    m_vec = np.zeros(bounds + (d_old,))
-    for n, t in g.reals.entries:
-        if n == name:
-            continue
-        lo, hi = old_offsets[n]
-        nlo, nhi = new_offsets[n]
-        m_map[..., np.arange(lo, hi), np.arange(nlo, nhi)] = 1.0
     vlo, vhi = old_offsets[name]
+    m_vec = np.zeros(bounds + (g.dim,))
     m_vec[..., vlo:vhi] = align_array(
         const.data.reshape(const.data.shape[: len(const.context)] + (dv,)),
         const.context,
         union,
     )
+    i_old = align_array(g.info_vec, g.batch, union)
+    p_old = align_array(g.precision, g.batch, union)
+    p_m = (p_old @ m_vec[..., None])[..., 0]
+    t = np.sum(i_old * m_vec, axis=-1) - 0.5 * np.sum(m_vec * p_m, axis=-1)
+    const_out = TensorAtom(union, t)
+    if not new_reals.entries:
+        return const_out, None
+
+    # The map varies only along the coefficients' axes, so the precision
+    # is not copied along axes only the constant has.
+    new_offsets = _block_offsets(new_reals)
+    d_new = sum(t.num_elements for _, t in new_reals.entries)
+    map_bounds = tuple(t.size if n in coeff_axes else 1 for n, t in union.entries)
+    m_map = np.zeros(map_bounds + (g.dim, d_new))
+    for n, _ in g.reals.entries:
+        if n != name:
+            m_map[..., np.arange(*old_offsets[n]), np.arange(*new_offsets[n])] = 1.0
     for u_name, u_type, mat in coeffs:
         nlo, nhi = new_offsets[u_name]
         block = align_array(
@@ -555,15 +537,9 @@ def gaussian_affine_substitute(
         )
         m_map[..., vlo:vhi, nlo:nhi] += block
 
-    i_old = align_array(g.info_vec, g.batch, union)
-    p_old = align_array(g.precision, g.batch, union)
-    p_m = (p_old @ m_vec[..., None])[..., 0]
-    t = np.sum(i_old * m_vec, axis=-1) - 0.5 * np.sum(m_vec * p_m, axis=-1)
-    shifted = i_old - p_m
     m_t = np.swapaxes(m_map, -1, -2)
-    i_new = (m_t @ shifted[..., None])[..., 0]
-    p_new = m_t @ p_old @ m_map
-    const_out = TensorAtom(union, t)
+    i_new = (m_t @ (i_old - p_m)[..., None])[..., 0]
+    p_new = np.broadcast_to(m_t @ p_old @ m_map, bounds + (d_new, d_new))
     return const_out, GaussianAtom._unchecked(union, new_reals, i_new, p_new)
 
 

@@ -20,6 +20,12 @@ stays unfused, built eagerly or lazily alike, since fusing it would
 build a table larger than any of them; a ``logaddexp`` or ``max``
 reduction over it hands the tables to the contraction planner.
 
+One routine, ``substitute_atom``, applies bindings to a table, a
+quadratic factor or a point mass: relabels, then index values and
+slices, then real values as affine payloads.  Exact's three substitution
+rules only choose the bindings it resolves; the chain scans and the
+normal form, when a point mass pins another factor, call it directly.
+
 Lazy only pushes substitutions through non-atomic structure, and its
 rule is the only code that pushes a substitution through ``Apply``,
 ``Subst``, ``Reduce``, ``MarkovProd`` and ``Cat``; every interpretation
@@ -60,7 +66,7 @@ from .gaussian import (
     gaussian_index_batch,
     gaussian_marginalize,
     gaussian_plated_product,
-    gaussian_substitute,
+    gaussian_rename,
 )
 from .ops import ADD, LIFTED_OPS, MUL, REDUCE_OPS
 from .tensor import (
@@ -450,27 +456,26 @@ def normal_form_from_parts(parts: Sequence[Term]) -> NormalForm:
     while changed:
         changed = False
         for k, d in enumerate(deltas):
-            name = d.name
+            name, value = d.name, {d.name: TensorLeaf(d.point)}
             if tensor is not None and name in tensor.context:
-                tensor = tensor_index(tensor, name, d.point)
+                (leaf,) = substitute_atom(TensorLeaf(tensor), value)
+                tensor = leaf.atom
                 changed = True
-            if gaussian is not None:
-                if name in gaussian.batch:
-                    gaussian = gaussian_index_batch(gaussian, name, d.point)
-                    changed = True
-                elif name in gaussian.reals:
-                    const, gaussian = gaussian_substitute(gaussian, name, d.point)
-                    tensor = _fuse_tensor(tensor, const)
-                    changed = True
+            if gaussian is not None and name in gaussian.context:
+                leaves, gaussian = substitute_atom(GaussianLeaf(gaussian), value), None
+                for p in leaves:
+                    absorb(p)
+                changed = True
             for j, e in enumerate(deltas):
                 if j != k and name in e.point.context:
-                    deltas[j] = DeltaAtom(e.name, tensor_index(e.point, name, d.point))
+                    (leaf,) = substitute_atom(DeltaLeaf(e), value)
+                    deltas[j] = leaf.atom
                     changed = True
             hit = [t for t in lazy if name in t.free_vars]
             if hit:
                 lazy[:] = [t for t in lazy if name not in t.free_vars]
                 for t in hit:
-                    for p in flatten_product(subst_term(t, {name: TensorLeaf(d.point)})):
+                    for p in flatten_product(subst_term(t, value)):
                         absorb(p)
                 changed = True
     return NormalForm(tuple(deltas), tensor, gaussian, tuple(lazy))
@@ -483,7 +488,7 @@ def normalize(term: Term) -> NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# Shared substitution helpers.
+# Substitution into atoms.
 
 
 def _rename_tensor(atom: TensorAtom, renames: Dict[str, str]) -> TensorAtom:
@@ -495,6 +500,97 @@ def _is_index_value(v: Term) -> bool:
     return (
         isinstance(v, TensorLeaf) and isinstance(v.atom.output, Bounded)
     ) or isinstance(v, Slice)
+
+
+def _index_table(atom: TensorAtom, todo: Dict[str, Term]) -> TensorAtom:
+    for n, v in todo.items():
+        if not isinstance(v, Slice):
+            atom = tensor_index(atom, n, v.atom)
+        elif v.over != n and v.over in atom.context:
+            # The slice runs along another axis of the atom: a diagonal.
+            atom = tensor_index(atom, n, v.to_tensor())
+        else:
+            atom = tensor_slice(atom, n, v.start, v.stop, v.stride)
+            if v.over != n:
+                atom = _rename_tensor(atom, {n: v.over})
+    return atom
+
+
+def index_gaussian_batch(g: GaussianAtom, todo: Dict[str, Term]) -> GaussianAtom:
+    """Bind batch variables of ``g`` to index values or slices.
+
+    A ground index selects a view of one cell; other values go through
+    ``_index_table`` on the parameters as tables.  The selected cells of a
+    checked atom stay symmetric and are not checked.
+    """
+    for n, v in todo.items():
+        if not isinstance(v, Slice) and not v.atom.context:
+            g = gaussian_index_batch(g, n, v.atom)
+    todo = {n: v for n, v in todo.items() if n in g.batch}
+    if not todo:
+        return g
+    info = _index_table(g.info_atom(), todo)
+    prec = _index_table(g.precision_atom(), todo)
+    return GaussianAtom._unchecked(
+        info.context, g.reals, info.data, prec.data, symmetrize=False
+    )
+
+
+def _delta_indicator(point: TensorAtom, value: TensorAtom) -> TensorAtom:
+    from .tensor import align_atoms
+
+    union, views = align_atoms([point, value])
+    bounds = tuple(tp.size for _, tp in union.entries)
+    pa = np.broadcast_to(views[0], bounds + point.out_shape)
+    va = np.broadcast_to(views[1], bounds + point.out_shape)
+    if point.out_shape:
+        axes = tuple(range(len(bounds), len(bounds) + len(point.out_shape)))
+        eq = np.all(pa == va, axis=axes)
+    else:
+        eq = pa == va
+    data = np.where(eq, 0.0, -np.inf)
+    return TensorAtom(union, data, RealArray(()))
+
+
+def substitute_atom(leaf: Term, todo: Dict[str, object]) -> List[Term]:
+    """Apply bindings to a table, a quadratic factor or a point mass.
+
+    ``todo`` maps names to payloads: another name (a relabel); an index
+    value or ``Slice`` for a bounded name; for a real of a quadratic
+    factor, a value (a ``TensorLeaf``) or an ``affine_decompose`` payload
+    ``(const, coeffs)``, a value being the payload with no coefficients;
+    and for a point mass's own name, a value, which leaves the point
+    mass's indicator.  Names the leaf does not mention are skipped.
+    Relabels apply first, then index values, then reals in order, so an
+    affine value may mention a relabel's target and add onto its block.
+    Returns the leaves whose sum is the result.
+    """
+    relabels, values = {}, {}
+    for n, p in todo.items():
+        if n in leaf.free_vars:
+            (relabels if isinstance(p, str) else values)[n] = p
+    if isinstance(leaf, GaussianLeaf):
+        g = gaussian_rename(leaf.atom, relabels) if relabels else leaf.atom
+        g = index_gaussian_batch(g, {n: p for n, p in values.items() if n in g.batch})
+        tensor = None
+        for n, p in values.items():
+            if not _is_index_value(p):
+                const, coeffs = (p.atom, ()) if isinstance(p, TensorLeaf) else p
+                const, g = gaussian_affine_substitute(g, n, const, coeffs)
+                tensor = _fuse_tensor(tensor, const)
+        leaves: List[Term] = [] if tensor is None else [TensorLeaf(tensor)]
+        return leaves + ([] if g is None else [GaussianLeaf(g)])
+    atom = leaf.atom if isinstance(leaf, TensorLeaf) else leaf.atom.point
+    if relabels:
+        atom = _rename_tensor(atom, relabels)
+    if isinstance(leaf, TensorLeaf):
+        return [TensorLeaf(_index_table(atom, values))]
+    value = values.pop(leaf.atom.name, None)
+    point = _index_table(atom, values)
+    if value is not None:
+        return [TensorLeaf(_delta_indicator(point, value.atom))]
+    name = leaf.atom.name
+    return [DeltaLeaf(DeltaAtom(relabels.get(name, name), point))]
 
 
 # ---------------------------------------------------------------------------
@@ -640,85 +736,41 @@ def _h_product_normalize(node: Apply) -> Optional[Term]:
     return candidate
 
 
-def _overlap_renames(ctx: TypeContext, node: Subst, todo: Dict[str, object]):
-    """Split an atom's bindings into the ones a rule resolves and the rest.
+def _substitute_leaf(node: Subst, todo: Dict[str, object]) -> Term:
+    """The substitution rules' shared tail.
 
-    ``todo`` maps the names the rule resolves to its payloads.  Rules apply
-    those one at a time and hand the leftover bindings back to
-    ``subst_term``, so a value mentioning any bound name would be captured
-    by a later step.  In that case every bound name of the atom is renamed
-    fresh.  Returns the renames for the atom, then ``todo`` and the
-    leftover bindings, both keyed by the new names.
+    ``todo`` maps the names the rule resolves to ``substitute_atom``
+    payloads; the leaf's other bindings are handed back to ``subst_term``,
+    so a value mentioning any bound name would be captured by that later
+    step.  In that case every bound name of the leaf is renamed fresh
+    first.
     """
-    bindings = {n: v for n, v in node.bindings if n in ctx}
+    leaf = node.base
+    bindings = {n: v for n, v in node.bindings if n in leaf.free_vars}
     value_names = set()
     for v in bindings.values():
         value_names.update(v.free_vars.names)
-    renames = {}
     if not value_names.isdisjoint(bindings):
         renames = {n: fresh_name(n) for n in bindings}
-    leftover = {renames.get(n, n): v for n, v in bindings.items() if n not in todo}
-    return renames, {renames.get(n, n): p for n, p in todo.items()}, leftover
-
-
-def _apply_index_bindings(atom: TensorAtom, todo: Dict[str, Term]) -> TensorAtom:
-    for n, v in todo.items():
-        if not isinstance(v, Slice):
-            atom = tensor_index(atom, n, v.atom)
-        elif v.over != n and v.over in atom.context:
-            # The slice runs along another axis of the atom: a diagonal.
-            atom = tensor_index(atom, n, v.to_tensor())
-        else:
-            atom = tensor_slice(atom, n, v.start, v.stop, v.stride)
-            if v.over != n:
-                atom = _rename_tensor(atom, {n: v.over})
-    return atom
-
-
-def index_gaussian_batch(g: GaussianAtom, todo: Dict[str, Term]) -> GaussianAtom:
-    """Bind batch variables of ``g`` to index values or slices.
-
-    A ground index selects a view of one cell; other values go through
-    ``_apply_index_bindings`` on the parameters as tables.  The selected
-    cells of a checked atom stay symmetric and are not checked.
-    """
-    ground = [
-        n for n, v in todo.items() if not isinstance(v, Slice) and not v.atom.context
-    ]
-    for n in ground:
-        g = gaussian_index_batch(g, n, todo[n].atom)
-    todo = {n: v for n, v in todo.items() if n not in ground}
-    if not todo:
-        return g
-    info = _apply_index_bindings(g.info_atom(), todo)
-    prec = _apply_index_bindings(g.precision_atom(), todo)
-    return GaussianAtom._unchecked(
-        info.context, g.reals, info.data, prec.data, symmetrize=False
-    )
+        (leaf,) = substitute_atom(leaf, renames)
+        todo = {renames[n]: p for n, p in todo.items()}
+        bindings = {renames[n]: v for n, v in bindings.items()}
+    out = _chain_add(substitute_atom(leaf, todo))
+    leftover = {n: v for n, v in bindings.items() if n not in todo}
+    return subst_term(out, leftover) if leftover else out
 
 
 def _h_subst_tensor(node: Subst) -> Optional[Term]:
     base = node.base
     if not isinstance(base, TensorLeaf):
         return None
-    atom = base.atom
     todo = {
-        n: v for n, v in node.bindings if n in atom.context and _is_index_value(v)
+        n: v for n, v in node.bindings if n in base.atom.context and _is_index_value(v)
     }
-    if not todo:
-        return None
-    renames, todo, leftover = _overlap_renames(atom.context, node, todo)
-    if renames:
-        atom = _rename_tensor(atom, renames)
-    out = TensorLeaf(_apply_index_bindings(atom, todo))
-    if leftover:
-        return subst_term(out, leftover)
-    return out
+    return _substitute_leaf(node, todo) if todo else None
 
 
 def _h_subst_gaussian(node: Subst) -> Optional[Term]:
-    from .gaussian import gaussian_rename
-
     base = node.base
     if not isinstance(base, GaussianLeaf):
         return None
@@ -737,64 +789,14 @@ def _h_subst_gaussian(node: Subst) -> Optional[Term]:
                 and v.name not in g.context
                 and targets.count(v.name) == 1
             ):
-                todo[n] = ("rename", v.name)
+                todo[n] = v.name
             elif isinstance(v, TensorLeaf):
-                todo[n] = ("ground", v.atom)
+                todo[n] = v
             else:
                 dec = affine_decompose(v)
                 if dec is not None:
-                    todo[n] = ("affine", dec)
-    if not todo:
-        return None
-    renames, todo, leftover = _overlap_renames(g.context, node, todo)
-    if renames:
-        g = gaussian_rename(g, renames)
-
-    batch_todo = {n: v for n, v in todo.items() if n in g.batch}
-    real_todo = {n: p for n, p in todo.items() if n not in batch_todo}
-    if batch_todo:
-        g = index_gaussian_batch(g, batch_todo)
-
-    # Relabel before the other real bindings: an affine value may mention
-    # a relabel's target, and its coefficients then add onto that block.
-    relabels = {n: value for n, (kind, value) in real_todo.items() if kind == "rename"}
-    if relabels:
-        g = gaussian_rename(g, relabels)
-    tensor = None
-    for n, (kind, value) in real_todo.items():
-        if kind == "rename":
-            continue
-        if kind == "ground":
-            const, g = gaussian_substitute(g, n, value)
-        else:
-            const, g = gaussian_affine_substitute(g, n, *value)
-        tensor = _fuse_tensor(tensor, const)
-
-    parts: List[Term] = []
-    if tensor is not None:
-        parts.append(TensorLeaf(tensor))
-    if g is not None:
-        parts.append(GaussianLeaf(g))
-    out = _chain_add(parts)
-    if leftover:
-        return subst_term(out, leftover)
-    return out
-
-
-def _delta_indicator(point: TensorAtom, value: TensorAtom) -> TensorAtom:
-    from .tensor import align_atoms
-
-    union, views = align_atoms([point, value])
-    bounds = tuple(tp.size for _, tp in union.entries)
-    pa = np.broadcast_to(views[0], bounds + point.out_shape)
-    va = np.broadcast_to(views[1], bounds + point.out_shape)
-    if point.out_shape:
-        axes = tuple(range(len(bounds), len(bounds) + len(point.out_shape)))
-        eq = np.all(pa == va, axis=axes)
-    else:
-        eq = pa == va
-    data = np.where(eq, 0.0, -np.inf)
-    return TensorAtom(union, data, RealArray(()))
+                    todo[n] = dec
+    return _substitute_leaf(node, todo) if todo else None
 
 
 def _h_subst_delta(node: Subst) -> Optional[Term]:
@@ -808,20 +810,7 @@ def _h_subst_delta(node: Subst) -> Optional[Term]:
     name_value = node.binding_map().get(d.name)
     if isinstance(name_value, TensorLeaf):
         todo[d.name] = name_value
-    if not todo:
-        return None
-    renames, todo, leftover = _overlap_renames(base.free_vars, node, todo)
-    name = renames.get(d.name, d.name)
-    point = _rename_tensor(d.point, renames) if renames else d.point
-    name_value = todo.pop(name, None)
-    point = _apply_index_bindings(point, todo)
-    if name_value is not None:
-        out: Term = TensorLeaf(_delta_indicator(point, name_value.atom))
-    else:
-        out = DeltaLeaf(DeltaAtom(name, point))
-    if leftover:
-        return subst_term(out, leftover)
-    return out
+    return _substitute_leaf(node, todo) if todo else None
 
 
 def _h_subst_slice(node: Subst) -> Optional[Term]:

@@ -13,8 +13,9 @@ number of larger contractions for the fold's linear chain of small ones.
 Both scans work on the evaluated body's factors, not on terms.  The fold
 takes the tables and quadratic factors at one time index as views; the
 doubling scan takes them at the even and the odd stride-2 slice of each
-level.  Matched names are relabeled at atom level, and the factor lists
-go to ``contract_pair`` (a fold step) or ``contract`` (a level).  Under
+level.  ``interp.substitute_atom`` takes the cells and relabels the
+matched names at atom level, and the factor lists go to
+``contract_pair`` (a fold step) or ``contract`` (a level).  Under
 an interpretation that declares a reduction classifier (Exact, Optimize,
 moment matching) that runs the rules' kernels in the rules' order
 without dispatching a rule (so no fuel is spent); Monte Carlo declares
@@ -42,16 +43,13 @@ import numpy as np
 
 from .domains import Bounded, TypeContext
 from .errors import BoundsError
-from .gaussian import gaussian_rename
 from .interp import (
-    _apply_index_bindings,
     _chain_add,
-    _rename_tensor,
     cat_term,
     current_interpretation,
     flatten_product,
-    index_gaussian_batch,
     subst_term,
+    substitute_atom,
     var,
 )
 from .optimize import (
@@ -201,25 +199,13 @@ def _at(factors, cells: Dict[str, Term], renames: Dict[str, str], types) -> List
     """The factors at ``cells``, with ``renames`` applied.
 
     A cell is a ground index or a ``Slice``.  Tables and quadratic factors
-    are indexed and relabeled at atom level; any other factor is
+    are relabeled and indexed by ``substitute_atom``; any other factor is
     substituted into as a term.
     """
     out: List[Term] = []
     for p in factors:
-        if isinstance(p, TensorLeaf) and p.is_scalar_real():
-            atom = _apply_index_bindings(
-                p.atom, {n: i for n, i in cells.items() if n in p.atom.context}
-            )
-            if any(n in atom.context for n in renames):
-                atom = _rename_tensor(atom, renames)
-            out.append(TensorLeaf(atom))
-        elif isinstance(p, GaussianLeaf):
-            g = index_gaussian_batch(
-                p.atom, {n: i for n, i in cells.items() if n in p.atom.batch}
-            )
-            if any(n in g.context for n in renames):
-                g = gaussian_rename(g, renames)
-            out.append(GaussianLeaf(g))
+        if isinstance(p, TensorLeaf) and p.is_scalar_real() or isinstance(p, GaussianLeaf):
+            out.extend(substitute_atom(p, {**cells, **renames}))
         else:
             bindings = dict(cells)
             bindings.update({n: var(m, types.typeof(n)) for n, m in renames.items()})

@@ -27,13 +27,7 @@ import numpy as np
 from .approx import MomentMatching, match_kind
 from .domains import Bounded, RealArray, TypeContext
 from .errors import BoundsError, FunsorTypeError
-from .gaussian import (
-    LOG_2PI,
-    GaussianAtom,
-    _chol_solve,
-    _cholesky_jitter,
-    gaussian_log_normalizer,
-)
+from .gaussian import LOG_2PI, GaussianAtom, gaussian_log_normalizer, log_normalizer
 from .interp import (
     LAZY,
     interpretation,
@@ -518,12 +512,7 @@ def build_gmm(spec: GmmSpec) -> Term:
         spec.prior_prec,
     )
     c_z = -float(gaussian_log_normalizer(prior_atom).data)
-    i_x = spec.cond_info[:, dz:]
-    p_xx = spec.cond_prec[:, dz:, dz:]
-    chol = _cholesky_jitter(p_xx)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
-    quad = np.einsum("...d,...d->...", i_x, _chol_solve(chol, i_x[..., None])[..., 0])
-    c_c = -(0.5 * dx * LOG_2PI - 0.5 * logdet + 0.5 * quad)
+    c_c = -log_normalizer(spec.cond_info[:, dz:], spec.cond_prec[:, dz:, dz:])
 
     with interpretation(MomentMatching()):
         zs = var("zs", RealArray((K, dz)))

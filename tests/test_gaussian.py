@@ -334,6 +334,16 @@ class TestSubstitute:
             got = const.data[b] + gaussian_eval(rest, {"x": xv})[b]
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
+    def test_batched_value_keeps_one_precision(self):
+        """The remaining precision does not depend on the value, so it
+        stays one cell broadcast along the value's batch axis."""
+        rng = np.random.default_rng(14)
+        g = random_gaussian(rng, [("x", RealArray((2,))), ("y", RealArray(()))])
+        value = TensorAtom(TypeContext([("b", Bounded(5))]), rng.normal(size=5))
+        _, rest = gaussian_substitute(g, "y", value)
+        assert rest.batch.names == ("b",) and rest.precision.strides[0] == 0
+        np.testing.assert_array_equal(rest.precision[0], g.precision[:2, :2])
+
 
 class TestBatchOps:
     def test_plated_product_sums_over_plate(self):

@@ -19,11 +19,13 @@ from funsor.interp import (
     Rule,
     affine_decompose,
     affine_substitute,
+    cat_term,
     current_interpretation,
     interpret,
     interpretation,
     lift,
     markov_term,
+    normal_form_from_parts,
     normalize,
     pop_interpretation,
     push_interpretation,
@@ -33,7 +35,7 @@ from funsor.interp import (
     to_term,
     var,
 )
-from funsor.tensor import TensorAtom, align_atoms, scalar_tensor
+from funsor.tensor import TensorAtom, align_atoms, index_tensor, scalar_tensor
 from funsor.terms import (
     Apply,
     DeltaLeaf,
@@ -571,3 +573,127 @@ class TestGaussianRelabel:
             lambda p: gaussian_eval(g, {"x": p["z"], "y": p["z"] + 1.0}),
             dense_log_normalizer(info, prec) + const,
         )
+
+
+def at_point(term, point):
+    """The value of a term with every free variable bound, as an array."""
+    return interpret(EXACT, subst_term(term, point)).atom.data
+
+
+class TestAtomSubstitution:
+    """Index values, slices and point masses applied to each atom kind,
+    checked against indexing the atoms' arrays directly."""
+
+    R2 = RealArray((2,))
+
+    def test_point_mass_pins_a_table_and_another_point(self):
+        rng = np.random.default_rng(41)
+        J = Bounded(2)
+        d = DeltaAtom("i", index_tensor(TypeContext([("j", J)]), np.array([2.0, 0.0]), 3))
+        a = table([("i", Bounded(3)), ("j", J)], rng.normal(size=(3, 2)))
+        pts = rng.normal(size=(3, 2))
+        e = DeltaAtom("x", TensorAtom(TypeContext([("i", Bounded(3))]), pts, self.R2))
+        nf = normal_form_from_parts([DeltaLeaf(d), a, DeltaLeaf(e)])
+        assert nf.deltas[0] == d and nf.gaussian is None and not nf.lazy_rest
+        assert nf.tensor.context.names == ("j",)
+        np.testing.assert_array_equal(nf.tensor.data, a.atom.data[[2, 0], [0, 1]])
+        pinned = nf.deltas[1]
+        assert pinned.name == "x" and pinned.point.context.names == ("j",)
+        np.testing.assert_array_equal(pinned.point.data, pts[[2, 0]])
+
+    def test_point_masses_pin_a_gaussian_batch_and_real(self):
+        rng = np.random.default_rng(42)
+        g = random_gaussian_atom(rng, [("i", Bounded(3))], [("y", self.R2), ("z", self.R2)])
+        d = DeltaAtom("i", index_tensor(TypeContext(), np.float64(1), 3))
+        y = rng.normal(size=2)
+        f = DeltaAtom("y", TensorAtom(TypeContext(), y, self.R2))
+        nf = normal_form_from_parts([DeltaLeaf(d), DeltaLeaf(f), GaussianLeaf(g)])
+        assert [p.name for p in nf.deltas] == ["i", "y"]
+        assert nf.gaussian.batch.names == () and nf.gaussian.reals.names == ("z",)
+        for _ in range(3):
+            z = rng.normal(size=2)
+            got = float(nf.tensor.data) + gaussian_eval(nf.gaussian, {"z": z})
+            want = gaussian_eval(g, {"y": y, "z": z})[1]
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_index_into_a_point_keeps_the_point_mass(self):
+        pts = np.random.default_rng(43).normal(size=(3, 2))
+        e = DeltaAtom("x", TensorAtom(TypeContext([("i", Bounded(3))]), pts, self.R2))
+        idx = TensorLeaf(
+            index_tensor(TypeContext([("k", Bounded(2))]), np.array([2.0, 0.0]), 3)
+        )
+        for value, rows in ((idx, [2, 0]), (Slice("k", 0, 3, 2, 3), [0, 2])):
+            out = subst_term(DeltaLeaf(e), {"i": value})
+            assert isinstance(out, DeltaLeaf) and out.atom.name == "x"
+            assert out.atom.point.context.names == ("k",)
+            np.testing.assert_array_equal(out.atom.point.data, pts[rows])
+
+    def test_slice_of_a_slice_composes(self):
+        outer = Slice("t", 1, 9, 2, 9)
+        inner = Slice("s", 1, 4, 2, 4)
+        out = subst_term(outer, {"t": inner})
+        assert isinstance(out, Slice) and out.free_vars.names == ("s",)
+        assert out.bound == 9
+        want = outer.to_tensor().data[inner.to_tensor().data.astype(int)]
+        np.testing.assert_array_equal(out.to_tensor().data, want)
+
+    def test_cat_expands_a_gaussian_without_the_axis(self):
+        rng = np.random.default_rng(44)
+        g1 = random_gaussian_atom(rng, [], [("x", self.R2)])
+        g2 = random_gaussian_atom(rng, [], [("x", self.R2)])
+        a = rng.normal(size=2)
+        first = lift("add", table([("t", Bounded(2))], a), GaussianLeaf(g1))
+        out = cat_term("t", [first, GaussianLeaf(g2)])
+        nf = normalize(out)
+        assert nf.gaussian.batch.names == ("t",) and not nf.lazy_rest
+        for _ in range(3):
+            x = rng.normal(size=2)
+            want = [a[0], a[1], 0.0] + np.array(
+                [gaussian_eval(g, {"x": x}) for g in (g1, g1, g2)]
+            )
+            got = [at_point(out, {"t": k, "x": x}) for k in range(3)]
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+class TestPlateReduction:
+    """``reduce-product`` under ``add`` over factors that do not mention
+    the plate variable: tables and Gaussians are scaled by its size, lazy
+    factors multiplied by it, and a point mass makes the rule decline."""
+
+    R2 = RealArray((2,))
+
+    def test_table_and_gaussian_are_scaled(self):
+        rng = np.random.default_rng(45)
+        b = table([("j", Bounded(3))], rng.normal(size=3))
+        g = random_gaussian_atom(rng, [], [("x", self.R2)])
+        t = table([("i", Bounded(4))], rng.normal(size=4))
+        y = var("y", RealArray(()))
+        body = lift("add", lift("add", b, GaussianLeaf(g)), lift("mul", lift("mul", y, y), t))
+        out = reduce_term("add", "i", body)
+        for j in range(3):
+            x, yv = rng.normal(size=2), rng.normal()
+            want = 4 * b.atom.data[j] + 4 * gaussian_eval(g, {"x": x}) + np.sum(
+                yv * yv * t.atom.data
+            )
+            np.testing.assert_allclose(
+                at_point(out, {"j": j, "x": x, "y": yv}), want, rtol=1e-12
+            )
+
+    def test_lazy_factor_is_multiplied(self):
+        rng = np.random.default_rng(46)
+        a = table([("i", Bounded(4))], rng.normal(size=4))
+        g = random_gaussian_atom(rng, [], [("x", self.R2)])
+        y = var("y", RealArray(()))
+        body = lift("add", lift("add", a, GaussianLeaf(g)), lift("mul", y, y))
+        out = reduce_term("add", "i", body)
+        for _ in range(3):
+            x, yv = rng.normal(size=2), rng.normal()
+            want = np.sum(a.atom.data) + 4 * gaussian_eval(g, {"x": x}) + 4 * yv * yv
+            np.testing.assert_allclose(at_point(out, {"x": x, "y": yv}), want, rtol=1e-12)
+
+    def test_point_mass_declines(self):
+        a = table([("i", Bounded(4))], np.arange(4.0))
+        d = DeltaAtom("x", TensorAtom(TypeContext(), np.ones(2), self.R2))
+        body = lift("add", DeltaLeaf(d), a)
+        out = reduce_term("add", "i", body)
+        assert isinstance(out, Reduce) and out.body == body

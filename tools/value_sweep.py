@@ -1,0 +1,133 @@
+"""Record the log values of a fixed grid of seeded ``funsor run`` calls.
+
+Two checkouts that should compute the same bits can be compared by
+running the sweep once against each source tree and diffing the files::
+
+    python tools/value_sweep.py --src path/to/old/src --out old.json
+    python tools/value_sweep.py --out new.json
+    python tools/value_sweep.py --compare old.json new.json
+
+The grid covers hmm (sumproduct and maxproduct), kalman with and without
+a shared observation bias, slds and gmm, under every interpretation and
+both scan modes, at even and odd chain lengths (8, 9 and 33), for three
+model draws each.  Models come from ``perfbench/gen.py`` (gmm models are drawn here),
+and each call runs in this process through ``funsor.cli.main``.  Values
+are stored as the CLI prints them, so JSON round-trips them exactly.
+"""
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import gen  # noqa: E402
+import numpy as np  # noqa: E402
+
+INTERPS = ("exact", "optimize", "momentmatching", "montecarlo")
+SCANS = ("sequential", "parallel")
+LENGTHS = (8, 9, 33)
+DRAWS = (0, 1, 2)
+SAMPLES = 4
+
+
+def draw_gmm(rng, K=3, N=5, dx=2, dz=2):
+    return {
+        "model": "gmm",
+        "loadings": rng.normal(size=(K, dx, dz)),
+        "offsets": rng.normal(size=(K, dx)),
+        "noises": np.stack([gen.spd(rng, dx) for _ in range(K)]),
+        "prior_mean": rng.normal(size=dz),
+        "prior_cov": gen.spd(rng, dz),
+        "data": rng.normal(size=(N, dx)),
+    }
+
+
+def models(T, draw):
+    """``(label, doc, semirings)`` for each model family at length ``T``."""
+    rng = lambda stream: gen.rng_for(draw, stream, T)  # noqa: E731
+    hmm = gen.draw_hmm(rng(0), 16, T)
+    yield f"hmm K=16 T={T}", hmm, ("sumproduct", "maxproduct")
+    for bias in (False, True):
+        doc = gen.draw_kalman(rng(1 + bias), 3, 2, T, bias)
+        yield f"kalman n=3 m=2 T={T} bias={bias}", doc, ("sumproduct",)
+    slds = gen.draw_slds(rng(3), 2, 2, 1, T, 2)
+    yield f"slds K=2 n=2 m=1 T={T} window=2", slds, ("sumproduct",)
+    # A mixture has no chain; ``T`` only seeds its draw.
+    yield f"gmm K=3 N=5 T={T}", draw_gmm(rng(4)), ("sumproduct",)
+
+
+def invocations(directory):
+    """``(id, argv)`` for every call of the grid, writing the model files."""
+    for T in LENGTHS:
+        for draw in DRAWS:
+            for label, doc, semirings in models(T, draw):
+                path = os.path.join(directory, f"{len(os.listdir(directory))}.json")
+                gen.write_model(doc, path)
+                for semiring in semirings:
+                    for interp in INTERPS:
+                        if interp == "montecarlo" and semiring != "sumproduct":
+                            continue
+                        for scan in SCANS:
+                            flags = [
+                                "--interp", interp, "--scan", scan,
+                                "--semiring", semiring, "--samples", str(SAMPLES),
+                            ]
+                            yield f"{label} draw={draw} {' '.join(flags)}", [
+                                "run", path, *flags
+                            ]
+
+
+def sweep():
+    from funsor.cli import main
+
+    out = {}
+    with tempfile.TemporaryDirectory() as directory:
+        for key, argv in invocations(directory):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+                main(argv)
+            payload = json.loads(buf.getvalue())
+            payload.pop("wall_ms", None)
+            out[key] = payload
+    return out
+
+
+def compare(a_path, b_path):
+    with open(a_path) as f:
+        a = json.load(f)
+    with open(b_path) as f:
+        b = json.load(f)
+    diffs = [k for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)]
+    for k in diffs:
+        print(f"{k}\n  {a.get(k)}\n  {b.get(k)}")
+    print(f"{len(diffs)} of {len(set(a) | set(b))} invocations differ")
+    return 1 if diffs else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="source tree to import funsor from")
+    parser.add_argument("--out", help="where to write the values (default stdout)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="list the invocations whose results differ")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    sys.path.insert(0, os.path.abspath(args.src))
+    text = json.dumps(sweep(), indent=1, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
