@@ -28,13 +28,11 @@ from .delta import DeltaAtom
 from .domains import Bounded, TypeContext
 from .errors import BoundsError, NameAbsent
 from .gaussian import (
-    LOG_2PI,
     GaussianAtom,
-    _chol_logdet,
     _chol_solve,
     _cholesky_jitter,
-    gaussian_log_normalizer,
     log_normalizer,
+    normalizer,
 )
 from .interp import (
     EXACT,
@@ -57,7 +55,6 @@ from .tensor import (
     pointwise_layout,
     realign,
     tensor_reduce,
-    zeros_tensor,
 )
 from .terms import DeltaLeaf, GaussianLeaf, Reduce, TensorLeaf, Term
 
@@ -127,12 +124,9 @@ def match(layout, weight: Optional[np.ndarray], info: np.ndarray, prec: np.ndarr
     i_full = np.broadcast_to(realign(info, g_align), bounds + (d,))
     p_full = np.broadcast_to(realign(prec, g_align), bounds + (d, d))
     chol = _cholesky_jitter(p_full)
-    mu = _chol_solve(chol, i_full[..., None])[..., 0]
+    mu, logw = normalizer(chol, i_full)
     eye = np.broadcast_to(np.eye(d), bounds + (d, d))
     cov = _chol_solve(chol, eye)
-
-    quad = np.sum(i_full * mu, axis=-1)
-    logw = 0.5 * d * LOG_2PI - 0.5 * _chol_logdet(chol) + 0.5 * quad
     if weight is not None:
         logw = ADD.apply(realign(weight, w_align), logw)
     total = logsumexp(logw, axis)
@@ -156,10 +150,6 @@ def match(layout, weight: Optional[np.ndarray], info: np.ndarray, prec: np.ndarr
         prec2 = _chol_solve(chol2, eye2)
     prec2 = 0.5 * (prec2 + np.swapaxes(prec2, -1, -2))
     info2 = np.ascontiguousarray((prec2 @ mu2[..., None])[..., 0])
-    # Symmetrized once more, as ``GaussianAtom._unchecked`` stores a kernel
-    # result: the matched normalizer is taken from these bits.
-    prec2 = (prec2 + np.swapaxes(prec2, -1, -2)) / 2.0
-
     w_out = pointwise(SUB, sub, bounds, [logw, log_normalizer(info2, prec2)])
     return fold_axis(LOGADDEXP_REDUCE, w_out, fold), info2, prec2
 
@@ -230,16 +220,25 @@ class MomentMatching(Interpretation):
         return reduce_normal_form(node.op, nf, v, match_kind)
 
 
+def _pinned(
+    weight: TensorAtom, v: str, point: TensorAtom, rest: Optional[Term]
+) -> Term:
+    """``weight`` plus ``rest`` with ``v`` pinned at ``point``: the
+    reduction over ``v`` of a point mass paired with ``rest``."""
+    inner: Term = DeltaLeaf(DeltaAtom(v, point))
+    if rest is not None:
+        inner = lift(ADD, inner, rest)
+    return lift(ADD, TensorLeaf(weight), reduce_term(LOGADDEXP_REDUCE, v, inner))
+
+
 def mc_sample_discrete(
     w: TensorAtom, v: str, rest: Optional[Term], rng: RngState
 ) -> Term:
     """Estimate a ``logaddexp`` reduction over ``v`` by sampling it.
 
     Draws one categorical index per remaining batch cell from the logits
-    ``w``, then returns total weight, a log-zero placeholder standing in
-    for the per-draw score factor, and the point mass at the draw paired
-    with ``rest``; the reduction of that pairing pins the sample into
-    ``rest``.  The value is an unbiased estimate of the exact reduction.
+    ``w``, then returns the total weight plus ``rest`` with the draw
+    pinned in.  The value is an unbiased estimate of the exact reduction.
     """
     tp = w.context.typeof(v)
     w_total = tensor_reduce(LOGADDEXP_REDUCE, w, v)
@@ -255,12 +254,7 @@ def mc_sample_discrete(
     idx = TensorAtom(
         rest_ctx, draws.reshape(tuple(t.size for _, t in rest_ctx.entries)), tp
     )
-    marker = zeros_tensor(rest_ctx)
-    inner: Term = DeltaLeaf(DeltaAtom(v, idx))
-    if rest is not None:
-        inner = lift(ADD, inner, rest)
-    picked = reduce_term(LOGADDEXP_REDUCE, v, inner)
-    return lift(ADD, lift(ADD, TensorLeaf(w_total), TensorLeaf(marker)), picked)
+    return _pinned(w_total, v, idx, rest)
 
 
 def mc_sample_gaussian(
@@ -276,24 +270,14 @@ def mc_sample_gaussian(
     """
     if v not in g.reals or len(g.reals) != 1:
         return None
-    norm = gaussian_log_normalizer(g)
-    bounds = tuple(tp.size for _, tp in g.batch.entries)
-    d = g.dim
-    chol = _cholesky_jitter(np.broadcast_to(g.precision, bounds + (d, d)))
-    mu = _chol_solve(chol, g.info_vec[..., None])[..., 0]
-    eps = rng.generator().standard_normal(bounds + (d,))
+    chol = _cholesky_jitter(g.precision)
+    mu, norm = normalizer(chol, g.info_vec)
+    eps = rng.generator().standard_normal(g.info_vec.shape)
     # x = mu + L^{-T} eps has covariance (L L^T)^{-1}.
-    shift = np.linalg.solve(
-        np.swapaxes(np.broadcast_to(chol, bounds + (d, d)), -1, -2), eps[..., None]
-    )[..., 0]
-    sample = mu + shift
+    sample = mu + np.linalg.solve(np.swapaxes(chol, -1, -2), eps[..., None])[..., 0]
     tp = g.reals.typeof(v)
-    point = TensorAtom(g.batch, sample.reshape(bounds + tp.shape), tp)
-    inner: Term = DeltaLeaf(DeltaAtom(v, point))
-    if rest is not None:
-        inner = lift(ADD, inner, rest)
-    picked = reduce_term(LOGADDEXP_REDUCE, v, inner)
-    return lift(ADD, TensorLeaf(norm), picked)
+    point = TensorAtom(g.batch, sample.reshape(sample.shape[:-1] + tp.shape), tp)
+    return _pinned(TensorAtom._unchecked(g.batch, norm), v, point, rest)
 
 
 class MonteCarlo(Interpretation):

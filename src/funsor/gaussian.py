@@ -28,7 +28,9 @@ contexts and an array core: ``embed_layout`` and ``embed`` (under
 ``gaussian_fuse``), ``marginal_layout`` and ``marginalize`` (under
 ``gaussian_marginalize``), and ``log_normalizer``.  The atom kernels
 derive the layout and run the core, so a replay of the cores on raw
-arrays computes what they compute.
+arrays computes what they compute.  Every log normalizer, including
+``marginalize``'s weight and those of moment matching and sampling,
+comes from one core, ``normalizer``, given a Cholesky factor.
 
 A precision that repeats along a batch axis stays a stride-0 view, as
 model builders and ``gaussian_expand_batch`` make it.  Precision-only
@@ -342,11 +344,16 @@ def gaussian_log_normalizer(g: GaussianAtom) -> TensorAtom:
 
 def log_normalizer(info: np.ndarray, prec: np.ndarray) -> np.ndarray:
     """The array core of ``gaussian_log_normalizer``."""
-    chol = _cholesky_jitter(_distinct(prec))
-    logdet = _chol_logdet(chol)
+    return normalizer(_cholesky_jitter(_distinct(prec)), info)[1]
+
+
+def normalizer(chol: np.ndarray, info: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The mean ``P^-1 i`` and the log integral of ``i'x - x'Px/2``,
+    given the Cholesky factor ``chol`` of ``P`` (batched)."""
     mean = _chol_solve(chol, info[..., None])[..., 0]
     quad = np.sum(info * mean, axis=-1)
-    return 0.5 * info.shape[-1] * LOG_2PI - 0.5 * logdet + 0.5 * quad
+    logdet = _chol_logdet(chol)
+    return mean, 0.5 * info.shape[-1] * LOG_2PI - 0.5 * logdet + 0.5 * quad
 
 
 def marginal_layout(reals: TypeContext, name: str):
@@ -376,10 +383,7 @@ def marginalize(u: np.ndarray, v: np.ndarray, info: np.ndarray, prec: np.ndarray
     p_uv = prec[..., u[:, None], v[None, :]]
     p_vv = cells[..., v[:, None], v[None, :]]
     chol = _cholesky_jitter(p_vv)
-    logdet = _chol_logdet(chol)
-    x = _chol_solve(chol, i_v[..., None])[..., 0]
-    quad = np.sum(i_v * x, axis=-1)
-    w = 0.5 * len(v) * LOG_2PI - 0.5 * logdet + 0.5 * quad
+    x, w = normalizer(chol, i_v)
     i_new = i_u - (p_uv @ x[..., None])[..., 0]
     p_uv = _distinct(p_uv, prec)
     p_new = p_uu - p_uv @ _chol_solve(chol, np.swapaxes(p_uv, -1, -2))

@@ -25,6 +25,9 @@ quadratic factor or a point mass: relabels, then index values and
 slices, then real values as affine payloads.  Exact's three substitution
 rules only choose the bindings it resolves; the chain scans and the
 normal form, when a point mass pins another factor, call it directly.
+An affine payload is read off the value's nodes by one structural walk
+(``affine_decompose``), which runs the tensor kernels on constants and
+coefficients and evaluates no term.
 
 Lazy only pushes substitutions through non-atomic structure, and its
 rule is the only code that pushes a substitution through ``Apply``,
@@ -64,13 +67,13 @@ from .gaussian import (
     gaussian_cat,
     gaussian_fuse,
     gaussian_index_batch,
-    gaussian_marginalize,
     gaussian_plated_product,
     gaussian_rename,
 )
-from .ops import ADD, LIFTED_OPS, MUL, REDUCE_OPS
+from .ops import ADD, LIFTED_OPS, MUL, NEG, REDUCE_OPS
 from .tensor import (
     TensorAtom,
+    align_atoms,
     index_tensor,
     scalar_tensor,
     tensor_apply,
@@ -78,6 +81,7 @@ from .tensor import (
     tensor_cat,
     tensor_reduce,
     tensor_slice,
+    tensor_take,
     zeros_tensor,
 )
 from .terms import (
@@ -537,8 +541,6 @@ def index_gaussian_batch(g: GaussianAtom, todo: Dict[str, Term]) -> GaussianAtom
 
 
 def _delta_indicator(point: TensorAtom, value: TensorAtom) -> TensorAtom:
-    from .tensor import align_atoms
-
     union, views = align_atoms([point, value])
     bounds = tuple(tp.size for _, tp in union.entries)
     pa = np.broadcast_to(views[0], bounds + point.out_shape)
@@ -594,105 +596,85 @@ def substitute_atom(leaf: Term, todo: Dict[str, object]) -> List[Term]:
 
 
 # ---------------------------------------------------------------------------
-# Affine decomposition by probing.
+# Affine decomposition by a structural walk.
 
 
-def _affine_structural(t: Term) -> bool:
-    if isinstance(t, Variable):
-        return isinstance(t.tp, RealArray)
+def _affine_parts(t: Term):
+    """``(value at zero, {real name: coefficient})`` of an affine term, a
+    coefficient being a table whose output is the term's shape followed by
+    the variable's size; None for a node the walk does not accept.  Both
+    come from the kernels Exact runs, never from a difference of values."""
     if isinstance(t, TensorLeaf):
-        return True
-    if isinstance(t, Apply):
-        name = t.op.name
-        if name in ("add", "sub", "neg", "take"):
-            return all(_affine_structural(a) for a in t.args)
-        if name == "mul":
-            sides = t.args
-            for k in (0, 1):
-                c = sides[k]
-                if (
-                    isinstance(c, TensorLeaf)
-                    and c.is_scalar_real()
-                    and _affine_structural(sides[1 - k])
-                ):
-                    return True
-            return False
-        return False
-    return False
+        return t.atom, {}
+    if isinstance(t, Variable) and isinstance(t.tp, RealArray):
+        shape, du = t.tp.shape, t.tp.num_elements
+        eye = np.eye(du).reshape(shape + (du,))
+        zero = TensorAtom._unchecked(TypeContext(), np.zeros(shape), t.tp)
+        one = TensorAtom._unchecked(TypeContext(), eye, RealArray(eye.shape))
+        return zero, {t.name: one}
+    if not (isinstance(t, Apply) and t.op.name in ("add", "sub", "neg", "take", "mul")):
+        return None
+    parts = [_affine_parts(a) for a in t.args]
+    if any(p is None for p in parts):
+        return None
+    const = tensor_apply(t.op, [c for c, _ in parts])
+    name, coeffs = t.op.name, dict(parts[0][1])
+    if name == "take":
+        return const, {n: tensor_take(c, parts[1][0]) for n, c in coeffs.items()}
+    if name == "mul":
+        # One side is a real scalar table; it scales the other's coefficients.
+        k = 0 if isinstance(t.args[0], TensorLeaf) else 1
+        if not (isinstance(t.args[k], TensorLeaf) and t.args[k].is_scalar_real()):
+            return None
+        scaled = {}
+        for n, c in parts[1 - k][1].items():
+            union, (s, a) = align_atoms([parts[k][0], c])
+            scaled[n] = TensorAtom._unchecked(union, MUL.apply(s, a), c.output)
+        return const, scaled
+    if name == "neg":
+        return const, {n: tensor_apply(NEG, [c]) for n, c in coeffs.items()}
+    for n, c in parts[1][1].items():
+        if n in coeffs:
+            coeffs[n] = tensor_apply(t.op, [coeffs[n], c])
+        else:
+            coeffs[n] = c if name == "add" else tensor_apply(NEG, [c])
+    return const, coeffs
 
 
 def affine_decompose(expr: Term):
-    """Split a structurally affine expression over its real variables.
+    """Split an affine expression over its real variables.
 
-    Returns ``(const, coeffs)`` where ``const`` is the value at zero and
-    ``coeffs`` maps each real free variable to its coefficient matrix,
-    both batched over the expression's bounded free variables; returns
-    ``None`` when the expression fails the structural gate.  Coefficients
-    are recovered by probing with unit vectors, one basis probe per
-    flattened input coordinate.
+    Returns ``(const, coeffs)``, ``const`` being the value at zero and
+    ``coeffs`` listing ``(name, type, A)`` per real free variable in
+    ``expr.free_vars.real_entries()`` order, ``A`` a ``(dim(expr),
+    dim(name))`` matrix table over the bounded variables it varies along.
+    Both are read off the nodes by one walk that evaluates no term: real
+    variables, tables, ``add``, ``sub``, ``neg``, ``take`` at a constant
+    index and ``mul`` by a real scalar table.  None for any other node.
     """
-    if not _affine_structural(expr):
+    parts = _affine_parts(expr) if isinstance(expr.output, RealArray) else None
+    if parts is None:
         return None
-    real_entries = expr.free_vars.real_entries()
-    out_tp = expr.output
-    if not isinstance(out_tp, RealArray):
-        return None
-    dv = out_tp.num_elements
-    # Fold constant subterms once, so that each probe only pushes its
-    # bindings; a lazily built expression may hold unfolded constants.
-    expr = interpret(EXACT, expr)
-
-    def probe(values: Dict[str, np.ndarray]) -> Optional[TensorAtom]:
-        bindings = {
-            n: TensorLeaf(TensorAtom(TypeContext(), values[n], tp))
-            for n, tp in real_entries
-        }
-        with interpretation(EXACT):
-            ev = subst_term(expr, bindings)
-        if isinstance(ev, TensorLeaf):
-            return ev.atom
-        return None
-
-    zeros = {n: np.zeros(tp.shape) for n, tp in real_entries}
-    c = probe(zeros)
-    if c is None:
-        return None
-    from .tensor import align_atoms
-
-    coeffs = []
-    for n, tp in real_entries:
-        du = tp.num_elements
-        col_atoms = []
-        for k in range(du):
-            unit = dict(zeros)
-            e = np.zeros(du)
-            e[k] = 1.0
-            unit[n] = e.reshape(tp.shape)
-            col = probe(unit)
-            if col is None:
-                return None
-            col_atoms.append(col)
-        union, arrays = align_atoms([c] + col_atoms)
-        bounds = tuple(t.size for _, t in union.entries)
-        full = [np.broadcast_to(a, bounds + out_tp.shape) for a in arrays]
-        base = full[0]
-        cols = [(fa - base).reshape(bounds + (dv,)) for fa in full[1:]]
-        mat = TensorAtom(union, np.stack(cols, axis=-1), RealArray((dv, du)))
-        coeffs.append((n, tp, mat))
-    return c, coeffs
+    const, coeffs = parts
+    dv, mats = expr.output.num_elements, []
+    for n, tp in expr.free_vars.real_entries():
+        c, mat = coeffs[n], RealArray((dv, tp.num_elements))
+        data = c.data.reshape(c.data.shape[: len(c.context)] + mat.shape)
+        mats.append((n, tp, TensorAtom._unchecked(c.context, data, mat)))
+    return const, mats
 
 
 def affine_substitute(g, name: str, expr):
     """Substitute an affine expression for one real variable of a factor.
 
-    ``expr`` must pass the structural affinity gate; its constant and
-    coefficient matrices are recovered by probing at zero and at unit
-    vectors.  Returns the constant tensor and the surviving Gaussian
-    factor (None when no real variables remain).
+    ``expr``'s constant and coefficient matrices are read off it by
+    ``affine_decompose``; ``NotAffine`` when it declines.  Returns the
+    constant tensor and the surviving Gaussian factor (None when no real
+    variables remain).
     """
     dec = affine_decompose(to_term(expr))
     if dec is None:
-        raise NotAffine("expression failed the structural affinity check")
+        raise NotAffine("expression is not structurally affine")
     const, coeffs = dec
     return gaussian_affine_substitute(g, name, const, coeffs)
 
@@ -790,8 +772,6 @@ def _h_subst_gaussian(node: Subst) -> Optional[Term]:
                 and targets.count(v.name) == 1
             ):
                 todo[n] = v.name
-            elif isinstance(v, TensorLeaf):
-                todo[n] = v
             else:
                 dec = affine_decompose(v)
                 if dec is not None:
@@ -867,11 +847,8 @@ def _h_reduce_gaussian(node: Reduce) -> Optional[Term]:
         return None
     g = body.atom
     if node.op.name == "logaddexp" and node.var in g.reals:
-        w, g2 = gaussian_marginalize(g, node.var)
-        parts: List[Term] = [TensorLeaf(w)]
-        if g2 is not None:
-            parts.append(GaussianLeaf(g2))
-        return _chain_add(parts)
+        nf = NormalForm(gaussian=g)
+        return reduce_normal_form(node.op, nf, node.var, reduction_kind)
     if node.op.name == "add" and node.var in g.batch:
         return GaussianLeaf(gaussian_plated_product(g, node.var))
     return None

@@ -26,7 +26,7 @@ import numpy as np
 
 from .approx import MomentMatching, match_kind
 from .domains import Bounded, RealArray, TypeContext
-from .errors import BoundsError, FunsorTypeError
+from .errors import BoundsError, FunsorTypeError, RankDeficient
 from .gaussian import LOG_2PI, GaussianAtom, gaussian_log_normalizer, log_normalizer
 from .interp import (
     LAZY,
@@ -137,6 +137,14 @@ def _expect_shape(what: str, arr: np.ndarray, shape) -> None:
         raise FunsorTypeError(f"{what} must have shape {want}, got {arr.shape}")
 
 
+def _expect_positive_definite(what: str, cov: np.ndarray) -> None:
+    """Raise ``RankDeficient`` unless every matrix in ``cov`` is positive definite."""
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise RankDeficient(f"{what} must be positive definite") from None
+
+
 def _log_rows(p: np.ndarray, what: str) -> np.ndarray:
     """Log of row-stochastic data; rows must sum to one within 1e-9."""
     if (p < 0).any():
@@ -219,6 +227,8 @@ def _check_linear_gaussian(spec, n: int) -> int:
     _expect_shape("R", spec.R, (m, m))
     _expect_shape("init_mean", spec.init_mean, (n,))
     _expect_shape("init_cov", spec.init_cov, (n, n))
+    for what in ("Q", "R", "init_cov"):
+        _expect_positive_definite(what, getattr(spec, what))
     return m
 
 
@@ -258,6 +268,7 @@ class KalmanSpec:
         if self.bias_cov is not None:
             self.bias_cov = np.asarray(self.bias_cov, dtype=np.float64)
             _expect_shape("bias_cov", self.bias_cov, (m, m))
+            _expect_positive_definite("bias_cov", self.bias_cov)
 
 
 def kalman_factors(spec: KalmanSpec) -> Tuple[Term, Term, Optional[Term]]:
@@ -488,6 +499,8 @@ class GmmSpec:
         _expect_shape("noises", noises, (k, dx, dx))
         _expect_shape("prior_mean", prior_mean, (dz,))
         _expect_shape("prior_cov", prior_cov, (dz, dz))
+        _expect_positive_definite("noises", noises)
+        _expect_positive_definite("prior_cov", prior_cov)
         i_c, p_c, _ = conditional_gaussian(loadings, offsets, noises)
         i_z, p_z, _ = dense_gaussian(prior_mean, prior_cov)
         return cls(data, i_z, p_z, i_c, p_c)

@@ -395,8 +395,8 @@ def _with_entry(doc_fn, key, index, value):
     return make
 
 
-# Each file is rejected by a shape, finiteness or type check (or the
-# decoder), never by a traceback, a silent broadcast or a NaN result.
+# Each file is rejected by a shape, finiteness, type or definiteness check
+# (or the decoder), never by a traceback, a silent broadcast or a NaN result.
 MALFORMED_FILES = {
     "hmm_emission_width": (
         _with(
@@ -445,6 +445,41 @@ MALFORMED_FILES = {
     "slds_window_nan": (_with(slds_doc, "window", lambda rng: np.nan), "TypeError"),
     "slds_window_fraction": (_with(slds_doc, "window", lambda rng: 1.5), "TypeError"),
     "slds_window_bool": (_with(slds_doc, "window", lambda rng: True), "TypeError"),
+    # A singular covariance has no information form.
+    "kalman_singular_init_cov": (
+        _with(kalman_doc, "init_cov", lambda rng: [[1.0, 1.0], [1.0, 1.0]]),
+        "RankDeficient",
+    ),
+    "kalman_zero_Q": (
+        _with(kalman_doc, "Q", lambda rng: np.zeros((2, 2)).tolist()),
+        "RankDeficient",
+    ),
+    "kalman_zero_R": (_with(kalman_doc, "R", lambda rng: [[0.0]]), "RankDeficient"),
+    "kalman_indefinite_Q": (
+        _with(kalman_doc, "Q", lambda rng: [[1.0, 0.0], [0.0, -1.0]]),
+        "RankDeficient",
+    ),
+    "kalman_zero_bias_cov": (
+        _with(lambda rng: kalman_doc(rng, bias=True), "bias_cov", lambda rng: [[0.0]]),
+        "RankDeficient",
+    ),
+    "slds_zero_Q": (
+        _with(slds_doc, "Q", lambda rng: np.zeros((2, 2)).tolist()),
+        "RankDeficient",
+    ),
+    "slds_zero_R": (_with(slds_doc, "R", lambda rng: [[0.0]]), "RankDeficient"),
+    "slds_singular_init_cov": (
+        _with(slds_doc, "init_cov", lambda rng: [[1.0, 1.0], [1.0, 1.0]]),
+        "RankDeficient",
+    ),
+    "gmm_zero_noise": (
+        _with(gmm_doc, "noises", lambda rng: [[[0.5]], [[0.0]]]),
+        "RankDeficient",
+    ),
+    "gmm_singular_prior_cov": (
+        _with(gmm_doc, "prior_cov", lambda rng: [[1.0, 1.0], [1.0, 1.0]]),
+        "RankDeficient",
+    ),
 }
 
 

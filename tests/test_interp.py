@@ -21,6 +21,7 @@ from funsor.interp import (
     affine_substitute,
     cat_term,
     current_interpretation,
+    flatten_product,
     interpret,
     interpretation,
     lift,
@@ -360,6 +361,90 @@ class TestAffine:
             expr = lift("mul", a, a)
         with pytest.raises(NotAffine):
             affine_substitute(g, "x", expr)
+
+
+def over_ij(atom):
+    """A table over ``i`` and ``j``, in that axis order."""
+    assert set(atom.context.names) == {"i", "j"}
+    return atom.data if atom.context.names == ("i", "j") else atom.data.T
+
+
+class TestAffineWalk:
+    """Coefficients are read off the expression's nodes, not recovered by
+    evaluating it at probe points."""
+
+    @pytest.mark.parametrize("offset", [3.0, 1e8, 1e12, 1e16])
+    def test_coefficient_is_exact_at_any_offset(self, offset):
+        with interpretation(LAZY):
+            expr = lift(
+                "add", lift("mul", to_term(0.3), var("a", RealArray(()))), to_term(offset)
+            )
+        const, ((name, _, coeff),) = affine_decompose(expr)
+        assert name == "a" and float(const.data) == offset
+        assert coeff.data.reshape(()) == 0.3
+
+    def test_spread_tables_times_a_variable_substitute(self):
+        rng = np.random.default_rng(60)
+        a = rng.normal(size=2)
+        b = rng.normal(size=3)
+        x = var("x", RealArray(()))
+        expr = lift(
+            "add",
+            lift("mul", table([("i", Bounded(2))], a), x),
+            table([("j", Bounded(3))], b),
+        )
+        const, ((_, _, coeff),) = affine_decompose(expr)
+        assert coeff.context.names == ("i",)
+        np.testing.assert_array_equal(coeff.data.reshape(2), a)
+        np.testing.assert_array_equal(over_ij(const), a[:, None] * 0.0 + b[None, :])
+
+        scalar = RealArray(())
+        g = random_gaussian_atom(rng, [], [("y", scalar), ("z", scalar)])
+        out = subst_term(GaussianLeaf(g), {"y": expr})
+        assert all(
+            isinstance(p, (TensorLeaf, GaussianLeaf)) for p in flatten_product(out)
+        )
+        for x0, z0 in ((0.4, -1.2), (-2.0, 0.5)):
+            got = over_ij(interpret(EXACT, subst_term(out, {"x": x0, "z": z0})).atom)
+            y = a[:, None] * x0 + b[None, :]
+            v = np.stack([y, np.full_like(y, z0)], axis=-1)
+            want = v @ g.info_vec - 0.5 * np.einsum("...a,ab,...b->...", v, g.precision, v)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_decompose_evaluates_nothing(self, monkeypatch):
+        import funsor.interp as interp_module
+
+        calls = []
+        for name in ("interpret", "subst_term"):
+            real = getattr(interp_module, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(interp_module, name, spy)
+        with interpretation(LAZY):
+            expr = lift(
+                "sub",
+                lift("mul", to_term(2.0), var("a", RealArray(()))),
+                lift("neg", lift("add", var("b", RealArray(())), to_term(1.0))),
+            )
+        const, coeffs = affine_decompose(expr)
+        assert calls == []
+        assert float(const.data) == 1.0
+        assert [float(c.data.reshape(())) for _, _, c in coeffs] == [2.0, 1.0]
+
+    def test_batched_take_gives_a_selection_matrix(self):
+        K, dz = 3, 2
+        zs = var("zs", RealArray((K, dz)))
+        expr = lift("take", zs, var("c", Bounded(K)))
+        const, ((name, tp, coeff),) = affine_decompose(expr)
+        assert name == "zs" and tp == RealArray((K, dz))
+        assert const.context.names == ("c",)
+        np.testing.assert_array_equal(const.data, np.zeros((K, dz)))
+        assert coeff.context.names == ("c",) and coeff.output == RealArray((dz, K * dz))
+        want = np.stack([np.eye(K * dz)[k * dz:(k + 1) * dz] for k in range(K)])
+        np.testing.assert_array_equal(coeff.data, want)
 
 
 def batch_table(entries, rng):

@@ -1,0 +1,52 @@
+"""The value sweep's comparison, which checks that two source trees print
+the same bits, run as a script on small recorded files."""
+
+import json
+import os
+import subprocess
+import sys
+
+SWEEP = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "value_sweep.py"
+)
+
+
+def compare(tmp_path, a, b):
+    paths = []
+    for name, values in (("a.json", a), ("b.json", b)):
+        path = tmp_path / name
+        path.write_text(json.dumps(values, indent=1, sort_keys=True))
+        paths.append(str(path))
+    return subprocess.run(
+        [sys.executable, SWEEP, "--compare", *paths],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+RECORD = {
+    "hmm K=16 T=8 draw=0 --interp exact": {"log_value": -31.25, "model": "hmm"},
+    "kalman n=3 m=2 T=9 draw=1 --interp optimize": {
+        "log_value": -20.123456789012345,
+        "model": "kalman",
+    },
+}
+
+
+class TestValueSweepCompare:
+    def test_equal_files_exit_0(self, tmp_path):
+        proc = compare(tmp_path, RECORD, dict(RECORD))
+        assert proc.returncode == 0
+        assert "0 of 2 invocations differ" in proc.stdout
+
+    def test_one_differing_key_exits_1_and_is_named(self, tmp_path):
+        key = "kalman n=3 m=2 T=9 draw=1 --interp optimize"
+        other = json.loads(json.dumps(RECORD))
+        other[key]["log_value"] = -20.123456789012348
+        proc = compare(tmp_path, RECORD, other)
+        assert proc.returncode == 1
+        lines = proc.stdout.splitlines()
+        assert lines[0] == key
+        assert "1 of 2 invocations differ" in proc.stdout
+        assert "hmm K=16" not in proc.stdout
