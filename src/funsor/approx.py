@@ -251,7 +251,7 @@ def mc_sample_discrete(
     cdf[..., -1] = 1.0
     draws = np.sum(u[:, None] > cdf, axis=-1).astype(np.float64)
     rest_ctx = w.context.remove(v)
-    idx = TensorAtom(
+    idx = TensorAtom._unchecked(
         rest_ctx, draws.reshape(tuple(t.size for _, t in rest_ctx.entries)), tp
     )
     return _pinned(w_total, v, idx, rest)
@@ -276,7 +276,8 @@ def mc_sample_gaussian(
     # x = mu + L^{-T} eps has covariance (L L^T)^{-1}.
     sample = mu + np.linalg.solve(np.swapaxes(chol, -1, -2), eps[..., None])[..., 0]
     tp = g.reals.typeof(v)
-    point = TensorAtom(g.batch, sample.reshape(sample.shape[:-1] + tp.shape), tp)
+    sample = sample.reshape(sample.shape[:-1] + tp.shape)
+    point = TensorAtom._unchecked(g.batch, sample, tp)
     return _pinned(TensorAtom._unchecked(g.batch, norm), v, point, rest)
 
 

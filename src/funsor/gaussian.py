@@ -17,11 +17,12 @@ Batched matrix products and matrix-vector products use ``@`` on stacked
 arrays (BLAS); affine substitution forms ``M' P M`` and ``M' (i - P m)``
 with ``P m`` computed once, and a ground value is the affine substitution
 with no coefficients.  Parameters are checked once, where they
-enter: ``GaussianAtom(...)`` serves model builders and user-built leaves,
-while the kernels build their results, relabels included, through
-``GaussianAtom._unchecked``, which symmetrizes as the checked constructor
-does and skips its tests.  A result that rounding left indefinite raises
-``RankDeficient`` at its first factorization.
+enter: covariances at ``models._expect_covariance``, then the factors
+built from them by ``GaussianAtom(...)``, which also serves user-built
+leaves.  The kernels build every result, relabels and sliced parameter
+tables included, through ``_unchecked``, which symmetrizes as the checked
+constructor does and skips its tests.  A result that rounding left
+indefinite raises ``RankDeficient`` at its first factorization.
 
 The kernels a chain step runs are split into a half that reads only the
 contexts and an array core: ``embed_layout`` and ``embed`` (under
@@ -240,10 +241,11 @@ class GaussianAtom:
         return f"GaussianAtom{self.batch.pretty()}|{self.reals.pretty()}"
 
     def info_atom(self) -> TensorAtom:
-        return TensorAtom(self.batch, self.info_vec, RealArray((self.dim,)))
+        return TensorAtom._unchecked(self.batch, self.info_vec, RealArray((self.dim,)))
 
     def precision_atom(self) -> TensorAtom:
-        return TensorAtom(self.batch, self.precision, RealArray((self.dim, self.dim)))
+        out = RealArray((self.dim, self.dim))
+        return TensorAtom._unchecked(self.batch, self.precision, out)
 
 
 def reorder_like(g: GaussianAtom, template: GaussianAtom) -> GaussianAtom:
@@ -419,12 +421,6 @@ def gaussian_substitute(
     variables remain, a Gaussian with the cross terms folded into its
     information vector.
     """
-    tp = g.reals.typeof(name)
-    if value.output != tp:
-        raise FunsorTypeError(
-            f"substituting {name!r}:{tp.pretty()} needs values of that type,"
-            f" got {value.output.pretty()}"
-        )
     return gaussian_affine_substitute(g, name, value, ())
 
 
@@ -466,8 +462,8 @@ def gaussian_cat(name: str, parts: Sequence[GaussianAtom]) -> GaussianAtom:
     infos, precs = [], []
     for g in parts:
         iv, pv = _embedded([g], g.batch, reals)
-        infos.append(TensorAtom(g.batch, iv, RealArray(iv.shape[-1:])))
-        precs.append(TensorAtom(g.batch, pv, RealArray(pv.shape[-2:])))
+        infos.append(TensorAtom._unchecked(g.batch, iv, RealArray(iv.shape[-1:])))
+        precs.append(TensorAtom._unchecked(g.batch, pv, RealArray(pv.shape[-2:])))
     i = tensor_cat(name, infos)
     p = tensor_cat(name, precs)
     return GaussianAtom._unchecked(i.context, reals, i.data, p.data)
@@ -519,7 +515,7 @@ def gaussian_affine_substitute(
     p_old = align_array(g.precision, g.batch, union)
     p_m = (p_old @ m_vec[..., None])[..., 0]
     t = np.sum(i_old * m_vec, axis=-1) - 0.5 * np.sum(m_vec * p_m, axis=-1)
-    const_out = TensorAtom(union, t)
+    const_out = TensorAtom._unchecked(union, t)
     if not new_reals.entries:
         return const_out, None
 

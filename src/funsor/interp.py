@@ -497,7 +497,7 @@ def normalize(term: Term) -> NormalForm:
 
 def _rename_tensor(atom: TensorAtom, renames: Dict[str, str]) -> TensorAtom:
     entries = [(renames.get(n, n), t) for n, t in atom.context.entries]
-    return TensorAtom(TypeContext(entries), atom.data, atom.output)
+    return TensorAtom._unchecked(TypeContext(entries), atom.data, atom.output)
 
 
 def _is_index_value(v: Term) -> bool:
@@ -524,8 +524,9 @@ def index_gaussian_batch(g: GaussianAtom, todo: Dict[str, Term]) -> GaussianAtom
     """Bind batch variables of ``g`` to index values or slices.
 
     A ground index selects a view of one cell; other values go through
-    ``_index_table`` on the parameters as tables.  The selected cells of a
-    checked atom stay symmetric and are not checked.
+    ``_index_table`` on the parameters as tables.  Cells selected from a
+    checked atom stay exactly symmetric, so every table and the result
+    are built unchecked, without symmetrizing again.
     """
     for n, v in todo.items():
         if not isinstance(v, Slice) and not v.atom.context:
@@ -551,7 +552,7 @@ def _delta_indicator(point: TensorAtom, value: TensorAtom) -> TensorAtom:
     else:
         eq = pa == va
     data = np.where(eq, 0.0, -np.inf)
-    return TensorAtom(union, data, RealArray(()))
+    return TensorAtom._unchecked(union, data)
 
 
 def substitute_atom(leaf: Term, todo: Dict[str, object]) -> List[Term]:
@@ -687,7 +688,7 @@ def _h_variable(node: Variable) -> Optional[Term]:
     if isinstance(node.tp, Bounded):
         n = node.tp.size
         ctx = TypeContext([(node.name, node.tp)])
-        return TensorLeaf(index_tensor(ctx, np.arange(n, dtype=np.float64), n))
+        return TensorLeaf(TensorAtom._unchecked(ctx, np.arange(n), node.tp))
     return None
 
 
@@ -802,7 +803,7 @@ def _h_subst_slice(node: Subst) -> Optional[Term]:
         return None
     if isinstance(v, TensorLeaf) and isinstance(v.atom.output, Bounded):
         data = base.start + base.stride * v.atom.data
-        return TensorLeaf(index_tensor(v.atom.context, data, base.bound))
+        return TensorLeaf(TensorAtom._unchecked(v.atom.context, data, base.output))
     if isinstance(v, Slice):
         new_start = base.start + base.stride * v.start
         new_stride = base.stride * v.stride
@@ -828,7 +829,7 @@ def _h_subst_cat(node: Subst) -> Optional[Term]:
     offset = 0
     for part, cnt in zip(base.parts, base.part_counts()):
         if k < offset + cnt:
-            idx = index_tensor(TypeContext(), np.float64(k - offset), cnt)
+            idx = TensorAtom._unchecked(TypeContext(), k - offset, Bounded(cnt))
             picked = subst_term(part, {base.over: TensorLeaf(idx)})
             return subst_term(picked, inner) if inner else picked
         offset += cnt

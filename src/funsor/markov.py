@@ -63,7 +63,7 @@ from .optimize import (
     pair_plan,
     rename_layout,
 )
-from .tensor import index_tensor
+from .tensor import TensorAtom
 from .terms import GaussianLeaf, MarkovProd, Slice, TensorLeaf, Term, fresh_name
 
 
@@ -192,7 +192,7 @@ def _replay(node: MarkovProd, factors, pairs, names, T: int, classify):
 
 
 def _cell(k: int, size: int) -> Term:
-    return TensorLeaf(index_tensor(TypeContext(), np.float64(k), size))
+    return TensorLeaf(TensorAtom._unchecked(TypeContext(), k, Bounded(size)))
 
 
 def _at(factors, cells: Dict[str, Term], renames: Dict[str, str], types) -> List[Term]:

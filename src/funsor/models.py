@@ -15,6 +15,10 @@ The helpers at the top convert moment-form conditionals
 ``N(out; M @ in + offset, noise)`` into the information-form blocks the
 quadratic factors store, together with the constant that makes the
 factor integrate to one over its output.
+
+Model data is checked here, once, where it enters: every covariance by
+``_expect_covariance``, naming its key in any error; the engine derives
+every other atom from the checked factors unchecked.
 """
 from __future__ import annotations
 
@@ -137,12 +141,19 @@ def _expect_shape(what: str, arr: np.ndarray, shape) -> None:
         raise FunsorTypeError(f"{what} must have shape {want}, got {arr.shape}")
 
 
-def _expect_positive_definite(what: str, cov: np.ndarray) -> None:
-    """Raise ``RankDeficient`` unless every matrix in ``cov`` is positive definite."""
+def _expect_covariance(key: str, cov: np.ndarray, n: int, batch=()) -> None:
+    """Raise, naming ``key``, unless ``cov`` holds covariances of shape
+    ``batch + (n, n)``, symmetric within ``GaussianAtom``'s 1e-8 relative
+    tolerance (``TypeError``) and with a Cholesky factor (``RankDeficient``)."""
+    _expect_shape(key, cov, tuple(batch) + (n, n))
+    asym = float(np.max(np.abs(cov - np.swapaxes(cov, -1, -2)), initial=0.0))
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(cov), initial=0.0)))
+    if asym > tol:
+        raise FunsorTypeError(f"{key} must be symmetric, off by {asym:.3e}")
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
-        raise RankDeficient(f"{what} must be positive definite") from None
+        raise RankDeficient(f"{key} must be positive definite") from None
 
 
 def _log_rows(p: np.ndarray, what: str) -> np.ndarray:
@@ -219,16 +230,18 @@ def build_hmm(spec: HmmSpec, elim: str = "logaddexp") -> Term:
 
 
 def _check_linear_gaussian(spec, n: int) -> int:
-    """Check ``Q``, ``H``, ``R`` and the initial state of a model whose
-    state has ``n`` dimensions; returns the observation size."""
-    _expect_shape("Q", spec.Q, (n, n))
+    """Check ``Q``, ``H``, ``R`` and the initial state (standard normal
+    unless given) of a model whose state has ``n`` dimensions; returns the
+    observation size."""
+    mean, cov = spec.init_mean, spec.init_cov
+    spec.init_mean = np.asarray(np.zeros(n) if mean is None else mean, dtype=np.float64)
+    spec.init_cov = np.asarray(np.eye(n) if cov is None else cov, dtype=np.float64)
+    _expect_covariance("Q", spec.Q, n)
     _expect_shape("H", spec.H, (None, n))
     m = spec.H.shape[0]
-    _expect_shape("R", spec.R, (m, m))
+    _expect_covariance("R", spec.R, m)
     _expect_shape("init_mean", spec.init_mean, (n,))
-    _expect_shape("init_cov", spec.init_cov, (n, n))
-    for what in ("Q", "R", "init_cov"):
-        _expect_positive_definite(what, getattr(spec, what))
+    _expect_covariance("init_cov", spec.init_cov, n)
     return m
 
 
@@ -257,18 +270,11 @@ class KalmanSpec:
         _expect_shape("F", self.F, (None, None))
         n = self.F.shape[0]
         _expect_shape("F", self.F, (n, n))
-        if self.init_mean is None:
-            self.init_mean = np.zeros(n)
-        if self.init_cov is None:
-            self.init_cov = np.eye(n)
-        self.init_mean = np.asarray(self.init_mean, dtype=np.float64)
-        self.init_cov = np.asarray(self.init_cov, dtype=np.float64)
         m = _check_linear_gaussian(self, n)
         _expect_shape("observations", self.observations, (None, m))
         if self.bias_cov is not None:
             self.bias_cov = np.asarray(self.bias_cov, dtype=np.float64)
-            _expect_shape("bias_cov", self.bias_cov, (m, m))
-            _expect_positive_definite("bias_cov", self.bias_cov)
+            _expect_covariance("bias_cov", self.bias_cov, m)
 
 
 def kalman_factors(spec: KalmanSpec) -> Tuple[Term, Term, Optional[Term]]:
@@ -349,12 +355,6 @@ class SldsSpec:
         _expect_shape("F", self.F, (k, None, None))
         n = self.F.shape[-1]
         _expect_shape("F", self.F, (k, n, n))
-        if self.init_mean is None:
-            self.init_mean = np.zeros(n)
-        if self.init_cov is None:
-            self.init_cov = np.eye(n)
-        self.init_mean = np.asarray(self.init_mean, dtype=np.float64)
-        self.init_cov = np.asarray(self.init_cov, dtype=np.float64)
         _check_linear_gaussian(self, n)
         window = self.window
         if isinstance(window, bool) or not isinstance(window, (int, np.integer)):
@@ -496,11 +496,9 @@ class GmmSpec:
         _expect_shape("loadings", loadings, (None, None, None))
         k, dx, dz = loadings.shape
         _expect_shape("offsets", offsets, (k, dx))
-        _expect_shape("noises", noises, (k, dx, dx))
+        _expect_covariance("noises", noises, dx, (k,))
         _expect_shape("prior_mean", prior_mean, (dz,))
-        _expect_shape("prior_cov", prior_cov, (dz, dz))
-        _expect_positive_definite("noises", noises)
-        _expect_positive_definite("prior_cov", prior_cov)
+        _expect_covariance("prior_cov", prior_cov, dz)
         i_c, p_c, _ = conditional_gaussian(loadings, offsets, noises)
         i_z, p_z, _ = dense_gaussian(prior_mean, prior_cov)
         return cls(data, i_z, p_z, i_c, p_c)

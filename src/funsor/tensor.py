@@ -14,8 +14,9 @@ the contexts, ``realign`` applies the result to an array.  The pointwise
 and reduction kernels are split the same way (``pointwise_layout`` and
 ``pointwise``; ``fold_axis``), so a caller that knows the layouts in
 advance can replay the array arithmetic without building atoms.
-Kernel results are built through ``TensorAtom._unchecked``; the checked
-constructor serves builders and user leaves.
+Model data is checked where it enters (see ``models``): the checked
+constructor serves builders, ``index_tensor`` and user leaves, and every
+atom derived from checked atoms is built through ``_unchecked``.
 """
 from __future__ import annotations
 
@@ -160,12 +161,12 @@ class TensorAtom:
 
 
 def scalar_tensor(value: float) -> TensorAtom:
-    return TensorAtom(TypeContext(), np.float64(value).reshape(()))
+    return TensorAtom._unchecked(TypeContext(), np.float64(value).reshape(()))
 
 
 def zeros_tensor(context: TypeContext) -> TensorAtom:
     bounds = tuple(tp.size for _, tp in context.entries)
-    return TensorAtom(context, np.zeros(bounds))
+    return TensorAtom._unchecked(context, np.zeros(bounds))
 
 
 def index_tensor(context: TypeContext, data, bound: int) -> TensorAtom:
@@ -270,7 +271,7 @@ def tensor_take(arr: TensorAtom, idx: TensorAtom) -> TensorAtom:
     out_type = TAKE.result_type(arr.output, idx.output)
     # The leading output axis is already the axis after the batch axes.
     label = _absent_name(arr.context, idx.context)
-    table = TensorAtom(
+    table = TensorAtom._unchecked(
         arr.context.union(TypeContext([(label, idx.output)])), arr.data, out_type
     )
     return tensor_index(table, label, idx)
@@ -491,12 +492,12 @@ def tensor_index(atom: TensorAtom, name: str, idx: TensorAtom) -> TensorAtom:
     union = rest.union(idx.context)
     if not idx.context:
         cell = ground_cell(atom.context, name, idx)
-        return TensorAtom(rest, atom.data[cell], atom.output)
+        return TensorAtom._unchecked(rest, atom.data[cell], atom.output)
     if _is_rename(atom, idx):
         # Relabel the axis and move it where the gather would put it (last
         # batch axis), sharing the data.
-        axis = atom.context.names.index(name)
-        return TensorAtom(union, np.moveaxis(atom.data, axis, len(rest)), atom.output)
+        data = np.moveaxis(atom.data, atom.context.names.index(name), len(rest))
+        return TensorAtom._unchecked(union, data, atom.output)
     # Lay the atom out over the union with the substituted axis last, under
     # a label outside the union (the index may mention ``name`` itself).
     label = _absent_name(union)
@@ -505,7 +506,7 @@ def tensor_index(atom: TensorAtom, name: str, idx: TensorAtom) -> TensorAtom:
     iarr = align_array(idx.data, idx.context, union).astype(np.int64)
     iarr = iarr.reshape(iarr.shape + (1,) * (1 + atom.out_rank))
     data = np.take_along_axis(arr, iarr, axis=len(union))
-    return TensorAtom(union, data.squeeze(len(union)), atom.output)
+    return TensorAtom._unchecked(union, data.squeeze(len(union)), atom.output)
 
 
 def tensor_slice(
@@ -529,7 +530,7 @@ def tensor_slice(
     entries = [
         (n, Bounded(count) if n == name else t) for n, t in atom.context.entries
     ]
-    return TensorAtom(TypeContext(entries), data, atom.output)
+    return TensorAtom._unchecked(TypeContext(entries), data, atom.output)
 
 
 def tensor_cat(name: str, atoms: Sequence[TensorAtom]) -> TensorAtom:
@@ -552,5 +553,5 @@ def tensor_cat(name: str, atoms: Sequence[TensorAtom]) -> TensorAtom:
         bounds[axis] = count
         arr = align_array(a.data, a.context, union)
         pieces.append(np.broadcast_to(arr, tuple(bounds) + a.out_shape))
-    return TensorAtom(union, np.concatenate(pieces, axis=axis), out)
+    return TensorAtom._unchecked(union, np.concatenate(pieces, axis=axis), out)
 

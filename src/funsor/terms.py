@@ -322,7 +322,7 @@ class Slice(Term):
 
     def to_tensor(self) -> TensorAtom:
         data = np.arange(self.start, self.stop, self.stride, dtype=np.float64)
-        return TensorAtom(self.free_vars, data, Bounded(self.bound))
+        return TensorAtom._unchecked(self.free_vars, data, Bounded(self.bound))
 
     def _args(self):
         return (self.over, self.start, self.stop, self.stride, self.bound)

@@ -46,7 +46,7 @@ def kalman_doc(rng, n=2, m=1, T=5, bias=False):
     return doc
 
 
-def slds_doc(rng, K=2, n=2, T=3):
+def slds_doc(rng, K=2, n=2, T=3, m=1):
     a = rng.normal(size=(n, n))
     p = rng.uniform(0.2, 1.0, size=(K, K))
     return {
@@ -54,22 +54,22 @@ def slds_doc(rng, K=2, n=2, T=3):
         "transition": (p / p.sum(axis=1, keepdims=True)).tolist(),
         "F": (0.5 * rng.normal(size=(K, n, n))).tolist(),
         "Q": (a @ a.T + 0.5 * np.eye(n)).tolist(),
-        "H": rng.normal(size=(1, n)).tolist(),
-        "R": [[0.4]],
+        "H": rng.normal(size=(m, n)).tolist(),
+        "R": (0.4 * np.eye(m)).tolist(),
         "window": 2,
-        "observations": rng.normal(size=(T, 1)).tolist(),
+        "observations": rng.normal(size=(T, m)).tolist(),
     }
 
 
-def gmm_doc(rng, K=2, N=2):
+def gmm_doc(rng, K=2, N=2, dx=1):
     return {
         "model": "gmm",
-        "loadings": rng.normal(size=(K, 1, 2)).tolist(),
-        "offsets": rng.normal(size=(K, 1)).tolist(),
-        "noises": [[[0.5]], [[0.8]]],
+        "loadings": rng.normal(size=(K, dx, 2)).tolist(),
+        "offsets": rng.normal(size=(K, dx)).tolist(),
+        "noises": [(0.5 * np.eye(dx)).tolist(), (0.8 * np.eye(dx)).tolist()],
         "prior_mean": rng.normal(size=2).tolist(),
         "prior_cov": np.eye(2).tolist(),
-        "data": rng.normal(size=(N, 1)).tolist(),
+        "data": rng.normal(size=(N, dx)).tolist(),
     }
 
 
@@ -395,6 +395,12 @@ def _with_entry(doc_fn, key, index, value):
     return make
 
 
+def _skew(rng):
+    """An asymmetric matrix whose lower triangle, all Cholesky reads, is
+    positive definite."""
+    return [[1.0, 0.9], [-0.9, 1.0]]
+
+
 # Each file is rejected by a shape, finiteness, type or definiteness check
 # (or the decoder), never by a traceback, a silent broadcast or a NaN result.
 MALFORMED_FILES = {
@@ -480,6 +486,43 @@ MALFORMED_FILES = {
         _with(gmm_doc, "prior_cov", lambda rng: [[1.0, 1.0], [1.0, 1.0]]),
         "RankDeficient",
     ),
+    # An asymmetric covariance is rejected before its lower triangle alone
+    # could pass the Cholesky test.
+    "kalman_asymmetric_Q": (_with(kalman_doc, "Q", _skew), "TypeError"),
+    "kalman_asymmetric_R": (
+        _with(lambda rng: kalman_doc(rng, m=2), "R", _skew),
+        "TypeError",
+    ),
+    "kalman_asymmetric_init_cov": (_with(kalman_doc, "init_cov", _skew), "TypeError"),
+    "kalman_asymmetric_bias_cov": (
+        _with(lambda rng: kalman_doc(rng, m=2, bias=True), "bias_cov", _skew),
+        "TypeError",
+    ),
+    "slds_asymmetric_Q": (_with(slds_doc, "Q", _skew), "TypeError"),
+    "slds_asymmetric_R": (
+        _with(lambda rng: slds_doc(rng, m=2), "R", _skew),
+        "TypeError",
+    ),
+    "slds_asymmetric_init_cov": (_with(slds_doc, "init_cov", _skew), "TypeError"),
+    "gmm_asymmetric_noises": (
+        _with(
+            lambda rng: gmm_doc(rng, dx=2),
+            "noises",
+            lambda rng: [_skew(rng), np.eye(2).tolist()],
+        ),
+        "TypeError",
+    ),
+    "gmm_asymmetric_prior_cov": (
+        _with(gmm_doc, "prior_cov", lambda rng: [[1.0, 3.0], [0.0, 1.0]]),
+        "TypeError",
+    ),
+}
+
+# The key each asymmetric case must name first in its detail.
+ASYMMETRIC_KEYS = {
+    case: case.split("_asymmetric_")[1]
+    for case in MALFORMED_FILES
+    if "_asymmetric_" in case
 }
 
 
@@ -492,6 +535,14 @@ class TestMalformedModelFiles:
         assert code == 1
         assert payload["error"] == code_name
         assert set(payload) == {"error", "detail"}
+
+    @pytest.mark.parametrize("case", sorted(ASYMMETRIC_KEYS))
+    def test_asymmetric_covariance_detail_names_key(self, case, tmp_path, capsys):
+        make, _ = MALFORMED_FILES[case]
+        path = make(tmp_path, np.random.default_rng(21))
+        _, payload, _ = run_json(capsys, ["run", path])
+        key = ASYMMETRIC_KEYS[case]
+        assert payload["detail"].startswith(f"{key} must be symmetric")
 
     def test_impossible_emissions_still_run(self, tmp_path, capsys):
         doc = hmm_doc(np.random.default_rng(22))

@@ -1,12 +1,13 @@
 """Tests for the chain and mixture model builders against filter oracles."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from funsor import models
-from funsor.approx import MomentMatching
+from funsor.approx import MomentMatching, MonteCarlo
 from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import BoundsError, FunsorTypeError
 from funsor.gaussian import GaussianAtom, gaussian_index_batch, gaussian_rename
@@ -757,3 +758,70 @@ class TestBuilderJudgements:
             ctx, tp = infer_type(term)
             assert ctx == TypeContext()
             assert tp == RealArray(())
+
+
+class TestTrustBoundary:
+    """Model data is checked once, where it enters; every atom the engine
+    derives from checked atoms is built unchecked."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Counts of checked ``TensorAtom`` and ``GaussianAtom`` constructions."""
+        counts = {"TensorAtom": 0, "GaussianAtom": 0}
+
+        def counting(init, name):
+            def wrapped(self, *args, **kwargs):
+                counts[name] += 1
+                init(self, *args, **kwargs)
+
+            return wrapped
+
+        for cls in (TensorAtom, GaussianAtom):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__, cls.__name__))
+        return counts
+
+    @pytest.mark.parametrize("scan", ["sequential", "parallel"])
+    @pytest.mark.parametrize(
+        "interp",
+        [EXACT, OPTIMIZE, MomentMatching(), MonteCarlo(0)],
+        ids=lambda i: i.name,
+    )
+    @pytest.mark.parametrize("family", ["hmm", "kalman"])
+    def test_chains_evaluate_without_checked_construction(
+        self, checked, family, interp, scan
+    ):
+        # An odd length makes the parallel scan join a leftover cell.
+        rng = np.random.default_rng(50)
+        if family == "hmm":
+            spec = HmmSpec(random_stochastic(rng, 3, 3), rng.normal(size=(33, 3)))
+            term = build_hmm(spec)
+        else:
+            spec = random_kalman(rng, 2, 2, 33)
+            term = build_kalman(dataclasses.replace(spec, bias_cov=np.eye(2)))
+        checked.update(TensorAtom=0, GaussianAtom=0)
+        with scan_mode(scan):
+            out = interpret(interp, term)
+        assert np.isfinite(float(out.atom.data))
+        assert checked == {"TensorAtom": 0, "GaussianAtom": 0}
+
+    def test_slds_checks_only_its_three_factors(self, checked):
+        spec, ys = random_slds(np.random.default_rng(51), 2, 2, 33, window=2)
+        checked.update(TensorAtom=0, GaussianAtom=0)
+        assert np.isfinite(value(build_slds_marginal(spec, ys)))
+        assert checked == {"TensorAtom": 0, "GaussianAtom": 3}
+
+    def test_gmm_checks_only_its_factors_and_data(self, checked):
+        rng = np.random.default_rng(52)
+        spec = GmmSpec.from_moments(
+            rng.normal(size=(3, 2, 2)),
+            rng.normal(size=(3, 2)),
+            np.stack([0.5 * np.eye(2)] * 3),
+            rng.normal(size=2),
+            np.eye(2),
+            rng.normal(size=(5, 2)),
+        )
+        checked.update(TensorAtom=0, GaussianAtom=0)
+        assert np.isfinite(value(build_gmm(spec)))
+        # The prior and the conditional factor, its constant, the weights,
+        # and one table per datum.
+        assert checked == {"TensorAtom": 2 + 5, "GaussianAtom": 2}
