@@ -24,8 +24,10 @@ holds only tables and quadratic factors goes further: each step's
 ``PairPlan`` (the layout half of ``contract_pair``) is derived once per
 step signature, which repeats with period two as the matched names
 alternate, and replayed on raw arrays, so atoms are built for the
-result only; a step the classifier leaves lazy hands the rest of the
-chain back to ``contract_pair``.
+result only and no context is derived after the first steps (a
+table-only chain's steps run ``tensor_contract``'s array core); a step
+the classifier leaves lazy hands the rest of the chain back to
+``contract_pair``.
 An odd level's last position is joined to the merged pairs by a ``Cat``
 term, whose rule concatenates the tables and the quadratic factors back
 into one of each, so the next level starts from atoms again.  Other
@@ -64,7 +66,7 @@ from .optimize import (
     rename_layout,
 )
 from .tensor import TensorAtom
-from .terms import GaussianLeaf, MarkovProd, Slice, TensorLeaf, Term, fresh_name
+from .terms import MarkovProd, Slice, TensorLeaf, Term, fresh_name
 
 
 class _ScanState(threading.local):
@@ -204,7 +206,7 @@ def _at(factors, cells: Dict[str, Term], renames: Dict[str, str], types) -> List
     """
     out: List[Term] = []
     for p in factors:
-        if isinstance(p, TensorLeaf) and p.is_scalar_real() or isinstance(p, GaussianLeaf):
+        if is_atom_factor(p):
             out.extend(substitute_atom(p, {**cells, **renames}))
         else:
             bindings = dict(cells)

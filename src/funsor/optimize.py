@@ -15,9 +15,11 @@ through it (a sequential chain step calls its pairwise step,
 interpretation.  A pairwise step on tables and quadratic factors is a
 ``PairPlan``: derived from the factors' layouts alone, with each
 reduction classified as the interpretation declares, and run on their
-arrays.  Chains replay it per step signature, and the rules run it as a
-one-step plan; Monte Carlo declares no classifier, so its rules see
-every reduction.  Exact plans one reduction at a time; Optimize's
+arrays.  Its table steps run ``tensor_contract``'s array core.  Chains
+replay it per step signature, and the rules run it as a one-step plan;
+Monte Carlo declares no classifier, so its rules see every reduction
+but that of two tables, which contract exactly under every
+interpretation.  Exact plans one reduction at a time; Optimize's
 whole-term rule gathers directly nested sums over a lazily built product
 into one joint plan instead of collapsing them innermost-first.
 """
@@ -48,7 +50,7 @@ from .interp import (
     reduction_kind,
 )
 from .ops import ADD, REDUCE_OPS, ReduceOp
-from .tensor import TensorAtom, fold_axis, pointwise, pointwise_layout, tensor_contract
+from .tensor import TensorAtom, contract_arrays, contract_layout, fold_axis
 from .terms import GaussianLeaf, Reduce, TensorLeaf, Term
 
 
@@ -168,12 +170,6 @@ def is_atom_factor(p: Term) -> bool:
     return isinstance(p, GaussianLeaf)
 
 
-def _sum_layout(a: TypeContext, b: TypeContext):
-    """``tensor_apply(ADD, ...)``'s layout for two real scalar tables."""
-    union, lays = pointwise_layout([a, b], (0, 0))
-    return union, (lays, tuple(t.size for _, t in union.entries))
-
-
 @dataclass
 class PairPlan:
     """The array-level schedule of one ``contract_pair`` step on atoms.
@@ -181,17 +177,16 @@ class PairPlan:
     Derived by ``pair_plan`` from the layouts of the parts alone.  ``run``
     takes the parts' arrays (``factor_arrays``) and runs the kernels'
     array cores in the order the kernels run them: tables summed left to
-    right, quadratic factors fused left to right, then each reduction in
-    closed form or, for the ``"match"`` kind, by moment matching.  It
+    right by ``tensor_contract``'s core, ``contract_arrays`` (which
+    reduces the step's variables when the parts are two tables),
+    quadratic factors fused left to right, then each remaining reduction
+    in closed form or, for the ``"match"`` kind, by moment matching.  It
     returns the arrays of the result, whose layouts are ``out`` (a table
     first, then a quadratic factor).  ``rest`` lists the variables from
     the first one the classifier leaves lazy on.
     """
 
     op: ReduceOp
-    parts: List
-    rvars: Tuple[str, ...]
-    contracted: bool = False
     tables: List = field(default_factory=list)
     gaussians: List = field(default_factory=list)
     reductions: List = field(default_factory=list)
@@ -199,12 +194,9 @@ class PairPlan:
     out: List = field(default_factory=list)
 
     def run(self, arrays: Sequence) -> List:
-        if self.contracted:
-            atoms = [TensorAtom._unchecked(c, x) for c, x in zip(self.parts, arrays)]
-            return [tensor_contract(self.op, atoms, self.rvars).data]
         t = g = None
         for k, lay in self.tables:
-            t = arrays[k] if lay is None else pointwise(ADD, *lay, [t, arrays[k]])
+            t = arrays[k] if lay is None else contract_arrays(self.op, lay, [t, arrays[k]])
         for k, lay in self.gaussians:
             g = arrays[k] if lay is None else embed(lay, [g, arrays[k]])
         for kind, how, lay in self.reductions:
@@ -220,7 +212,7 @@ class PairPlan:
             else:
                 w, i, p = marginalize(*how, *g)
                 g = (i, p)
-            t = w if lay is None else pointwise(ADD, *lay, [t, w])
+            t = w if lay is None else contract_arrays(self.op, lay, [t, w])
         return [x for x in (t, g) if x is not None]
 
     def run_leaves(self, parts: Sequence[Term]) -> List[Term]:
@@ -231,26 +223,21 @@ class PairPlan:
 def pair_plan(op: ReduceOp, parts: Sequence, rvars: Sequence[str], classify) -> PairPlan:
     """Derive the ``PairPlan`` of a step from its parts' layouts.
 
-    ``parts`` are ``factor_layout``s.  Two tables contract through
-    ``tensor_contract``, as ``contract_pair`` does; otherwise the step is
-    the closed form of ``normal_form_from_parts`` followed by one
-    reduction per variable.  ``classify`` says how each variable is
-    reduced, with ``reduction_kind``'s signature: Exact's kinds
+    ``parts`` are ``factor_layout``s.  Two tables contract as they are
+    summed, as ``tensor_contract`` does, whatever ``classify`` says;
+    otherwise the step is the closed form of ``normal_form_from_parts``
+    followed by one reduction per variable.  ``classify`` says how each
+    variable is reduced, with ``reduction_kind``'s signature: Exact's kinds
     (``reduction_kind``), or also ``"match"`` (``approx.match_kind``), a
     mixture collapsed by ``moment_match`` onto its weight table.
     """
-    plan = PairPlan(op, list(parts), tuple(rvars))
+    plan = PairPlan(op)
     tabular = [isinstance(c, TypeContext) for c in parts]
-    if len(parts) == 2 and all(tabular):
-        kept = parts[0].union(parts[1])
-        for v in rvars:
-            kept = kept.remove(v)
-        plan.contracted, plan.out = True, [kept]
-        return plan
+    summed = tuple(rvars) if len(parts) == 2 and all(tabular) else ()
     t = g = None
     for k, lay in enumerate(parts):
         if tabular[k]:
-            t, step = (lay, None) if t is None else _sum_layout(t, lay)
+            t, step = (lay, None) if t is None else contract_layout([t, lay], summed)
             plan.tables.append((k, step))
         elif g is None:
             g = lay
@@ -259,7 +246,7 @@ def pair_plan(op: ReduceOp, parts: Sequence, rvars: Sequence[str], classify) -> 
             fused = (g[0].union(lay[0]), g[1].union(lay[1]))
             g, step = fused, embed_layout([g, lay], *fused)
             plan.gaussians.append((k, step))
-    rest = list(rvars)
+    rest = [v for v in rvars if v not in summed]
     while rest:
         v = rest[0]
         kind = classify(op, t, g, v)
@@ -269,7 +256,7 @@ def pair_plan(op: ReduceOp, parts: Sequence, rvars: Sequence[str], classify) -> 
             t, g = kept, (kept, g[1])
         elif kind == "marginalize":
             u, vs = marginal_layout(g[1], v)
-            t, step = (g[0], None) if t is None else _sum_layout(t, g[0])
+            t, step = (g[0], None) if t is None else contract_layout([t, g[0]], ())
             if len(u):
                 plan.reductions.append((kind, (u, vs), step))
                 g = (g[0], g[1].remove(v))
@@ -312,21 +299,19 @@ def contract_pair(
     """Reduce ``rvars`` out of the product of two factor lists.
 
     ``a`` and ``b`` are flat factor lists, as ``flatten_product`` returns
-    them.  Two real scalar tables go through ``tensor_contract`` without
-    building their union table.  When the current interpretation declares
-    a classifier and every factor is a table or a quadratic factor, the
-    step's ``PairPlan`` runs the rules' kernels' array cores in the rules'
+    them.  When every factor is a table or a quadratic factor, and either
+    the current interpretation declares a classifier or the factors are
+    two real scalar tables (which contract exactly under every
+    interpretation, without building their union table), the step's
+    ``PairPlan`` runs the rules' kernels' array cores in the rules'
     order, without building or dispatching the intermediate terms.  The
     rules reduce the rest: other factors, and what the classifier leaves.
     """
     parts = [*a, *b]
-    if len(parts) == 2 and all(
-        isinstance(p, TensorLeaf) and p.is_scalar_real() for p in parts
-    ):
-        return TensorLeaf(tensor_contract(op, [p.atom for p in parts], rvars))
     rest = list(rvars)
     classify = current_interpretation().classify
-    if classify is not None and all(is_atom_factor(p) for p in parts):
+    two_tables = len(parts) == 2 and all(isinstance(p, TensorLeaf) for p in parts)
+    if (classify is not None or two_tables) and all(is_atom_factor(p) for p in parts):
         plan = pair_plan(op, [factor_layout(p) for p in parts], rvars, classify)
         out = _chain_add(plan.run_leaves(parts))
         rest = plan.rest

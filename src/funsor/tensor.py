@@ -10,10 +10,11 @@ for integer variables.
 Every layout of batch axes over a wider context (permuting them into
 another context's order, inserting singleton axes for names an atom
 lacks) goes through one helper, ``align_array``: ``align_layout`` reads
-the contexts, ``realign`` applies the result to an array.  The pointwise
-and reduction kernels are split the same way (``pointwise_layout`` and
-``pointwise``; ``fold_axis``), so a caller that knows the layouts in
-advance can replay the array arithmetic without building atoms.
+the contexts, ``realign`` applies the result to an array.  The pointwise,
+reduction and contraction kernels are split the same way
+(``pointwise_layout`` and ``pointwise``; ``fold_axis``;
+``contract_layout`` and ``contract_arrays``), so a caller that knows the
+layouts in advance can replay the array arithmetic without building atoms.
 Model data is checked where it enters (see ``models``): the checked
 constructor serves builders, ``index_tensor`` and user leaves, and every
 atom derived from checked atoms is built through ``_unchecked``.
@@ -364,69 +365,52 @@ def _contract_all(arrays: Sequence[np.ndarray], red: Sequence[int]) -> np.ndarra
     return acc
 
 
-def _exact_cells(
-    arrays: Sequence[np.ndarray], red: Sequence[int], cells: Tuple[np.ndarray, ...]
-) -> np.ndarray:
-    """Broadcast-path log-sum-exp for the listed cells only.
+def contract_layout(contexts: Sequence[TypeContext], rvars: Sequence[str]):
+    """The kept context of ``tensor_contract`` over ``contexts``, and its layout.
 
-    ``arrays`` keep their reduced axes last; ``cells`` index the leading
-    kept axes (empty when there are none: one cell).  The operands are
-    summed left to right and the reduced axes folded one at a time, as
-    ``tensor_apply`` then ``tensor_reduce`` do.
+    Reads the contexts only.  The layout lays each operand's batch axes
+    over the kept names followed by ``rvars`` (an ``align_layout`` per
+    operand) and records the kept shape; ``contract_arrays`` runs on it.
     """
-    total = None
-    for arr in arrays:
-        idx = tuple(
-            c if arr.shape[a] > 1 else np.zeros_like(c) for a, c in enumerate(cells)
-        )
-        part = arr[idx] if idx else arr[np.newaxis]
-        total = part if total is None else total + part
-    for _ in red:
-        total = logsumexp(total, 1)
+    union = TypeContext()
+    for c in contexts:
+        union = union.union(c)
+    kept = order = union
+    if rvars:
+        kept = TypeContext(e for e in union.entries if e[0] not in rvars)
+        order = TypeContext(kept.entries + tuple((v, union.typeof(v)) for v in rvars))
+    shape = tuple(t.size for _, t in kept.entries)
+    return kept, (tuple(align_layout(c, order) for c in contexts), shape)
+
+
+def _fold_sum(op: ReduceOp, arrays: Sequence[np.ndarray], lead: int) -> np.ndarray:
+    """The broadcast path: ``arrays`` summed left to right, then every axis
+    after the first ``lead`` folded with ``op``, one at a time."""
+    total = arrays[0]
+    for x in arrays[1:]:
+        total = ADD.apply(total, x)
+    while total.ndim > lead:
+        total = fold_axis(op, total, lead)
     return total
 
 
-def tensor_contract(
-    op: ReduceOp, atoms: Sequence[TensorAtom], rvars: Sequence[str]
-) -> TensorAtom:
-    """Fold ``rvars`` out of the pointwise sum of real scalar atoms.
+def contract_arrays(op: ReduceOp, layout, arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The array core of ``tensor_contract``: ``arrays`` over a ``contract_layout``.
 
-    Equals reducing ``tensor_apply(ADD, atoms)`` one variable at a time,
-    without building that union table for ``logaddexp``: each operand is
-    shifted by its max over its reduced axes (zero where that max is not
-    finite), exponentiated, contracted by matrix products, and the log of
-    the result plus the shifts is the answer.  Cells whose operands hold
-    NaN or ``+inf`` over the reduced axes, and cells whose scaled sum fell
-    to underflow range while some term is finite, are recomputed on the
-    broadcast path.  ``max`` and ``add`` run the broadcast path itself
-    (the max-plus path).  Atoms are fused in the order given; callers plan
-    that order.
+    ``max``, ``add`` and a contraction that reduces nothing run the
+    broadcast path.  ``logaddexp`` shifts each operand by its max over its
+    reduced axes (zero where that max is not finite), exponentiates,
+    contracts by matrix products, and adds the shifts to the log of the
+    result.  Cells whose operands hold NaN or ``+inf`` over the reduced
+    axes, and cells whose scaled sum fell to underflow range while some
+    term is finite, are recomputed on the broadcast path.
     """
-    for a in atoms:
-        if not a.is_scalar_output():
-            raise FunsorTypeError(f"contraction needs real scalar tables, got {a!r}")
-    if op.name != "logaddexp" or not rvars:
-        out = atoms[0]
-        for a in atoms[1:]:
-            out = tensor_apply(ADD, [out, a])
-        for v in rvars:
-            out = tensor_reduce(op, out, v)
-        return out
-    union, arrays = align_atoms(atoms)
-    for v in rvars:
-        if v not in union:
-            raise NameAbsent(f"{v!r} not in context {union.pretty()}")
-    kept = union
-    for v in rvars:
-        kept = kept.remove(v)
-    # Reduced axes go last, in the order of ``rvars``.
-    perm = [union.names.index(n) for n in kept.names]
-    perm += [union.names.index(v) for v in rvars]
-    arrays = [arr.transpose(perm) for arr in arrays]
-    nk = len(kept)
-    red = list(range(nk, len(union)))
-    kept_shape = tuple(t.size for _, t in kept.entries)
-
+    lays, kept_shape = layout
+    arrays = [realign(x, lay) for x, lay in zip(arrays, lays)]
+    nk = len(kept_shape)
+    red = list(range(nk, arrays[0].ndim))
+    if op.name != "logaddexp" or not red:
+        return _fold_sum(op, arrays, nk)
     with np.errstate(all="ignore"):
         scaled = []
         shift = 0.0
@@ -449,10 +433,25 @@ def tensor_contract(
             special = special | (low & (counts > 0))
         suspect = np.broadcast_to(special, total.shape).reshape(kept_shape)
         if np.any(suspect):
-            cells = np.nonzero(suspect) if nk else ()
-            exact = _exact_cells(arrays, red, cells)
-            out[cells] = exact if nk else exact[0]
-    return TensorAtom._unchecked(kept, out)
+            # One row per suspect cell (one row when nothing is kept).
+            rows = [np.broadcast_to(a, kept_shape + a.shape[nk:])[suspect] for a in arrays]
+            out[suspect] = _fold_sum(op, rows, 1)
+    return out
+
+
+def tensor_contract(
+    op: ReduceOp, atoms: Sequence[TensorAtom], rvars: Sequence[str]
+) -> TensorAtom:
+    """Fold ``rvars`` out of the pointwise sum of real scalar atoms.
+
+    Equals reducing ``tensor_apply(ADD, atoms)`` one variable at a time;
+    atoms are fused in the order given, and callers plan that order.
+    """
+    for a in atoms:
+        if not a.is_scalar_output():
+            raise FunsorTypeError(f"contraction needs real scalar tables, got {a!r}")
+    kept, layout = contract_layout([a.context for a in atoms], rvars)
+    return TensorAtom._unchecked(kept, contract_arrays(op, layout, [a.data for a in atoms]))
 
 
 def _is_rename(atom: TensorAtom, idx: TensorAtom) -> bool:

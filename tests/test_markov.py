@@ -303,14 +303,15 @@ class TestSequentialFold:
     def test_max_product_folds_through_tensor_contract(self, monkeypatch):
         import funsor.optimize as optimize
 
+        # Plans run ``tensor_contract``'s array core on raw arrays.
         calls = []
-        real = optimize.tensor_contract
+        real = optimize.contract_arrays
 
-        def spy(op, atoms, rvars):
+        def spy(op, layout, arrays):
             calls.append(op.name)
-            return real(op, atoms, rvars)
+            return real(op, layout, arrays)
 
-        monkeypatch.setattr(optimize, "tensor_contract", spy)
+        monkeypatch.setattr(optimize, "contract_arrays", spy)
         rng = np.random.default_rng(18)
         T, K = 7, 4
         body = chain_body(rng, T, K)
@@ -474,8 +475,22 @@ class TestSequentialReplay:
     signature instead of building and contracting atoms at every step."""
 
     def test_contexts_built_do_not_grow_with_the_horizon(self, monkeypatch):
-        from funsor.models import build_kalman
+        """A Kalman chain, and a table-only HMM chain (K=8) under both of
+        its monoids, replay their steps without deriving a context."""
+        from funsor.models import HmmSpec, build_hmm, build_kalman
 
+        def hmm(elim):
+            def build(rng, T, K=8):
+                spec = HmmSpec(rng.dirichlet(np.ones(K), size=K), rng.normal(size=(T, K)))
+                return build_hmm(spec, elim)
+
+            return build
+
+        builders = {
+            "kalman": lambda rng, T: build_kalman(kalman_spec(rng, T)),
+            "hmm logaddexp": hmm("logaddexp"),
+            "hmm max": hmm("max"),
+        }
         init = TypeContext.__init__
         built = []
 
@@ -483,16 +498,18 @@ class TestSequentialReplay:
             built[-1] += 1
             init(self, *args, **kwargs)
 
-        values = []
-        for T in (32, 128):
-            term = build_kalman(kalman_spec(np.random.default_rng(T), T))
-            built.append(0)
-            with monkeypatch.context() as m:
-                m.setattr(TypeContext, "__init__", counting)
-                with scan_mode("sequential"):
-                    values.append(float(interpret(EXACT, term).atom.data))
-        assert np.all(np.isfinite(values))
-        assert built[0] == built[1]
+        for label, build in builders.items():
+            built.clear()
+            values = []
+            for T in (32, 128):
+                term = build(np.random.default_rng(T), T)
+                built.append(0)
+                with monkeypatch.context() as m:
+                    m.setattr(TypeContext, "__init__", counting)
+                    with scan_mode("sequential"):
+                        values.append(float(interpret(EXACT, term).atom.data))
+            assert np.all(np.isfinite(values)), label
+            assert built[0] == built[1], (label, built)
 
     @pytest.mark.parametrize("T", [1, 2, 3, 17])
     def test_equals_the_rule_path(self, T, monkeypatch):

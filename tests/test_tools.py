@@ -50,3 +50,27 @@ class TestValueSweepCompare:
         assert lines[0] == key
         assert "1 of 2 invocations differ" in proc.stdout
         assert "hmm K=16" not in proc.stdout
+
+    def test_references_are_not_compared_and_give_distances(self, tmp_path):
+        """A file written without references compares with one written with
+        them; a differing invocation also prints each side's distance to
+        the reference."""
+        key = "kalman n=3 m=2 T=9 draw=1 --interp optimize"
+        with_refs = json.loads(json.dumps(RECORD))
+        with_refs[key]["reference"] = -20.0
+        proc = compare(tmp_path, RECORD, with_refs)
+        assert proc.returncode == 0
+        assert "0 of 2 invocations differ" in proc.stdout
+
+        with_refs[key]["log_value"] = -20.5
+        proc = compare(tmp_path, RECORD, with_refs)
+        assert proc.returncode == 1
+        lines = proc.stdout.splitlines()
+        assert lines[0] == key
+        assert "reference" not in lines[2]
+        label, dists = lines[3].split(": ")
+        a_dist, b_dist, ref = dists.split(" ", 2)
+        assert label == "  |value - ref|" and ref == "(ref -20.0)"
+        assert abs(float(a_dist) - 0.123456789012345) < 1e-12
+        assert float(b_dist) == 0.5
+        assert "1 of 2 invocations differ" in proc.stdout

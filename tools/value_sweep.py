@@ -13,6 +13,12 @@ both scan modes, at even and odd chain lengths (8, 9 and 33), for three
 model draws each.  Models come from ``perfbench/gen.py`` (gmm models are drawn here),
 and each call runs in this process through ``funsor.cli.main``.  Values
 are stored as the CLI prints them, so JSON round-trips them exactly.
+
+Each payload also records ``gen.py``'s independent reference for the
+model as ``reference`` (gmm and max-product models have none).
+``--compare`` compares the engine's part of the payloads only, so files
+written without references still compare, and prints each differing
+invocation's distance ``|value - ref|`` on both sides.
 """
 import argparse
 import contextlib
@@ -47,6 +53,13 @@ def draw_gmm(rng, K=3, N=5, dx=2, dz=2):
     }
 
 
+def reference(doc, semiring):
+    """``gen.py``'s log evidence of ``doc``; None for gmm and max-product."""
+    if doc["model"] == "gmm" or semiring != "sumproduct":
+        return None
+    return gen.references([doc])[0]
+
+
 def models(T, draw):
     """``(label, doc, semirings)`` for each model family at length ``T``."""
     rng = lambda stream: gen.rng_for(draw, stream, T)  # noqa: E731
@@ -62,13 +75,14 @@ def models(T, draw):
 
 
 def invocations(directory):
-    """``(id, argv)`` for every call of the grid, writing the model files."""
+    """``(id, argv, ref)`` for every call of the grid, writing the model files."""
     for T in LENGTHS:
         for draw in DRAWS:
             for label, doc, semirings in models(T, draw):
                 path = os.path.join(directory, f"{len(os.listdir(directory))}.json")
                 gen.write_model(doc, path)
                 for semiring in semirings:
+                    ref = reference(doc, semiring)
                     for interp in INTERPS:
                         if interp == "montecarlo" and semiring != "sumproduct":
                             continue
@@ -79,7 +93,7 @@ def invocations(directory):
                             ]
                             yield f"{label} draw={draw} {' '.join(flags)}", [
                                 "run", path, *flags
-                            ]
+                            ], ref
 
 
 def sweep():
@@ -87,14 +101,28 @@ def sweep():
 
     out = {}
     with tempfile.TemporaryDirectory() as directory:
-        for key, argv in invocations(directory):
+        for key, argv, ref in invocations(directory):
             buf = io.StringIO()
             with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                 main(argv)
             payload = json.loads(buf.getvalue())
             payload.pop("wall_ms", None)
+            if ref is not None:
+                payload["reference"] = ref
             out[key] = payload
     return out
+
+
+def engine(payload):
+    """A recorded payload without its reference."""
+    return {k: v for k, v in payload.items() if k != "reference"} if payload else payload
+
+
+def distance(payload, ref):
+    """``|value - ref|`` of a recorded payload, or None without a value."""
+    if not payload or "log_value" not in payload:
+        return None
+    return abs(float(payload["log_value"]) - ref)
 
 
 def compare(a_path, b_path):
@@ -102,9 +130,14 @@ def compare(a_path, b_path):
         a = json.load(f)
     with open(b_path) as f:
         b = json.load(f)
-    diffs = [k for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)]
+    diffs = [k for k in sorted(set(a) | set(b)) if engine(a.get(k)) != engine(b.get(k))]
     for k in diffs:
-        print(f"{k}\n  {a.get(k)}\n  {b.get(k)}")
+        sides = (a.get(k), b.get(k))
+        print(f"{k}\n  {engine(sides[0])}\n  {engine(sides[1])}")
+        ref = next((p["reference"] for p in sides if p and "reference" in p), None)
+        if ref is not None:
+            a_dist, b_dist = (distance(p, ref) for p in sides)
+            print(f"  |value - ref|: {a_dist!r} {b_dist!r} (ref {ref!r})")
     print(f"{len(diffs)} of {len(set(a) | set(b))} invocations differ")
     return 1 if diffs else 0
 
