@@ -113,7 +113,7 @@ def match(layout, weight: Optional[np.ndarray], info: np.ndarray, prec: np.ndarr
     """The array core of ``moment_match``, on a ``match_layout``.
 
     Returns the folded weight and the matched factor's ``(info_vec,
-    precision)``, laid out as ``GaussianAtom._unchecked`` stores them:
+    precision)``, laid out as ``GaussianAtom.__init__`` stores them:
     a contiguous information vector and a symmetrized precision.  A cell
     whose components all weigh ``-inf`` matches them evenly, so its
     factor is finite and its weight stays ``-inf``; other cells are
@@ -178,7 +178,7 @@ def moment_match(
     w, info, prec = match(
         layout, None if weight is None else weight.data, g.info_vec, g.precision
     )
-    matched = GaussianAtom._unchecked(kept, g.reals, info, prec, symmetrize=False)
+    matched = GaussianAtom._unchecked(kept, g.reals, info, prec)
     return matched, TensorAtom._unchecked(kept, w)
 
 

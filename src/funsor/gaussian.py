@@ -19,10 +19,11 @@ with ``P m`` computed once, and a ground value is the affine substitution
 with no coefficients.  Parameters are checked once, where they
 enter: covariances at ``models._expect_covariance``, then the factors
 built from them by ``GaussianAtom(...)``, which also serves user-built
-leaves.  The kernels build every result, relabels and sliced parameter
-tables included, through ``_unchecked``, which symmetrizes as the checked
-constructor does and skips its tests.  A result that rounding left
-indefinite raises ``RankDeficient`` at its first factorization.
+leaves.  The kernels build every result through ``_unchecked``, which
+skips those tests and stores the arrays as given; a kernel whose
+arithmetic can leave a precision asymmetric symmetrizes it, as the
+constructor does.  A result that rounding left indefinite raises
+``RankDeficient`` at its first factorization.
 
 The kernels a chain step runs are split into a half that reads only the
 contexts and an array core: ``embed_layout`` and ``embed`` (under
@@ -84,6 +85,12 @@ def _spread(mats: np.ndarray, batch: Tuple[int, ...]) -> np.ndarray:
     if mats.shape[:-2] == batch:
         return mats
     return np.broadcast_to(mats, batch + mats.shape[-2:])
+
+
+def _symmetrize(mats: np.ndarray) -> np.ndarray:
+    """``(L + L')/2``, computed on distinct cells."""
+    cells = _distinct(mats)
+    return _spread((cells + np.swapaxes(cells, -1, -2)) / 2.0, mats.shape[:-2])
 
 
 def _cholesky_jitter(mats: np.ndarray) -> np.ndarray:
@@ -165,16 +172,12 @@ class GaussianAtom:
         tol = 1e-8 * max(1.0, float(np.max(np.abs(c))) if p.size else 1.0)
         if asym > tol:
             raise ContextMismatch(f"precision asymmetric beyond tolerance ({asym:.3e})")
-        self._fill(batch, reals, i, p)
+        self._fill(batch, reals, np.ascontiguousarray(i), _symmetrize(p))
         _cholesky_jitter(self.precision)
 
-    def _fill(self, batch, reals, info_vec, precision, symmetrize=True):
+    def _fill(self, batch, reals, info_vec, precision):
         i = np.asarray(info_vec, dtype=np.float64)
         p = np.asarray(precision, dtype=np.float64)
-        if symmetrize:
-            i = np.ascontiguousarray(i)
-            cells = _distinct(p)
-            p = _spread((cells + np.swapaxes(cells, -1, -2)) / 2.0, p.shape[:-2])
         p.setflags(write=False)
         i.setflags(write=False)
         object.__setattr__(self, "batch", batch)
@@ -184,17 +187,16 @@ class GaussianAtom:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _unchecked(cls, batch, reals, info_vec, precision, symmetrize=True):
+    def _unchecked(cls, batch, reals, info_vec, precision):
         """An atom the kernels computed from checked atoms, left unchecked.
 
-        The precision is symmetrized as ``__init__`` does, so results are
-        bit-identical to checked construction.  Relabels, permutations and
-        gathered or sliced batch cells of a checked atom are exactly
-        symmetric already: they pass ``symmetrize=False``, and a relabel
-        shares its arrays.
+        The arrays are stored as given.  Every kernel hands over an
+        exactly symmetric precision, symmetrizing it where its arithmetic
+        can break symmetry, so results are bit-identical to checked
+        construction; a relabel shares its arrays.
         """
         self = object.__new__(cls)
-        self._fill(batch, reals, info_vec, precision, symmetrize)
+        self._fill(batch, reals, info_vec, precision)
         return self
 
     def __setattr__(self, name, value):
@@ -259,9 +261,7 @@ def reorder_like(g: GaussianAtom, template: GaussianAtom) -> GaussianAtom:
         cols.extend(range(lo, hi))
     i = i[..., cols]
     p = p[..., cols, :][..., :, cols]
-    return GaussianAtom._unchecked(
-        template.batch, template.reals, i, p, symmetrize=False
-    )
+    return GaussianAtom._unchecked(template.batch, template.reals, i, p)
 
 
 def embed_layout(parts, batch: TypeContext, reals: TypeContext):
@@ -319,7 +319,7 @@ def gaussian_fuse(a: GaussianAtom, b: GaussianAtom) -> GaussianAtom:
     union_batch = a.batch.union(b.batch)
     reals = a.reals.union(b.reals)
     i, p = _embedded([a, b], union_batch, reals)
-    return GaussianAtom._unchecked(union_batch, reals, i, p, symmetrize=False)
+    return GaussianAtom._unchecked(union_batch, reals, i, p)
 
 
 def gaussian_eval(g: GaussianAtom, assignment: Dict[str, np.ndarray]) -> np.ndarray:
@@ -374,7 +374,7 @@ def marginalize(u: np.ndarray, v: np.ndarray, info: np.ndarray, prec: np.ndarray
     """The array core of ``gaussian_marginalize`` for a nonempty ``u``.
 
     Returns the log-normalizer over ``v`` and the Schur-complement
-    remainder over ``u``, its precision symmetrized as ``_fill`` does.
+    remainder over ``u``, its precision symmetrized as ``__init__`` does.
     The precision-only terms cut the ``p_uv`` the per-cell product uses, so
     numpy picks its matmul kernel from the same memory layout for both.
     """
@@ -405,9 +405,7 @@ def gaussian_marginalize(
     if len(u) == 0:
         return gaussian_log_normalizer(g), None
     w, i_new, p_new = marginalize(u, v, g.info_vec, g.precision)
-    rest = GaussianAtom._unchecked(
-        g.batch, g.reals.remove(name), i_new, p_new, symmetrize=False
-    )
+    rest = GaussianAtom._unchecked(g.batch, g.reals.remove(name), i_new, p_new)
     return TensorAtom._unchecked(g.batch, w), rest
 
 
@@ -442,12 +440,11 @@ def gaussian_index_batch(g: GaussianAtom, name: str, idx: TensorAtom) -> Gaussia
     if not idx.context:
         cell = ground_cell(g.batch, name, idx)
         return GaussianAtom._unchecked(
-            g.batch.remove(name), g.reals, g.info_vec[cell], g.precision[cell],
-            symmetrize=False,
+            g.batch.remove(name), g.reals, g.info_vec[cell], g.precision[cell]
         )
     i = tensor_index(g.info_atom(), name, idx)
     p = tensor_index(g.precision_atom(), name, idx)
-    return GaussianAtom._unchecked(i.context, g.reals, i.data, p.data, symmetrize=False)
+    return GaussianAtom._unchecked(i.context, g.reals, i.data, p.data)
 
 
 def gaussian_cat(name: str, parts: Sequence[GaussianAtom]) -> GaussianAtom:
@@ -539,7 +536,7 @@ def gaussian_affine_substitute(
 
     m_t = np.swapaxes(m_map, -1, -2)
     i_new = (m_t @ (i_old - p_m)[..., None])[..., 0]
-    p_new = np.broadcast_to(m_t @ p_old @ m_map, bounds + (d_new, d_new))
+    p_new = _symmetrize(np.broadcast_to(m_t @ p_old @ m_map, bounds + (d_new, d_new)))
     return const_out, GaussianAtom._unchecked(union, new_reals, i_new, p_new)
 
 
@@ -547,9 +544,7 @@ def gaussian_rename(g: GaussianAtom, mapping: Dict[str, str]) -> GaussianAtom:
     """Relabel batch and real variables without touching parameters."""
     batch = TypeContext([(mapping.get(n, n), t) for n, t in g.batch.entries])
     reals = TypeContext([(mapping.get(n, n), t) for n, t in g.reals.entries])
-    return GaussianAtom._unchecked(
-        batch, reals, g.info_vec, g.precision, symmetrize=False
-    )
+    return GaussianAtom._unchecked(batch, reals, g.info_vec, g.precision)
 
 
 def gaussian_scale(g: GaussianAtom, k: float) -> GaussianAtom:
@@ -565,6 +560,8 @@ def gaussian_expand_batch(g: GaussianAtom, name: str, size: int) -> GaussianAtom
         return g
     batch = g.batch.union(TypeContext([(name, Bounded(size))]))
     bounds = tuple(t.size for _, t in batch.entries)
-    i = np.broadcast_to(align_array(g.info_vec, g.batch, batch), bounds + (g.dim,))
+    i = np.ascontiguousarray(
+        np.broadcast_to(align_array(g.info_vec, g.batch, batch), bounds + (g.dim,))
+    )
     p = np.broadcast_to(align_array(g.precision, g.batch, batch), bounds + (g.dim,) * 2)
     return GaussianAtom._unchecked(batch, g.reals, i, p)

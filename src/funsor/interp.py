@@ -526,7 +526,7 @@ def index_gaussian_batch(g: GaussianAtom, todo: Dict[str, Term]) -> GaussianAtom
     A ground index selects a view of one cell; other values go through
     ``_index_table`` on the parameters as tables.  Cells selected from a
     checked atom stay exactly symmetric, so every table and the result
-    are built unchecked, without symmetrizing again.
+    are built unchecked.
     """
     for n, v in todo.items():
         if not isinstance(v, Slice) and not v.atom.context:
@@ -536,9 +536,7 @@ def index_gaussian_batch(g: GaussianAtom, todo: Dict[str, Term]) -> GaussianAtom
         return g
     info = _index_table(g.info_atom(), todo)
     prec = _index_table(g.precision_atom(), todo)
-    return GaussianAtom._unchecked(
-        info.context, g.reals, info.data, prec.data, symmetrize=False
-    )
+    return GaussianAtom._unchecked(info.context, g.reals, info.data, prec.data)
 
 
 def _delta_indicator(point: TensorAtom, value: TensorAtom) -> TensorAtom:

@@ -14,10 +14,11 @@ Both scans work on the evaluated body's factors, not on terms.  The fold
 takes the tables and quadratic factors at one time index as views; the
 doubling scan takes them at the even and the odd stride-2 slice of each
 level.  ``interp.substitute_atom`` takes the cells and relabels the
-matched names at atom level, and the factor lists go to
-``contract_pair`` (a fold step) or ``contract`` (a level).  Under
+matched names at atom level.  A fold step and a level are the same
+combine: one ``contract_pair`` step on two factor lists, which reduces
+the real matched names before the bounded ones.  Under
 an interpretation that declares a reduction classifier (Exact, Optimize,
-moment matching) that runs the rules' kernels in the rules' order
+moment matching) the step runs the rules' kernels in the rules' order
 without dispatching a rule (so no fuel is spent); Monte Carlo declares
 none and sees every reduction through its rules.  A fold whose body
 holds only tables and quadratic factors goes further: each step's
@@ -55,7 +56,6 @@ from .interp import (
     var,
 )
 from .optimize import (
-    contract,
     contract_pair,
     factor_arrays,
     factor_layout,
@@ -99,20 +99,22 @@ def scan_mode(mode: str, stats: Optional[Dict] = None):
 
 
 def evaluate_markov(node: MarkovProd) -> Optional[Term]:
-    T = node.body.free_vars.typeof(node.timevar).size
+    types = node.body.free_vars
+    T = types.typeof(node.timevar).size
+    # Both scans reduce real matched names before bounded ones, as the
+    # planner orders a pair's reductions.
+    pairs = sorted(node.step, key=lambda pc: isinstance(types.typeof(pc[1]), Bounded))
     if _SCAN.mode == "sequential":
-        return _sequential(node, T)
-    return _parallel(node, T)
+        return _sequential(node, T, pairs)
+    return _parallel(node, T, pairs)
 
 
-def _sequential(node: MarkovProd, T: int) -> Term:
+def _sequential(node: MarkovProd, T: int, pairs) -> Term:
     body, tv = node.body, node.timevar
     types = body.free_vars
     factors = flatten_product(body)
-    # Real matched names are reduced before bounded ones, as ``contract``
-    # orders them.  The names alternate between two sets minted once per
-    # chain; each step eliminates the set it binds.
-    pairs = sorted(node.step, key=lambda pc: isinstance(types.typeof(pc[1]), Bounded))
+    # The names alternate between two sets minted once per chain; each
+    # step eliminates the set it binds.
     names = [{c: fresh_name(c) for _, c in pairs} for _ in range(2)]
     classify = current_interpretation().classify
     if classify is not None and all(is_atom_factor(p) for p in factors):
@@ -215,7 +217,7 @@ def _at(factors, cells: Dict[str, Term], renames: Dict[str, str], types) -> List
     return out
 
 
-def _parallel(node: MarkovProd, T: int) -> Term:
+def _parallel(node: MarkovProd, T: int, pairs) -> Term:
     body, tv = node.body, node.timevar
     types = body.free_vars
     factors = flatten_product(body)
@@ -223,14 +225,14 @@ def _parallel(node: MarkovProd, T: int) -> Term:
     levels = 0
     while size > 1:
         half = size // 2
-        xs = {c: fresh_name(c) for _, c in node.step}
-        halves: List[Term] = []
+        xs = {c: fresh_name(c) for _, c in pairs}
+        halves = []
         for k in (0, 1):
             # Even cells' curr names and odd cells' prev names meet at ``xs``.
             cells = {tv: Slice(tv, k, 2 * half - 1 + k, 2, size)}
-            renames = {pc[1 - k]: xs[pc[1]] for pc in node.step}
-            halves += _at(factors, cells, renames, types)
-        merged = flatten_product(contract(node.op, list(xs.values()), halves))
+            renames = {pc[1 - k]: xs[pc[1]] for pc in pairs}
+            halves.append(_at(factors, cells, renames, types))
+        merged = flatten_product(contract_pair(node.op, *halves, list(xs.values())))
         if size % 2:
             last = _at(factors, {tv: _cell(size - 1, size)}, {}, types)
             # ``concatenate-factors`` joins the last cell to the pairs.

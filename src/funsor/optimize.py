@@ -8,20 +8,20 @@ it.  Cost of a step is the element count of the fused context: the
 product of its bounded sizes times the squared flattened real dimension
 plus one, matching how large the dense and quadratic blocks get.
 
-``contract`` is the one contraction path: chain steps, Exact's
-reductions over tables it leaves unfused and Optimize's plans all go
-through it (a sequential chain step calls its pairwise step,
-``contract_pair``, directly), and every plan runs under the caller's
-interpretation.  A pairwise step on tables and quadratic factors is a
-``PairPlan``: derived from the factors' layouts alone, with each
-reduction classified as the interpretation declares, and run on their
-arrays.  Its table steps run ``tensor_contract``'s array core.  Chains
-replay it per step signature, and the rules run it as a one-step plan;
-Monte Carlo declares no classifier, so its rules see every reduction
-but that of two tables, which contract exactly under every
-interpretation.  Exact plans one reduction at a time; Optimize's
-whole-term rule gathers directly nested sums over a lazily built product
-into one joint plan instead of collapsing them innermost-first.
+``contract_pair`` is the one contraction step.  Both chain scans take
+one per step or level; ``contract`` plans Exact's reductions over tables
+it leaves unfused and Optimize's joint reductions, and runs each plan as
+a sequence of them under the caller's interpretation.  A pairwise step
+on tables and quadratic factors is a ``PairPlan``: derived from the
+factors' layouts alone, with each reduction classified as the
+interpretation declares, and run on their arrays.  Its table steps run
+``tensor_contract``'s array core.  The fold replays it per step
+signature, and the rules run it as a one-step plan; Monte Carlo
+declares no classifier, so its rules see every reduction but that of
+two tables, which contract exactly under every interpretation.  Exact
+plans one reduction at a time; Optimize's whole-term rule gathers
+directly nested sums over a lazily built product into one joint plan
+instead of collapsing them innermost-first.
 """
 from __future__ import annotations
 
@@ -158,7 +158,7 @@ def factor_leaves(layouts, arrays) -> List[Term]:
     return [
         TensorLeaf(TensorAtom._unchecked(lay, x))
         if isinstance(lay, TypeContext)
-        else GaussianLeaf(GaussianAtom._unchecked(*lay, *x, symmetrize=False))
+        else GaussianLeaf(GaussianAtom._unchecked(*lay, *x))
         for lay, x in zip(layouts, arrays)
     ]
 
@@ -341,13 +341,6 @@ def contract(op, rvars: Sequence[str], parts: Sequence[Term]) -> Term:
     """Reduce several variables out of a factor product, planned greedily."""
     if isinstance(op, str):
         op = REDUCE_OPS[op]
-    if len(parts) == 2 and all(v in p.free_vars for p in parts for v in rvars):
-        # The only plan: fuse the pair and reduce everything, reals first.
-        ctx = parts[0].free_vars
-        order = sorted(rvars, key=lambda v: isinstance(ctx.typeof(v), Bounded))
-        return contract_pair(
-            op, flatten_product(parts[0]), flatten_product(parts[1]), order
-        )
     parts, residual = push_singleton_sums(list(parts), list(rvars), op)
     remaining = [v for v in rvars if v in residual]
     return execute_plan(greedy_plan(parts, remaining, op), parts)

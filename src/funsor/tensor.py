@@ -22,7 +22,7 @@ atom derived from checked atoms is built through ``_unchecked``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 

@@ -588,7 +588,7 @@ class TestTrustBoundary:
         got = run()
         assert len(calls) == self.OWN_FACTORIZATIONS.get(kernel, 0)
 
-        def checked(cls, batch, reals, info_vec, precision, symmetrize=True):
+        def checked(cls, batch, reals, info_vec, precision):
             return GaussianAtom(batch, reals, info_vec, precision)
 
         monkeypatch.setattr(GaussianAtom, "_unchecked", classmethod(checked))
@@ -732,7 +732,6 @@ class TestSharedCells:
             TypeContext([("y", RealArray(())), ("x", RealArray((2,)))]),
             np.zeros((2, 12, 3)),
             np.zeros((2, 12, 3, 3)),
-            symmetrize=False,
         )
         y_val = TensorAtom(TypeContext([("j", Bounded(3))]), rng.normal(size=3))
         kernels = {

@@ -340,12 +340,14 @@ class TestSequentialFold:
             assert interp.classify is classify, interp
 
 
-def term_parallel(node, T):
+def term_parallel(node, T, pairs):
     """The doubling scan on terms: each level substitutes stride-2 slices
-    and fresh matched names into the whole body and joins an odd tail with
-    ``Cat``.  The atom fold must reproduce it bit for bit."""
+    and fresh matched names into the whole body, reduces the names out of
+    the two halves in one ``contract_pair`` step in the order of
+    ``pairs`` (reals first), and joins an odd tail with ``Cat``.  The atom
+    fold must reproduce it bit for bit."""
     from funsor.interp import cat_term, flatten_product, var
-    from funsor.optimize import contract
+    from funsor.optimize import contract_pair
     from funsor.terms import Slice, fresh_name
 
     body, tv = node.body, node.timevar
@@ -353,13 +355,13 @@ def term_parallel(node, T):
     f, size = body, T
     while size > 1:
         half = size // 2
-        xs = {c: fresh_name(c) for _, c in node.step}
-        even = {c: var(xs[c], types.typeof(c)) for _, c in node.step}
-        odd = {p: var(xs[c], types.typeof(c)) for p, c in node.step}
+        xs = {c: fresh_name(c) for _, c in pairs}
+        even = {c: var(xs[c], types.typeof(c)) for _, c in pairs}
+        odd = {p: var(xs[c], types.typeof(c)) for p, c in pairs}
         f_e = subst_term(f, {**even, tv: Slice(tv, 0, 2 * half - 1, 2, size)})
         f_o = subst_term(f, {**odd, tv: Slice(tv, 1, 2 * half, 2, size)})
-        merged = contract(
-            node.op, list(xs.values()), flatten_product(f_e) + flatten_product(f_o)
+        merged = contract_pair(
+            node.op, flatten_product(f_e), flatten_product(f_o), list(xs.values())
         )
         if size % 2:
             merged = cat_term(tv, [merged, subst_term(f, {tv: size - 1})])
@@ -695,6 +697,49 @@ class TestParallelFold:
                 interpret(interp, node)
             assert calls == [], interp
             assert stats["levels"] == math.ceil(math.log2(T))
+
+    @pytest.mark.parametrize("T", [2, 5, 13])
+    @pytest.mark.parametrize("body", ["hmm", "kalman_bias", "two_pairs"])
+    def test_no_level_runs_the_planner(self, body, T, monkeypatch):
+        """Each level is one ``contract_pair`` step, as a fold step is."""
+        from funsor import markov, optimize
+        from funsor.approx import MomentMatching, MonteCarlo
+        from funsor.optimize import OPTIMIZE
+
+        calls = []
+
+        def spy(name, real):
+            def counted(*args):
+                calls.append(name)
+                return real(*args)
+
+            return counted
+
+        for module in (optimize, markov):
+            for name in ("contract", "greedy_plan", "execute_plan"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        node = fold_bodies(T)[body]
+        for interp in (EXACT, OPTIMIZE, MomentMatching(), MonteCarlo(0)):
+            with scan_mode("parallel"):
+                interpret(interp, node)
+            assert calls == [], interp.name
+
+    @pytest.mark.parametrize("T", [2, 3])
+    @pytest.mark.parametrize("body", ["hmm", "kalman_bias", "two_pairs"])
+    def test_equals_the_fold_where_both_group_alike(self, body, T):
+        """At these lengths both scans combine ``(x0 x1) x2``, so the
+        doubling scan's level step must give the fold step's bits."""
+        from funsor.approx import MomentMatching
+        from funsor.optimize import OPTIMIZE
+
+        node = fold_bodies(T)[body]
+        for interp in (EXACT, OPTIMIZE, MomentMatching()):
+            with scan_mode("sequential"):
+                want = interpret(interp, node)
+            with scan_mode("parallel"):
+                got = interpret(interp, node)
+            assert got == want, interp.name
 
     @pytest.mark.parametrize("T", [1, 2, 3, 5, 7, 13, 64])
     def test_equals_the_term_path(self, T, monkeypatch):

@@ -18,6 +18,7 @@ from funsor.optimize import (
     ContractionPlan,
     context_cost,
     contract,
+    contract_pair,
     execute_plan,
     greedy_plan,
     push_singleton_sums,
@@ -175,10 +176,8 @@ class TestExecutePlan:
         assert_table(got, brute_reduce("logaddexp", [], parts), rtol=1e-7)
         assert set(got.atom.context.names) == {"i"}
 
-    def test_two_factors_sharing_every_variable_skip_the_planner(self, monkeypatch):
+    def test_two_factors_sharing_every_variable_contract_in_one_step(self):
         """Such a pair has one plan: fuse, then reduce reals before labels."""
-        import funsor.optimize as optimize
-
         rng = np.random.default_rng(8)
         c = TypeContext([("c", Bounded(3))])
         x = TypeContext([("x", RealArray(()))])
@@ -191,18 +190,17 @@ class TestExecutePlan:
             for _ in range(2)
         ]
         ij = [("i", Bounded(3)), ("j", Bounded(4))]
-        cases = [(["c", "x"], mixture), (["i", "j"], [table(rng, ij), table(rng, ij)])]
+        cases = [
+            (["c", "x"], ["x", "c"], mixture),
+            (["i", "j"], ["i", "j"], [table(rng, ij), table(rng, ij)]),
+        ]
+        op = REDUCE_OPS["logaddexp"]
         with interpretation(EXACT):
-            want = [execute_plan(greedy_plan(parts, rvars), parts) for rvars, parts in cases]
-
-            def refuse(*args):
-                raise AssertionError("planned a two-factor contraction")
-
-            monkeypatch.setattr(optimize, "greedy_plan", refuse)
-            got = [contract("logaddexp", rvars, parts) for rvars, parts in cases]
-        for g, w in zip(got, want):
-            assert g.atom.context == w.atom.context == TypeContext()
-            assert np.array_equal(g.atom.data, w.atom.data)
+            for rvars, reals_first, (a, b) in cases:
+                got = contract("logaddexp", rvars, [a, b])
+                want = contract_pair(op, [a], [b], reals_first)
+                assert got.atom.context == want.atom.context == TypeContext()
+                assert np.array_equal(got.atom.data, want.atom.data)
 
 
 class TestOptimizeInterpretation:
