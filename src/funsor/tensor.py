@@ -15,12 +15,14 @@ reduction and contraction kernels are split the same way
 (``pointwise_layout`` and ``pointwise``; ``fold_axis``;
 ``contract_layout`` and ``contract_arrays``), so a caller that knows the
 layouts in advance can replay the array arithmetic without building atoms.
+The log-space cores work in place and guard special values on the peaks.
 Model data is checked where it enters (see ``models``): the checked
 constructor serves builders, ``index_tensor`` and user leaves, and every
 atom derived from checked atoms is built through ``_unchecked``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence, Tuple
 
@@ -34,7 +36,7 @@ from .errors import (
     IndexOutOfRange,
     NameAbsent,
 )
-from .ops import ADD, LiftedOp, ReduceOp, TAKE
+from .ops import LiftedOp, ReduceOp, TAKE
 
 
 def logsumexp(data: np.ndarray, axis: int) -> np.ndarray:
@@ -44,12 +46,14 @@ def logsumexp(data: np.ndarray, axis: int) -> np.ndarray:
     the max is not finite, and ``log(0)`` is ``-inf``); NaN inputs give NaN
     (``np.max`` propagates NaN, even beside ``+inf``).
     """
-    if not (isinstance(data, np.ndarray) and data.dtype == np.float64):
-        data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data, dtype=np.float64)
     with np.errstate(all="ignore"):
         peak = np.max(data, axis=axis, keepdims=True)
-        shift = np.where(np.isfinite(peak), peak, 0.0)
-        out = np.log(np.sum(np.exp(data - shift), axis=axis, keepdims=True)) + shift
+        if not np.isfinite(peak).all():
+            peak = np.where(np.isfinite(peak), peak, 0.0)
+        out = np.subtract(data, peak)
+        out = np.sum(np.exp(out, out=out), axis=axis, keepdims=True)
+        np.add(np.log(out, out=out), peak, out=out)
     return np.squeeze(out, axis)
 
 
@@ -386,9 +390,7 @@ def contract_layout(contexts: Sequence[TypeContext], rvars: Sequence[str]):
 def _fold_sum(op: ReduceOp, arrays: Sequence[np.ndarray], lead: int) -> np.ndarray:
     """The broadcast path: ``arrays`` summed left to right, then every axis
     after the first ``lead`` folded with ``op``, one at a time."""
-    total = arrays[0]
-    for x in arrays[1:]:
-        total = ADD.apply(total, x)
+    total = functools.reduce(np.add, arrays)
     while total.ndim > lead:
         total = fold_axis(op, total, lead)
     return total
@@ -398,41 +400,45 @@ def contract_arrays(op: ReduceOp, layout, arrays: Sequence[np.ndarray]) -> np.nd
     """The array core of ``tensor_contract``: ``arrays`` over a ``contract_layout``.
 
     ``max``, ``add`` and a contraction that reduces nothing run the
-    broadcast path.  ``logaddexp`` shifts each operand by its max over its
-    reduced axes (zero where that max is not finite), exponentiates,
-    contracts by matrix products, and adds the shifts to the log of the
-    result.  Cells whose operands hold NaN or ``+inf`` over the reduced
-    axes, and cells whose scaled sum fell to underflow range while some
-    term is finite, are recomputed on the broadcast path.
+    broadcast path, ``_fold_sum``, which builds the union table.
+    ``logaddexp`` shifts each operand by
+    its max over its reduced axes (zero where that max is not finite),
+    exponentiates and contracts by matrix products, then takes the log and
+    adds the shifts in place: the scaled operands and their product are its
+    only full-size temporaries.  Cells whose operands hold NaN or ``+inf``
+    over the reduced axes (read off the peaks), and cells whose scaled sum
+    fell to underflow range while some term is finite, are recomputed on
+    the broadcast path.  The inputs are never written.
     """
     lays, kept_shape = layout
     arrays = [realign(x, lay) for x, lay in zip(arrays, lays)]
     nk = len(kept_shape)
     red = list(range(nk, arrays[0].ndim))
-    if op.name != "logaddexp" or not red:
-        return _fold_sum(op, arrays, nk)
     with np.errstate(all="ignore"):
-        scaled = []
-        shift = 0.0
-        special = False
+        if op.name != "logaddexp" or not red:
+            return _fold_sum(op, arrays, nk)
+        scaled, peaks, special = [], [], False
         for arr in arrays:
             own = tuple(a for a in red if arr.shape[a] > 1)
             peak = np.max(arr, axis=own, keepdims=True) if own else arr
-            finite = np.isfinite(peak)
-            # A NaN or +inf anywhere over the reduced axes makes the cell
-            # NaN or +inf; np.max lets both through to the peak.
-            special = special | ~(finite | np.isneginf(peak))
-            peak = np.where(finite, peak, 0.0)
-            scaled.append(np.exp(arr - peak))
-            shift = shift + peak
+            if not np.isfinite(peak).all():
+                # NaN or +inf over the reduced axes (np.max lets both through).
+                special = special | np.isnan(peak) | np.isposinf(peak)
+                peak = np.where(np.isfinite(peak), peak, 0.0)
+            scaled.append(np.subtract(arr, peak))
+            np.exp(scaled[-1], out=scaled[-1])
+            peaks.append(peak)
         total = _contract_all(scaled, red)
-        out = (np.log(total) + shift).reshape(kept_shape)
+        del scaled
         low = total < _SCALED_FLOOR
         if np.any(low):
             counts = _contract_all([np.isfinite(a).astype(np.float64) for a in arrays], red)
             special = special | (low & (counts > 0))
-        suspect = np.broadcast_to(special, total.shape).reshape(kept_shape)
-        if np.any(suspect):
+        shift = functools.reduce(np.add, peaks, 0.0)
+        out = np.add(np.log(total, out=total), shift, out=total).reshape(kept_shape)
+        # A recorded mask may be all False: every non-finite peak is -inf.
+        if np.any(special):
+            suspect = np.broadcast_to(special, total.shape).reshape(kept_shape)
             # One row per suspect cell (one row when nothing is kept).
             rows = [np.broadcast_to(a, kept_shape + a.shape[nk:])[suspect] for a in arrays]
             out[suspect] = _fold_sum(op, rows, 1)

@@ -4,18 +4,26 @@ Oracles below evaluate the same operations with plain positional numpy
 on explicitly aligned arrays; the atoms must agree exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from funsor import tensor
 from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import FunsorTypeError, IndexOutOfRange, NameAbsent, TypeConflict
 from funsor.ops import ADD, LOGADDEXP, MUL, REDUCE_OPS
 from funsor.tensor import (
+    _SCALED_FLOOR,
     TensorAtom,
+    _contract_all,
     align_array,
     align_atoms,
+    contract_arrays,
+    contract_layout,
     index_tensor,
     logsumexp,
+    realign,
     scalar_tensor,
     tensor_apply,
     tensor_cat,
@@ -302,6 +310,135 @@ def assert_same_table(got, want, rtol=1e-12):
     np.testing.assert_allclose(g, w, rtol=rtol, atol=1e-12)
 
 
+def assert_same_bits(got, want):
+    """Equal raw bits, except that any NaN matches any NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def reference_logsumexp(data, axis):
+    """``logsumexp`` with out-of-place exp and log, as it stood before its
+    temporaries were reused."""
+    with np.errstate(all="ignore"):
+        peak = np.max(data, axis=axis, keepdims=True)
+        shift = np.where(np.isfinite(peak), peak, 0.0)
+        out = np.log(np.sum(np.exp(data - shift), axis=axis, keepdims=True)) + shift
+    return np.squeeze(out, axis)
+
+
+def reference_logaddexp_core(layout, arrays):
+    """The ``logaddexp`` branch of ``contract_arrays`` as it stood before its
+    guards moved onto the peaks: full-size guard masks, out-of-place exp
+    and log.  It shares the matmul contraction ``_contract_all``."""
+    lays, kept_shape = layout
+    arrays = [realign(x, lay) for x, lay in zip(arrays, lays)]
+    nk = len(kept_shape)
+    red = list(range(nk, arrays[0].ndim))
+    with np.errstate(all="ignore"):
+        scaled = []
+        shift = 0.0
+        special = False
+        for arr in arrays:
+            own = tuple(a for a in red if arr.shape[a] > 1)
+            peak = np.max(arr, axis=own, keepdims=True) if own else arr
+            finite = np.isfinite(peak)
+            special = special | ~(finite | np.isneginf(peak))
+            peak = np.where(finite, peak, 0.0)
+            scaled.append(np.exp(arr - peak))
+            shift = shift + peak
+        total = _contract_all(scaled, red)
+        out = (np.log(total) + shift).reshape(kept_shape)
+        low = total < _SCALED_FLOOR
+        if np.any(low):
+            counts = _contract_all([np.isfinite(a).astype(np.float64) for a in arrays], red)
+            special = special | (low & (counts > 0))
+        suspect = np.broadcast_to(special, total.shape).reshape(kept_shape)
+        if np.any(suspect):
+            rows = [np.broadcast_to(a, kept_shape + a.shape[nk:])[suspect] for a in arrays]
+            total = rows[0]
+            for x in rows[1:]:
+                total = total + x
+            while total.ndim > 1:
+                total = reference_logsumexp(total, 1)
+            out[suspect] = total
+    return out
+
+
+def reference_max(layout, arrays):
+    """``max`` over the reduced axes of the summed union table."""
+    lays, kept_shape = layout
+    arrays = [realign(x, lay) for x, lay in zip(arrays, lays)]
+    with np.errstate(all="ignore"):
+        union = arrays[0]
+        for x in arrays[1:]:
+            union = union + x
+        return np.max(union, axis=tuple(range(len(kept_shape), union.ndim)))
+
+
+# Operand variables and reduced variables: shared, own (in one operand
+# only) and batched (kept in every operand) axes; "t" leads when present.
+CONTRACT_SHAPES = [
+    ([("t", "i", "j")], ["j"]),
+    ([("i", "j")], ["i", "j"]),
+    ([("t", "i", "j"), ("t", "j", "k")], ["j"]),
+    ([("t", "i", "j"), ("t", "i")], ["j"]),
+    ([("t", "i", "j", "l"), ("t", "k", "j")], ["j", "l"]),
+    ([("j", "i"), ("k", "j")], ["i", "j", "k"]),
+    ([("t", "i", "j"), ("t", "j", "k"), ("t", "k", "l")], ["j", "k"]),
+    ([("i", "j"), ("j",), ("j", "k")], ["j"]),
+]
+SMALL = {"t": 3, "i": 3, "j": 5, "k": 4, "l": 2}
+# Large enough that the matmul path runs on blocks of real size.
+LARGE = {"t": 8, "i": 64, "j": 32, "k": 64, "l": 4}
+SPECIALS = ["plain", "neg_inf_rows", "neg_inf_peak", "nan_inf", "underflow"]
+
+
+def contract_case(seed, names_list, rvars, sizes, special):
+    """Layout and read-only arrays of one seeded case.  Operands over ``t``
+    are stride-2 views on that leading axis, as the doubling scan passes
+    them."""
+    rng = np.random.default_rng(seed)
+    contexts, arrays = [], []
+    for names in names_list:
+        contexts.append(TypeContext([(n, Bounded(sizes[n])) for n in names]))
+        shape = tuple(sizes[n] for n in names)
+        if names[0] == "t":
+            x = rng.normal(size=(2 * shape[0],) + shape[1:])[rng.integers(2)::2]
+        else:
+            x = rng.normal(size=shape)
+        if special == "neg_inf_rows":
+            # One slice along a random axis, kept or reduced.
+            sel = [slice(None)] * x.ndim
+            axis = rng.integers(x.ndim)
+            sel[axis] = rng.integers(x.shape[axis])
+            x[tuple(sel)] = -np.inf
+        if special == "neg_inf_peak" and not arrays:
+            # Every reduced cell of one kept cell: a -inf peak, and no NaN
+            # or +inf peak anywhere.
+            x[tuple(slice(None) if n in rvars else 0 for n in names)] = -np.inf
+        if special == "nan_inf":
+            for value in (np.nan, np.inf, np.inf, -np.inf):
+                x[tuple(rng.integers(n) for n in x.shape)] = value
+        if special == "underflow":
+            # Terms a thousand nats apart: scaled sums fall below the floor.
+            x[rng.random(x.shape) < 0.5] -= 1000.0
+        x.setflags(write=False)
+        arrays.append(x)
+    return contract_layout(contexts, rvars)[1], arrays
+
+
+CONTRACT_CASES = [
+    pytest.param(100 * c + 10 * s + z, names, rvars, sizes, special,
+                 id=f"{'small' if z == 0 else 'large'}-{c}-{special}")
+    for z, sizes in enumerate((SMALL, LARGE))
+    for c, (names, rvars) in enumerate(CONTRACT_SHAPES)
+    for s, special in enumerate(SPECIALS)
+]
+
+
 class TestContract:
     @pytest.mark.parametrize("op", ["logaddexp", "max", "add"])
     def test_two_operands_shared_batch_and_own_kept_axes(self, op):
@@ -412,6 +549,72 @@ class TestContract:
         a = TensorAtom(TypeContext([("i", Bounded(2))]), np.zeros(2))
         with pytest.raises(NameAbsent):
             tensor_contract(REDUCE_OPS["logaddexp"], [a], ["j"])
+
+    @pytest.mark.parametrize("seed,names,rvars,sizes,special", CONTRACT_CASES)
+    def test_logaddexp_core_matches_reference_bit_for_bit(
+        self, seed, names, rvars, sizes, special, monkeypatch
+    ):
+        layout, arrays = contract_case(seed, names, rvars, sizes, special)
+        want = reference_logaddexp_core(layout, arrays)
+        recomputed = []
+        fold_sum = tensor._fold_sum
+
+        def spy(op, rows, lead):
+            recomputed.append(lead)
+            return fold_sum(op, rows, lead)
+
+        monkeypatch.setattr(tensor, "_fold_sum", spy)
+        assert_same_bits(contract_arrays(REDUCE_OPS["logaddexp"], layout, arrays), want)
+        if special in ("plain", "neg_inf_rows", "neg_inf_peak"):
+            # -inf peaks record a mask with no cell in it: nothing is
+            # recomputed on the broadcast path.
+            assert recomputed == []
+        for x in arrays:
+            for axis in range(x.ndim):
+                assert_same_bits(logsumexp(x, axis), reference_logsumexp(x, axis))
+
+    @pytest.mark.parametrize("seed,names,rvars,sizes,special", CONTRACT_CASES)
+    def test_max_core_matches_the_union_table_bit_for_bit(
+        self, seed, names, rvars, sizes, special
+    ):
+        layout, arrays = contract_case(seed, names, rvars, sizes, special)
+        got = contract_arrays(REDUCE_OPS["max"], layout, arrays)
+        assert_same_bits(got, reference_max(layout, arrays))
+
+    def test_a_level_peaks_at_three_operand_sizes(self):
+        # One (32, 64, 64) doubling level: the union table is 64 times the
+        # size of either operand or of the result.
+        t, k = Bounded(32), Bounded(64)
+        contexts = [
+            TypeContext([("t", t), ("i", k), ("j", k)]),
+            TypeContext([("t", t), ("j", k), ("k", k)]),
+        ]
+        kept, layout = contract_layout(contexts, ["j"])
+        rng = np.random.default_rng(30)
+        arrays = [rng.normal(size=(32, 64, 64)) for _ in contexts]
+        size = arrays[0].nbytes
+
+        tracemalloc.start()
+        try:
+            contract_arrays(REDUCE_OPS["logaddexp"], layout, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept.names == ("t", "i", "k")
+        assert peak <= 3.5 * size
+
+    @pytest.mark.parametrize("op", ["logaddexp", "max", "add"])
+    @pytest.mark.parametrize("sizes", [SMALL, LARGE], ids=["small", "large"])
+    def test_writeable_inputs_are_left_unchanged(self, op, sizes):
+        for c, (names, rvars) in enumerate(CONTRACT_SHAPES):
+            for s, special in enumerate(SPECIALS):
+                layout, arrays = contract_case(100 * c + s, names, rvars, sizes, special)
+                arrays = [x.copy() for x in arrays]
+                before = [x.copy() for x in arrays]
+                contract_arrays(REDUCE_OPS[op], layout, arrays)
+                for x, b in zip(arrays, before):
+                    assert x.flags.writeable
+                    assert_same_bits(x, b)
 
 
 class TestRename:
