@@ -1,17 +1,17 @@
 """Approximate reduction rules: moment matching and Monte Carlo.
 
-Both interpretations intercept ``logaddexp`` reductions and fall back to
-the exact rules for everything else.  Moment matching collapses a
-mixture of quadratic factors over one bounded variable into the single
-quadratic factor with the mixture's mean and covariance, leaving the
-matched total weight behind.  It declares ``match_kind`` as its
-reduction classifier, so its rule, its chain steps and the switching
-model's steps run one ``PairPlan`` step, whose ``"match"`` kind is
-``match_layout`` plus the array core ``match``.  Monte Carlo declares
-none and sees every reduction through its rule, which replaces the
-reduced factor with a weighted point mass at a sampled value, so
-downstream factors see the sample while the total weight stays an
-unbiased estimate.
+Both rules take the one reduction Exact leaves lazy, a mixture: a
+``logaddexp`` over a label a quadratic factor is batched over
+(``mixture_form``).  Both interpretations declare a classifier, so their
+other reductions, chain steps and planned contractions replay Exact's
+``PairPlan``s.  Moment matching collapses a mixture into the quadratic
+factor with its mean and covariance, leaving the matched total weight
+behind; ``match_kind`` gives mixtures the ``"match"`` kind, so its rule,
+chain steps and the switching model's steps run one ``PairPlan`` step
+(``match_layout`` plus the array core ``match``).  Monte Carlo declares
+``reduction_kind``; its rule samples the label, leaving a weighted point
+mass behind, so downstream factors see the sample while the total weight
+stays an unbiased estimate.  Its particles are drawn in one evaluation.
 
 Randomness is deterministic given a seed: draws come from a counter-mode
 bit generator, and every draw advances the counter, so a fresh
@@ -37,6 +37,7 @@ from .gaussian import (
 from .interp import (
     EXACT,
     Interpretation,
+    NormalForm,
     Rule,
     flatten_product,
     lift,
@@ -56,7 +57,7 @@ from .tensor import (
     realign,
     tensor_reduce,
 )
-from .terms import DeltaLeaf, GaussianLeaf, Reduce, TensorLeaf, Term
+from .terms import DeltaLeaf, GaussianLeaf, Reduce, TensorLeaf, Term, fresh_name
 
 
 @dataclass(frozen=True)
@@ -194,6 +195,22 @@ def match_kind(op, table: Optional[TypeContext], gaussian, v: str) -> Optional[s
     return reduction_kind(op, table, gaussian, v)
 
 
+def mixture_form(node: Reduce) -> Optional[NormalForm]:
+    """The body's normal form where ``node`` reduces a mixture, else None.
+
+    A mixture is a ``logaddexp`` over a label the quadratic factor is
+    batched over, in a body of tables and quadratic factors: the one
+    reduction Exact leaves lazy that both approximate rules take.
+    """
+    v, types = node.var, node.body.free_vars
+    if node.op.name != "logaddexp" or not isinstance(types.typeof(v), Bounded):
+        return None
+    nf = normal_form_from_parts(flatten_product(node.body))
+    if nf.deltas or nf.lazy_rest or nf.gaussian is None or v not in nf.gaussian.batch:
+        return None
+    return nf
+
+
 class MomentMatching(Interpretation):
     """Collapse quadratic mixtures at each reduction, exactly elsewhere."""
 
@@ -206,39 +223,20 @@ class MomentMatching(Interpretation):
         )
 
     def _h_reduce(self, node: Reduce) -> Optional[Term]:
-        if node.op.name != "logaddexp":
-            return None
-        v = node.var
-        if not isinstance(node.body.free_vars.typeof(v), Bounded):
-            return None
-        nf = normal_form_from_parts(flatten_product(node.body))
-        if nf.deltas or nf.lazy_rest:
-            return None
-        # Elsewhere Exact's rules run the same closed form.
-        if nf.gaussian is None or v not in nf.gaussian.batch:
-            return None
-        return reduce_normal_form(node.op, nf, v, match_kind)
-
-
-def _pinned(
-    weight: TensorAtom, v: str, point: TensorAtom, rest: Optional[Term]
-) -> Term:
-    """``weight`` plus ``rest`` with ``v`` pinned at ``point``: the
-    reduction over ``v`` of a point mass paired with ``rest``."""
-    inner: Term = DeltaLeaf(DeltaAtom(v, point))
-    if rest is not None:
-        inner = lift(ADD, inner, rest)
-    return lift(ADD, TensorLeaf(weight), reduce_term(LOGADDEXP_REDUCE, v, inner))
+        nf = mixture_form(node)
+        if nf is not None:
+            return reduce_normal_form(node.op, nf, node.var, match_kind)
 
 
 def mc_sample_discrete(
-    w: TensorAtom, v: str, rest: Optional[Term], rng: RngState
+    w: TensorAtom, v: str, rest: Optional[Term], rng: RngState, particles=TypeContext()
 ) -> Term:
     """Estimate a ``logaddexp`` reduction over ``v`` by sampling it.
 
-    Draws one categorical index per remaining batch cell from the logits
-    ``w``, then returns the total weight plus ``rest`` with the draw
-    pinned in.  The value is an unbiased estimate of the exact reduction.
+    Draws one categorical index per remaining batch cell of the logits
+    ``w``, and per cell of the ``particles`` context that ``w`` lacks, then
+    returns the total weight plus ``rest`` with the draw pinned in.  The
+    value is an unbiased estimate of the exact reduction.
     """
     tp = w.context.typeof(v)
     w_total = tensor_reduce(LOGADDEXP_REDUCE, w, v)
@@ -246,74 +244,50 @@ def mc_sample_discrete(
     logits = np.moveaxis(w.data, axis, -1)
     probs = np.exp(logits - logsumexp(w.data, axis)[..., None])
     flat = probs.reshape(-1, tp.size)
-    u = rng.generator().random(flat.shape[0])
-    cdf = np.cumsum(flat, axis=-1)
+    ctx = w.context.remove(v).union(particles)
+    bounds = tuple(t.size for _, t in ctx.entries)
+    u = rng.generator().random(bounds).reshape(flat.shape[0], -1, 1)
+    cdf = np.cumsum(flat, axis=-1)[:, None, :]
     cdf[..., -1] = 1.0
-    draws = np.sum(u[:, None] > cdf, axis=-1).astype(np.float64)
-    rest_ctx = w.context.remove(v)
-    idx = TensorAtom._unchecked(
-        rest_ctx, draws.reshape(tuple(t.size for _, t in rest_ctx.entries)), tp
-    )
-    return _pinned(w_total, v, idx, rest)
-
-
-def mc_sample_gaussian(
-    g: GaussianAtom, v: str, rest: Optional[Term], rng: RngState
-) -> Optional[Term]:
-    """Estimate a Gaussian marginalization over ``v`` by sampling it.
-
-    Requires ``v`` to be the factor's only real variable (declines with
-    None otherwise, so exact marginalization can run first).  The draw is
-    mean plus back-solved white noise, so the sample's covariance is the
-    factor's; the factor itself is replaced by its normalizer, making the
-    estimate exact when ``rest`` is empty.
-    """
-    if v not in g.reals or len(g.reals) != 1:
-        return None
-    chol = _cholesky_jitter(g.precision)
-    mu, norm = normalizer(chol, g.info_vec)
-    eps = rng.generator().standard_normal(g.info_vec.shape)
-    # x = mu + L^{-T} eps has covariance (L L^T)^{-1}.
-    sample = mu + np.linalg.solve(np.swapaxes(chol, -1, -2), eps[..., None])[..., 0]
-    tp = g.reals.typeof(v)
-    sample = sample.reshape(sample.shape[:-1] + tp.shape)
-    point = TensorAtom._unchecked(g.batch, sample, tp)
-    return _pinned(TensorAtom._unchecked(g.batch, norm), v, point, rest)
+    draws = np.sum(u > cdf, axis=-1).astype(np.float64).reshape(bounds)
+    inner: Term = DeltaLeaf(DeltaAtom(v, TensorAtom._unchecked(ctx, draws, tp)))
+    if rest is not None:
+        inner = lift(ADD, inner, rest)
+    return lift(ADD, TensorLeaf(w_total), reduce_term(LOGADDEXP_REDUCE, v, inner))
 
 
 class MonteCarlo(Interpretation):
-    """Sample reduced variables, leaving weighted point masses behind."""
+    """Sample the mixtures Exact leaves lazy, reducing the rest exactly.
 
-    def __init__(self, state):
+    ``samples`` particles are drawn in one evaluation, over the context
+    ``particles`` (one fresh bounded variable, or none for one sample),
+    which a result holds only where a draw was made.  Each of its cells
+    is an unbiased estimate, so their log-mean-exp is one as well.
+    """
+
+    def __init__(self, state, samples: int = 1):
         if isinstance(state, (int, np.integer)):
             state = RngState(int(state))
+        if samples < 1:
+            raise BoundsError(f"montecarlo needs at least one sample, got {samples}")
         self.state: RngState = state
+        self.particles = TypeContext(
+            [(fresh_name("particle"), Bounded(samples))] if samples > 1 else []
+        )
         self.draws = 0
         super().__init__(
             "montecarlo",
             rules=[Rule(Reduce, self._h_reduce, "sample-reduction")],
             fallback=EXACT,
+            classify=reduction_kind,
         )
 
-    def _next_state(self) -> RngState:
+    def _h_reduce(self, node: Reduce) -> Optional[Term]:
+        nf = mixture_form(node)
+        # The label is drawn from the weight table, which must hold it.
+        if nf is None or nf.tensor is None or node.var not in nf.tensor.context:
+            return None
         state = self.state.advance(self.draws)
         self.draws += 1
-        return state
-
-    def _h_reduce(self, node: Reduce) -> Optional[Term]:
-        if node.op.name != "logaddexp":
-            return None
-        v = node.var
-        tp = node.body.free_vars.typeof(v)
-        nf = normal_form_from_parts(flatten_product(node.body))
-        if nf.deltas or nf.lazy_rest:
-            return None
-        rest = None if nf.gaussian is None else GaussianLeaf(nf.gaussian)
-        if isinstance(tp, Bounded):
-            if nf.tensor is None or v not in nf.tensor.context:
-                return None
-            return mc_sample_discrete(nf.tensor, v, rest, self._next_state())
-        if nf.gaussian is None:
-            return None
-        rest = None if nf.tensor is None else TensorLeaf(nf.tensor)
-        return mc_sample_gaussian(nf.gaussian, v, rest, self._next_state())
+        rest = GaussianLeaf(nf.gaussian)
+        return mc_sample_discrete(nf.tensor, node.var, rest, state, self.particles)

@@ -5,7 +5,8 @@ Model files carry a ``"model"`` discriminator naming the family;
 probabilities are written in linear space and converted to log
 internally, matrices as nested row-major lists.  The model builders
 check every array's shape, so a malformed file, like an unreadable one,
-prints ``{"error", "detail"}`` and exits 1.
+prints ``{"error", "detail"}`` and exits 1.  Every interpretation is one
+``interpret`` call; ``montecarlo`` draws its ``--samples`` particles in it.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import MomentMatching, MonteCarlo, RngState
+from .approx import MomentMatching, MonteCarlo
 from .errors import BoundsError, FunsorError, FunsorTypeError
 from .interp import EXACT, interpret
 from .markov import SCAN_MODES, scan_mode
@@ -31,6 +32,7 @@ from .models import (
     build_slds_marginal,
 )
 from .optimize import OPTIMIZE
+from .tensor import logsumexp
 
 INTERPRETATIONS = ("exact", "optimize", "momentmatching", "montecarlo")
 SEMIRINGS = ("sumproduct", "maxproduct")
@@ -109,20 +111,17 @@ def _evaluate_chain(term, config: RunConfig):
     """Interpret a closed chain term; returns (log value, levels or None)."""
     stats = {} if config.scan == "parallel" else None
     if config.interpretation == "montecarlo":
-        draws = []
-        for k in range(config.samples):
-            mc = MonteCarlo(RngState(config.seed, k * 1024))
-            with scan_mode(config.scan, stats=stats):
-                draws.append(_scalar(interpret(mc, term)))
-        value = float(np.logaddexp.reduce(draws) - np.log(len(draws)))
+        interp = MonteCarlo(config.seed, config.samples)
     else:
         interp = {
             "exact": EXACT,
             "optimize": OPTIMIZE,
             "momentmatching": MomentMatching(),
         }[config.interpretation]
-        with scan_mode(config.scan, stats=stats):
-            value = _scalar(interpret(interp, term))
+    with scan_mode(config.scan, stats=stats):
+        cells = interpret(interp, term).atom.data.reshape(-1)
+    # One cell, or the particles Monte Carlo drew: their log-mean-exp.
+    value = float(logsumexp(cells, 0) - np.log(cells.size))
     levels = stats.get("levels") if stats is not None else None
     return value, levels
 
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--samples", type=int, default=100,
-        help="replicate count for the montecarlo interpretation",
+        help="particles drawn in one evaluation (montecarlo only)",
     )
     return parser
 

@@ -16,11 +16,11 @@ doubling scan takes them at the even and the odd stride-2 slice of each
 level.  ``interp.substitute_atom`` takes the cells and relabels the
 matched names at atom level.  A fold step and a level are the same
 combine: one ``contract_pair`` step on two factor lists, which reduces
-the real matched names before the bounded ones.  Under
-an interpretation that declares a reduction classifier (Exact, Optimize,
-moment matching) the step runs the rules' kernels in the rules' order
-without dispatching a rule (so no fuel is spent); Monte Carlo declares
-none and sees every reduction through its rules.  A fold whose body
+the real matched names before the bounded ones.  Under an
+interpretation that declares a reduction classifier (all but Lazy) the
+step runs the rules' kernels in the rules' order without dispatching a
+rule (so no fuel is spent); a reduction the classifier leaves lazy, such
+as a mixture Monte Carlo samples, goes through the rules.  A fold whose body
 holds only tables and quadratic factors goes further: each step's
 ``PairPlan`` (the layout half of ``contract_pair``) is derived once per
 step signature, which repeats with period two as the matched names

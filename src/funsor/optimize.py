@@ -16,10 +16,9 @@ on tables and quadratic factors is a ``PairPlan``: derived from the
 factors' layouts alone, with each reduction classified as the
 interpretation declares, and run on their arrays.  Its table steps run
 ``tensor_contract``'s array core.  The fold replays it per step
-signature, and the rules run it as a one-step plan; Monte Carlo
-declares no classifier, so its rules see every reduction but that of
-two tables, which contract exactly under every interpretation.  Exact
-plans one reduction at a time; Optimize's whole-term rule gathers
+signature, and the rules run it as a one-step plan.  Two tables contract
+as a plan under every interpretation, one without a classifier too.
+Exact plans one reduction at a time; Optimize's whole-term rule gathers
 directly nested sums over a lazily built product into one joint plan
 instead of collapsing them innermost-first.
 """

@@ -10,12 +10,11 @@ from funsor.approx import (
     MonteCarlo,
     RngState,
     mc_sample_discrete,
-    mc_sample_gaussian,
     moment_match,
 )
 from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import BoundsError, NameAbsent
-from funsor.gaussian import GaussianAtom, gaussian_fuse, gaussian_log_normalizer
+from funsor.gaussian import GaussianAtom, gaussian_log_normalizer
 from funsor.interp import EXACT, LAZY, interpret, interpretation, lift, reduce_term
 from funsor.tensor import TensorAtom
 from funsor.terms import Apply, GaussianLeaf, TensorLeaf
@@ -341,60 +340,6 @@ class TestMcSampleDiscrete:
         )
 
 
-class TestMcSampleGaussian:
-    def setup_method(self):
-        self.g = GaussianAtom(
-            TypeContext(),
-            TypeContext([("x", RealArray(()))]),
-            np.array([0.7]),
-            np.array([[1.3]]),
-        )
-        self.other = GaussianAtom(
-            TypeContext(),
-            TypeContext([("x", RealArray(()))]),
-            np.array([-0.3]),
-            np.array([[0.8]]),
-        )
-
-    def test_declines_unless_sole_real_variable(self):
-        joint = GaussianAtom(
-            TypeContext(),
-            TypeContext([("x", RealArray(())), ("y", RealArray(()))]),
-            np.array([0.5, -0.2]),
-            np.array([[2.0, 0.3], [0.3, 1.0]]),
-        )
-        assert mc_sample_gaussian(joint, "x", None, RngState(0)) is None
-
-    def test_no_rest_returns_exact_normalizer(self):
-        target = float(gaussian_log_normalizer(self.g).data)
-        for seed in range(10):
-            est = mc_sample_gaussian(self.g, "x", None, RngState(seed))
-            value = float(interpret(EXACT, est).atom.data)
-            np.testing.assert_allclose(value, target, rtol=1e-12)
-
-    def test_unbiased_against_fused_normalizer(self):
-        target = np.exp(
-            float(gaussian_log_normalizer(gaussian_fuse(self.g, self.other)).data)
-        )
-        n = 4000
-        draws = np.empty(n)
-        for k in range(n):
-            est = mc_sample_gaussian(
-                self.g, "x", GaussianLeaf(self.other), RngState(11, 16 * k)
-            )
-            draws[k] = float(interpret(EXACT, est).atom.data)
-        probs = np.exp(draws)
-        se = probs.std() / np.sqrt(n)
-        assert abs(probs.mean() - target) < 3.0 * se
-
-    def test_fixed_state_is_deterministic(self):
-        a = mc_sample_gaussian(self.g, "x", GaussianLeaf(self.other), RngState(3, 9))
-        b = mc_sample_gaussian(self.g, "x", GaussianLeaf(self.other), RngState(3, 9))
-        assert float(interpret(EXACT, a).atom.data) == float(
-            interpret(EXACT, b).atom.data
-        )
-
-
 class TestMonteCarloInterpretation:
     def setup_method(self):
         rng = np.random.default_rng(21)
@@ -454,3 +399,41 @@ class TestMonteCarloInterpretation:
         for seed in range(10):
             value = float(interpret(MonteCarlo(seed), term).atom.data)
             np.testing.assert_allclose(value, target, rtol=1e-12)
+
+
+class TestMonteCarloParticles:
+    setup_method = TestMonteCarloInterpretation.setup_method
+
+    def test_particles_draw_once_along_one_variable(self):
+        mc = MonteCarlo(RngState(3), samples=4000)
+        out = interpret(mc, self.term).atom
+        assert out.context == mc.particles
+        assert mc.particles.typeof(mc.particles.names[0]) == Bounded(4000)
+        assert mc.draws == 1
+        assert len(np.unique(out.data)) > 1
+
+    def test_particle_mean_is_unbiased(self):
+        data = interpret(MonteCarlo(RngState(3), samples=4000), self.term).atom.data
+        probs = np.exp(data)
+        se = probs.std() / np.sqrt(probs.size)
+        assert abs(probs.mean() - np.exp(self.exact)) < 3.0 * se
+
+    def test_one_sample_keeps_the_draws(self):
+        """Pinned values of the one-draw estimator, unchanged since it
+        first sampled mixtures one draw per evaluation."""
+        for counter, want in [(0, "0x1.7164d2529e964p+1"), (3, "0x1.1bebaed498563p+1")]:
+            mc = MonteCarlo(RngState(123, counter), samples=1)
+            assert float(interpret(mc, self.term).atom.data).hex() == want
+
+    def test_no_mixture_no_particle_axis(self):
+        atom = TensorAtom(TypeContext([("i", Bounded(4))]), np.arange(4.0))
+        with interpretation(LAZY):
+            term = reduce_term("logaddexp", "i", TensorLeaf(atom))
+        mc = MonteCarlo(0, samples=50)
+        assert interpret(mc, term).atom.context == TypeContext()
+        assert mc.draws == 0
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_needs_a_sample(self, samples):
+        with pytest.raises(BoundsError):
+            MonteCarlo(0, samples=samples)

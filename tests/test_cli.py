@@ -204,6 +204,28 @@ class TestRunHmm:
         assert first == second
 
 
+    @pytest.mark.parametrize("family", ["hmm", "kalman"])
+    def test_montecarlo_is_one_evaluation(self, family, tmp_path, capsys, monkeypatch):
+        """All particles are drawn in one ``interpret`` call; with no
+        mixture to sample it prints Exact's value."""
+        from funsor import cli
+
+        rng = np.random.default_rng(5)
+        doc = hmm_doc(rng) if family == "hmm" else kalman_doc(rng, bias=True)
+        path = write_model(tmp_path, f"{family}.json", doc)
+        _, exact, _ = run_json(capsys, ["run", path])
+        calls = []
+
+        def spy(interp, term):
+            calls.append(interp.name)
+            return interpret(interp, term)
+
+        monkeypatch.setattr(cli, "interpret", spy)
+        _, mc, _ = run_json(capsys, ["run", path, "--interp", "montecarlo"])
+        assert calls == ["montecarlo"]
+        assert mc["log_value"] == exact["log_value"]
+
+
 class TestRunOtherFamilies:
     def test_kalman_matches_library(self, tmp_path, capsys):
         rng = np.random.default_rng(10)

@@ -322,9 +322,9 @@ class TestSequentialFold:
         np.testing.assert_array_equal(got.atom.data, want)
 
     def test_interpretations_declare_their_classifier(self):
-        """Exact and Optimize reduce in closed form and moment matching
-        also matches mixtures; Monte Carlo and Lazy declare nothing, so
-        their steps dispatch every reduction."""
+        """Exact, Optimize and Monte Carlo reduce in closed form and
+        moment matching also matches mixtures; Lazy declares nothing, so
+        its steps dispatch every reduction."""
         from funsor.approx import MomentMatching, MonteCarlo, match_kind
         from funsor.interp import reduction_kind
         from funsor.optimize import OPTIMIZE
@@ -333,7 +333,7 @@ class TestSequentialFold:
             (EXACT, reduction_kind),
             (OPTIMIZE, reduction_kind),
             (MomentMatching(), match_kind),
-            (MonteCarlo(0), None),
+            (MonteCarlo(0), reduction_kind),
             (LAZY, None),
             (Interpretation("plain", fallback=EXACT), None),
         ]:

@@ -256,23 +256,31 @@ class TestOptimizeInterpretation:
 
 class TestPlansRunUnderTheCaller:
     def test_montecarlo_samples_a_planned_step(self):
-        """A real variable shared by three factors is reduced at the last
-        fused step, under the caller's Monte Carlo rules, like the unplanned
-        reduction of the fused product.
+        """Under Monte Carlo a planned step that sums a label out of a
+        quadratic factor batched over it draws once, as the unplanned
+        reduction of the fused product does; a closed-form step draws
+        nothing.
         """
         rng = np.random.default_rng(8)
+        c = TypeContext([("c", Bounded(3))])
         x = TypeContext([("x", RealArray(()))])
+        weight = TensorLeaf(TensorAtom(c, rng.normal(size=3)))
+        mixed = GaussianLeaf(GaussianAtom(c, x, rng.normal(size=(3, 1)), np.ones((3, 1, 1))))
         parts = [
             GaussianLeaf(GaussianAtom(TypeContext(), x, rng.normal(size=1), [[1.0 + k]]))
             for k in range(3)
         ]
         planned = MonteCarlo(0)
         with interpretation(planned):
-            contract("logaddexp", ["x"], parts)
+            contract("logaddexp", ["c"], [weight, mixed, parts[0]])
         unplanned = MonteCarlo(0)
         with interpretation(unplanned):
-            reduce_term("logaddexp", "x", lift("add", lift("add", *parts[:2]), parts[2]))
+            reduce_term("logaddexp", "c", lift("add", lift("add", weight, mixed), parts[0]))
         assert planned.draws == unplanned.draws == 1
+        closed = MonteCarlo(0)
+        with interpretation(closed):
+            contract("logaddexp", ["x"], parts)
+        assert closed.draws == 0
 
 
 class TestExactContraction:

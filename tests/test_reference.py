@@ -8,6 +8,8 @@ relative, under every closed-form interpretation and both scans.  Two
 ``-inf`` values agree.  The HMMs are sparse: zero transitions and
 ``-inf`` emissions reach the contraction's recomputed cells.  Max-product
 HMMs are checked against a max-plus forward recursion written here.
+Chains hold no mixture, so Monte Carlo samples nothing on them: it must
+print Exact's bits and fit a long chain in the default fuel.
 """
 import contextlib
 import io
@@ -19,7 +21,11 @@ import sys
 import numpy as np
 import pytest
 
+from funsor.approx import MonteCarlo
 from funsor.cli import main
+from funsor.interp import EXACT, interpret
+from funsor.markov import scan_mode
+from funsor.models import HmmSpec, KalmanSpec, build_hmm, build_kalman
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -126,3 +132,39 @@ def test_slds(tmp_path, T):
     )
     got = run(tmp_path, doc)
     assert math.isclose(got, ref, rel_tol=1e-6), (got, ref)
+
+
+def chain_term(doc):
+    """The chain a model file's hmm or kalman document denotes."""
+    if doc["model"] == "hmm":
+        return build_hmm(HmmSpec(doc["transition"], doc["emission_loglik"]))
+    keys = ("F", "Q", "H", "R", "observations", "bias_cov")
+    return build_kalman(KalmanSpec(**{k: doc[k] for k in keys if k in doc}))
+
+
+@pytest.mark.parametrize("scan", SCANS)
+@pytest.mark.parametrize("T", [1, 2, 3, 8, 33])
+def test_monte_carlo_prints_exact_bits_on_chains(tmp_path, T, scan):
+    docs = [sparse_hmm(gen.rng_for(40, K, T), K, T) for K in range(1, 6)]
+    docs += [gen.draw_kalman(gen.rng_for(41, bias, T), 3, 2, T, bias) for bias in (0, 1)]
+    for doc in docs:
+        mc = MonteCarlo(0)
+        with scan_mode(scan), np.errstate(divide="ignore"):
+            got = interpret(mc, chain_term(doc)).atom.data
+            want = interpret(EXACT, chain_term(doc)).atom.data
+        assert mc.draws == 0
+        assert got.tobytes() == want.tobytes(), (doc["model"], got, want)
+        flags = ("--scan", scan, "--interp")
+        printed = run(tmp_path, doc, *flags, "montecarlo")
+        assert printed.hex() == run(tmp_path, doc, *flags, "exact").hex()
+
+
+def test_long_monte_carlo_chain_fits_the_default_fuel(monkeypatch):
+    """Its closed-form steps replay plans and spend no fuel, as Exact's do."""
+    monkeypatch.delenv("FUNSOR_FUEL", raising=False)
+    term = chain_term(gen.draw_kalman(gen.rng_for(7, 0, 0), 3, 2, 5100, False))
+    mc = MonteCarlo(0)
+    with scan_mode("sequential"):
+        got = interpret(mc, term).atom.data
+    assert np.isfinite(got)
+    assert mc.draws == 0
