@@ -6,12 +6,14 @@ Both rules take the one reduction Exact leaves lazy, a mixture: a
 other reductions, chain steps and planned contractions replay Exact's
 ``PairPlan``s.  Moment matching collapses a mixture into the quadratic
 factor with its mean and covariance, leaving the matched total weight
-behind; ``match_kind`` gives mixtures the ``"match"`` kind, so its rule,
-chain steps and the switching model's steps run one ``PairPlan`` step
-(``match_layout`` plus the array core ``match``).  Monte Carlo declares
-``reduction_kind``; its rule samples the label, leaving a weighted point
-mass behind, so downstream factors see the sample while the total weight
-stays an unbiased estimate.  Its particles are drawn in one evaluation.
+behind; ``match_kind`` gives mixtures the ``"match"`` kind, so its rule
+and chain steps run one ``PairPlan`` step (``match_layout`` plus the
+array core ``match``).  This is assumed-density filtering, whose window
+a closed chain's sequential scan honours.  Monte Carlo samples the label
+from the weight table, evenly where the table lacks it, leaving a
+weighted point mass behind, so downstream factors see the sample while
+the total weight stays an unbiased estimate.  Its particles are drawn in
+one evaluation.
 
 Randomness is deterministic given a seed: draws come from a counter-mode
 bit generator, and every draw advances the counter, so a fresh
@@ -55,7 +57,9 @@ from .tensor import (
     pointwise,
     pointwise_layout,
     realign,
+    tensor_apply,
     tensor_reduce,
+    zeros_tensor,
 )
 from .terms import DeltaLeaf, GaussianLeaf, Reduce, TensorLeaf, Term, fresh_name
 
@@ -212,15 +216,22 @@ def mixture_form(node: Reduce) -> Optional[NormalForm]:
 
 
 class MomentMatching(Interpretation):
-    """Collapse quadratic mixtures at each reduction, exactly elsewhere."""
+    """Collapse quadratic mixtures at each reduction, exactly elsewhere.
 
-    def __init__(self):
+    A closed chain's sequential scan keeps ``window`` states joint and
+    collapses the oldest when the next arrives.
+    """
+
+    def __init__(self, window: int = 1):
+        if window < 1:
+            raise BoundsError(f"window must be at least 1, got {window}")
         super().__init__(
             "momentmatching",
             rules=[Rule(Reduce, self._h_reduce, "match-moments")],
             fallback=EXACT,
             classify=match_kind,
         )
+        self.window = window
 
     def _h_reduce(self, node: Reduce) -> Optional[Term]:
         nf = mixture_form(node)
@@ -284,10 +295,13 @@ class MonteCarlo(Interpretation):
 
     def _h_reduce(self, node: Reduce) -> Optional[Term]:
         nf = mixture_form(node)
-        # The label is drawn from the weight table, which must hold it.
-        if nf is None or nf.tensor is None or node.var not in nf.tensor.context:
+        if nf is None:
             return None
+        v, w = node.var, nf.tensor
+        if w is None or v not in w.context:  # the label's values weigh evenly
+            zeros = zeros_tensor(TypeContext([(v, nf.gaussian.batch.typeof(v))]))
+            w = zeros if w is None else tensor_apply(ADD, [w, zeros])
         state = self.state.advance(self.draws)
         self.draws += 1
         rest = GaussianLeaf(nf.gaussian)
-        return mc_sample_discrete(nf.tensor, node.var, rest, state, self.particles)
+        return mc_sample_discrete(w, v, rest, state, self.particles)

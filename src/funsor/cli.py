@@ -5,15 +5,16 @@ Model files carry a ``"model"`` discriminator naming the family;
 probabilities are written in linear space and converted to log
 internally, matrices as nested row-major lists.  The model builders
 check every array's shape, so a malformed file, like an unreadable one,
-prints ``{"error", "detail"}`` and exits 1.  Every interpretation is one
-``interpret`` call; ``montecarlo`` draws its ``--samples`` particles in it.
+prints ``{"error", "detail"}`` and exits 1.  Every chain is one ``interpret``
+call (a switching model's under ``MomentMatching(window)``, sequentially);
+``montecarlo`` draws its ``--samples`` particles in it.
 """
 
 import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .models import (
     build_gmm,
     build_hmm,
     build_kalman,
-    build_slds_marginal,
+    build_slds,
 )
 from .optimize import OPTIMIZE
 from .tensor import logsumexp
@@ -95,6 +96,10 @@ def _array(doc: dict, key: str) -> np.ndarray:
     return _field(doc, key)
 
 
+def _arrays(doc: dict, *keys: str) -> list:
+    return [_array(doc, key) for key in keys]
+
+
 def _load_doc(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -103,12 +108,9 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
-def _scalar(term) -> float:
-    return float(term.atom.data)
-
-
-def _evaluate_chain(term, config: RunConfig):
-    """Interpret a closed chain term; returns (log value, levels or None)."""
+def _evaluate_chain(term, config: RunConfig, window: int = 1):
+    """Interpret a closed chain term, with moment matching's ``window``;
+    returns (log value, levels or None)."""
     stats = {} if config.scan == "parallel" else None
     if config.interpretation == "montecarlo":
         interp = MonteCarlo(config.seed, config.samples)
@@ -116,7 +118,7 @@ def _evaluate_chain(term, config: RunConfig):
         interp = {
             "exact": EXACT,
             "optimize": OPTIMIZE,
-            "momentmatching": MomentMatching(),
+            "momentmatching": MomentMatching(window),
         }[config.interpretation]
     with scan_mode(config.scan, stats=stats):
         cells = interpret(interp, term).atom.data.reshape(-1)
@@ -139,64 +141,35 @@ def cmd_run(config: RunConfig) -> int:
             f"{family!r} has real-valued state"
         )
 
-    reported = config.interpretation
+    forced = family in ("slds", "gmm")
+    if forced and config.interpretation != "momentmatching":
+        print(f"note: {family} always evaluates under momentmatching", file=sys.stderr)
+    reported = "momentmatching" if forced else config.interpretation
     levels = None
     start = time.perf_counter()
     if family == "hmm":
-        spec = HmmSpec(
-            transition=_array(doc, "transition"),
-            emission_loglik=_array(doc, "emission_loglik"),
-            prior=_field(doc, "prior"),
-        )
+        spec = HmmSpec(*_arrays(doc, "transition", "emission_loglik"), _field(doc, "prior"))
         elim = "max" if config.semiring == "maxproduct" else "logaddexp"
         value, levels = _evaluate_chain(build_hmm(spec, elim=elim), config)
     elif family == "kalman":
         spec = KalmanSpec(
-            F=_array(doc, "F"),
-            Q=_array(doc, "Q"),
-            H=_array(doc, "H"),
-            R=_array(doc, "R"),
-            observations=_array(doc, "observations"),
-            init_mean=_field(doc, "init_mean"),
-            init_cov=_field(doc, "init_cov"),
-            bias_cov=_field(doc, "bias_cov"),
+            *_arrays(doc, "F", "Q", "H", "R", "observations"),
+            *(_field(doc, k) for k in ("init_mean", "init_cov", "bias_cov")),
         )
-        term = build_kalman(spec)
-        value, levels = _evaluate_chain(term, config)
+        value, levels = _evaluate_chain(build_kalman(spec), config)
     elif family == "slds":
-        if config.interpretation != "momentmatching":
-            print(
-                "note: slds always evaluates under momentmatching",
-                file=sys.stderr,
-            )
         spec = SldsSpec(
-            transition=_array(doc, "transition"),
-            F=_array(doc, "F"),
-            Q=_array(doc, "Q"),
-            H=_array(doc, "H"),
-            R=_array(doc, "R"),
-            init_mean=_field(doc, "init_mean"),
-            init_cov=_field(doc, "init_cov"),
+            *_arrays(doc, "transition", "F", "Q", "H", "R"),
+            *(_field(doc, k) for k in ("init_mean", "init_cov")),
             window=doc.get("window", 1),
         )
-        value = _scalar(build_slds_marginal(spec, _array(doc, "observations")))
-        reported = "momentmatching"
+        # Moment matching in the sequential scan, whatever the flags say.
+        fixed = replace(config, interpretation="momentmatching", scan="sequential")
+        term = build_slds(spec, _array(doc, "observations"))
+        value, _ = _evaluate_chain(term, fixed, spec.window)
     else:
-        if config.interpretation != "momentmatching":
-            print(
-                "note: gmm always evaluates under momentmatching",
-                file=sys.stderr,
-            )
-        spec = GmmSpec.from_moments(
-            loadings=_array(doc, "loadings"),
-            offsets=_array(doc, "offsets"),
-            noises=_array(doc, "noises"),
-            prior_mean=_array(doc, "prior_mean"),
-            prior_cov=_array(doc, "prior_cov"),
-            data=_array(doc, "data"),
-        )
-        value = _scalar(build_gmm(spec))
-        reported = "momentmatching"
+        keys = ("loadings", "offsets", "noises", "prior_mean", "prior_cov", "data")
+        value = float(build_gmm(GmmSpec.from_moments(*_arrays(doc, *keys))).atom.data)
     wall_ms = (time.perf_counter() - start) * 1e3
 
     payload = {

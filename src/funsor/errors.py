@@ -58,6 +58,10 @@ class InvalidMatching(FunsorError, TypeError):
     """A step matching violates the Markov product's side conditions."""
 
 
+class ScanUnsupported(FunsorError):
+    """The selected scan cannot evaluate a chain under this interpretation."""
+
+
 class FuelExhausted(FunsorError):
     """Rewriting exceeded the configured number of rule applications."""
 

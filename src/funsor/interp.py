@@ -18,7 +18,8 @@ substitutions and reductions of the atomic factors in closed form and
 leaves everything else lazy.  A sum of tables that no one of them spans
 stays unfused, built eagerly or lazily alike, since fusing it would
 build a table larger than any of them; a ``logaddexp`` or ``max``
-reduction over it hands the tables to the contraction planner.
+reduction over it hands the tables to the contraction planner.  Beside
+other factors such tables also stay apart until a reduction fuses them.
 
 One routine, ``substitute_atom``, applies bindings to a table, a
 quadratic factor or a point mass: relabels, then index values and
@@ -135,7 +136,9 @@ class Interpretation:
 
     ``classify`` (``reduction_kind``'s signature; not inherited) declares
     how the interpretation reduces tables and quadratic factors, so steps
-    over them run as ``PairPlan``s without dispatching a rule.
+    over them run as ``PairPlan``s without dispatching a rule.  ``window``
+    is how many states a closed chain's sequential scan keeps joint: 1,
+    the exact filter, except under ``MomentMatching(window)``.
     """
 
     def __init__(
@@ -151,6 +154,7 @@ class Interpretation:
         self.fallback = fallback
         self.whole_rules = list(whole_rules)
         self.classify = classify
+        self.window = 1
 
     def chain(self):
         interp = self
@@ -327,10 +331,11 @@ def subst_term(base, bindings: Dict[str, Term]) -> Term:
     return dispatch(node)
 
 
-def markov_term(timevar: str, step, body, op="logaddexp") -> Term:
+def markov_term(timevar: str, step, body, op="logaddexp", init=None) -> Term:
     if isinstance(op, str):
         op = REDUCE_OPS[op]
-    return dispatch(MarkovProd(timevar, step, to_term(body), op))
+    init = None if init is None else to_term(init)
+    return dispatch(MarkovProd(timevar, step, to_term(body), op, init))
 
 
 def cat_term(over: str, parts) -> Term:
@@ -709,7 +714,8 @@ def _h_apply_tensors(node: Apply) -> Optional[Term]:
 
 def _h_product_normalize(node: Apply) -> Optional[Term]:
     parts = flatten_product(node)
-    if len(parts) < 2 or _spread_tables(parts):
+    tables = [p for p in parts if isinstance(p, TensorLeaf) and p.is_scalar_real()]
+    if len(parts) < 2 or (len(tables) > 1 and _spread_tables(tables)):
         return None
     candidate = normal_form_from_parts(parts).to_term()
     if candidate == node:
@@ -1049,7 +1055,8 @@ def _h_lazy_subst(node: Subst) -> Optional[Term]:
                 "substitution value mentions a matched name of a chained product"
             )
         tv, inner = _rename_binder(base.timevar, base.body, bindings)
-        return markov_term(tv, base.step, subst_term(base.body, inner), base.op)
+        init = None if base.init is None else subst_term(base.init, bindings)
+        return markov_term(tv, base.step, subst_term(base.body, inner), base.op, init)
     if isinstance(base, Cat):
         if base.over in bindings or base.over in value_fvs:
             return None

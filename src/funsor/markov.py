@@ -2,39 +2,24 @@
 
 A chained product couples consecutive positions of its body through
 matched variable pairs and eliminates the interior matches with the
-monoid the term carries, leaving the two boundary sets free.  Two
-evaluation strategies are provided: a left fold over time, and a
-pairwise doubling scheme whose depth is the base-2 logarithm of the
-length.  ``scan_mode`` picks the strategy for the chains evaluated on
-this thread; it does not change what a chain denotes.  Both agree up
-to floating point roundoff; the doubling scheme trades a logarithmic
-number of larger contractions for the fold's linear chain of small ones.
+monoid the term carries; its value is over the first and the last
+names, unless an initial factor closes it.  ``scan_mode`` picks the
+strategy on this thread: a left fold over time, or a pairwise doubling
+scheme of logarithmic depth.  Both take the evaluated body's factors at
+a time index or at a level's stride-2 slices (``substitute_atom``, which
+also relabels the matched names), and combine them in ``contract_pair``
+steps, reals first, which dispatch no rule and spend no fuel under a
+declared classifier.  Reductions the classifier leaves lazy, such as a
+mixture Monte Carlo samples, go through the rules.
 
-Both scans work on the evaluated body's factors, not on terms.  The fold
-takes the tables and quadratic factors at one time index as views; the
-doubling scan takes them at the even and the odd stride-2 slice of each
-level.  ``interp.substitute_atom`` takes the cells and relabels the
-matched names at atom level.  A fold step and a level are the same
-combine: one ``contract_pair`` step on two factor lists, which reduces
-the real matched names before the bounded ones.  Under an
-interpretation that declares a reduction classifier (all but Lazy) the
-step runs the rules' kernels in the rules' order without dispatching a
-rule (so no fuel is spent); a reduction the classifier leaves lazy, such
-as a mixture Monte Carlo samples, goes through the rules.  A fold whose body
-holds only tables and quadratic factors goes further: each step's
-``PairPlan`` (the layout half of ``contract_pair``) is derived once per
-step signature, which repeats with period two as the matched names
-alternate, and replayed on raw arrays, so atoms are built for the
-result only and no context is derived after the first steps (a
-table-only chain's steps run ``tensor_contract``'s array core); a step
-the classifier leaves lazy hands the rest of the chain back to
-``contract_pair``.
-An odd level's last position is joined to the merged pairs by a ``Cat``
-term, whose rule concatenates the tables and the quadratic factors back
-into one of each, so the next level starts from atoms again.  Other
-factors, such as point masses or lazily kept reductions, are substituted
-into as terms.  The body and the interpretation decide the path; there
-is no setting.
+The fold filters a closed chain: it starts from the initial factor and
+reduces each state ``window`` cells after it enters (1, the exact
+filter, except under ``MomentMatching(window)``), then the rest, reals
+first.  A body of tables and quadratic factors folds on arrays: each
+step's ``PairPlan`` is derived once per signature and replayed on views
+of the body's arrays, so atoms are built for the result only.  The
+doubling scheme evaluates the two-ended chain, joining an odd level's
+last cell with a ``Cat`` term, then closes it; it cannot keep a window.
 """
 from __future__ import annotations
 
@@ -45,12 +30,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .domains import Bounded, TypeContext
-from .errors import BoundsError
+from .errors import BoundsError, ScanUnsupported
 from .interp import (
     _chain_add,
     cat_term,
     current_interpretation,
     flatten_product,
+    lift,
+    reduce_term,
     subst_term,
     substitute_atom,
     var,
@@ -65,6 +52,7 @@ from .optimize import (
     pair_plan,
     rename_layout,
 )
+from .ops import ADD
 from .tensor import TensorAtom
 from .terms import MarkovProd, Slice, TensorLeaf, Term, fresh_name
 
@@ -101,98 +89,109 @@ def scan_mode(mode: str, stats: Optional[Dict] = None):
 def evaluate_markov(node: MarkovProd) -> Optional[Term]:
     types = node.body.free_vars
     T = types.typeof(node.timevar).size
-    # Both scans reduce real matched names before bounded ones, as the
-    # planner orders a pair's reductions.
+    # Real matched names are reduced before bounded ones, as the planner
+    # orders a pair's reductions.
     pairs = sorted(node.step, key=lambda pc: isinstance(types.typeof(pc[1]), Bounded))
     if _SCAN.mode == "sequential":
         return _sequential(node, T, pairs)
-    return _parallel(node, T, pairs)
+    if node.init is None:
+        return _parallel(node, T, pairs)
+    window = current_interpretation().window
+    if window > 1:
+        raise ScanUnsupported(f"the parallel scan keeps no window ({window}); scan sequentially")
+    # Close both ends as the builders did, one reduction at a time.
+    out = lift(ADD, node.init, _parallel(node, T, pairs))
+    for name in [p for p, _ in pairs] + [c for _, c in pairs]:
+        out = reduce_term(node.op, name, out)
+    return out
 
 
 def _sequential(node: MarkovProd, T: int, pairs) -> Term:
-    body, tv = node.body, node.timevar
+    body, tv, init = node.body, node.timevar, node.init
     types = body.free_vars
     factors = flatten_product(body)
-    # The names alternate between two sets minted once per chain; each
-    # step eliminates the set it binds.
-    names = [{c: fresh_name(c) for _, c in pairs} for _ in range(2)]
-    classify = current_interpretation().classify
-    if classify is not None and all(is_atom_factor(p) for p in factors):
-        result, start = _replay(node, factors, pairs, names, T, classify)
+    lag = 1 if init is None else current_interpretation().window
+    sets = [{c: fresh_name(c) for _, c in pairs} for _ in range(lag + 1)]
+    if init is None:
+        # The first cell keeps its first names, which stay free.
+        held, start = _at(factors, {tv: _cell(0, T)}, {}, types), 1
     else:
-        result, start = _at(factors, {tv: _cell(0, T)}, {}, types), 1
+        held, start = _at(flatten_product(init), {}, dict(pairs), types), 0
+    # Per cell: the set the current names move to, and the names reduced: a
+    # set ``lag`` cells after it entered; after the last, all reals, then labels.
+    steps, live = [], []
     for k in range(start, T):
-        mid = names[k % 2]
-        carried = _at(result, {}, mid, types)
+        live.append(sets[k % len(sets)])
+        rvars = list(live.pop(0).values()) if len(live) == lag else []
+        if init is not None and k == T - 1:
+            left = live + [{c: c for _, c in pairs}]
+            for real in (True, False):
+                rvars += [s[c] for s in left for _, c in pairs
+                          if isinstance(types.typeof(c), Bounded) != real]
+        steps.append((k, sets[k % len(sets)], tuple(rvars)))
+    classify = current_interpretation().classify
+    done = 0
+    if classify is not None and all(is_atom_factor(p) for p in factors + held):
+        held, done = _replay(node.op, tv, factors, held, steps, pairs, sets, classify)
+    for k, mid, rvars in steps[done:]:
+        carried = _at(held, {}, mid, types)
         now = _at(factors, {tv: _cell(k, T)}, {p: mid[c] for p, c in pairs}, types)
-        result = flatten_product(
-            contract_pair(node.op, carried, now, list(mid.values()))
-        )
-    return _chain_add(result)
+        held = flatten_product(contract_pair(node.op, carried, now, rvars))
+    return _chain_add(held)
 
 
-def _replay(node: MarkovProd, factors, pairs, names, T: int, classify):
+def _replay(op, tv: str, factors, held, steps, pairs, sets, classify):
     """Fold the chain's steps on arrays while ``classify`` reduces them.
 
-    A step's ``PairPlan`` depends only on its signature: the layouts of
-    the carried factors and of the body's cells, which alternate with the
-    two matched name sets.  Each plan is derived once per signature and
-    replayed on the carried arrays and on views of the body's arrays at
-    the step's time index; atoms are built for the result only.  Returns
-    the carried factors and the first step left to the term path (``T``
-    when none is): a step with a reduction ``classify`` leaves lazy.
+    A step's ``PairPlan`` depends only on its signature: the carried
+    layouts, the set the current names move to, and the names reduced.
+    Each is derived once and replayed on views of the body's arrays.
+    Returns the carried factors and how many steps ran; the term path
+    takes the rest, from a step ``classify`` leaves lazy.
     """
-    tv = node.timevar
-    layouts = [factor_layout(p) for p in factors]
-    arrays = [factor_arrays(p) for p in factors]
-    cuts = []
-    cell_layouts = []
-    for lay in layouts:
-        batch = lay if isinstance(lay, TypeContext) else lay[0]
+    # Per factor: its arrays, with the time axis moved first (kind 1 for a
+    # table, 2 for a quadratic factor) or untimed (kind 0), and its cell's layout.
+    arrays, kinds, cell_layouts = [], [], []
+    for p in factors:
+        lay, x, kind = factor_layout(p), factor_arrays(p), 0
+        table = isinstance(lay, TypeContext)
+        batch = lay if table else lay[0]
         if tv in batch:
-            cuts.append((slice(None),) * batch.names.index(tv))
+            axis, kind = batch.names.index(tv), 1 if table else 2
+            first = [np.moveaxis(a, axis, 0) for a in ([x] if table else x)]
+            x = first[0] if table else tuple(first)
             batch = batch.remove(tv)
-        else:
-            cuts.append(None)
-        cell_layouts.append(batch if isinstance(lay, TypeContext) else (batch, lay[1]))
+        arrays.append(x)
+        kinds.append(kind)
+        cell_layouts.append(batch if table else (batch, lay[1]))
     cells = [
         [rename_layout(lay, {p: mid[c] for p, c in pairs}) for lay in cell_layouts]
-        for mid in names
+        for mid in sets
     ]
 
     def at(k):
-        out = []
-        for x, cut in zip(arrays, cuts):
-            if cut is None:
-                out.append(x)
-            elif isinstance(x, np.ndarray):
-                out.append(x[cut + (k,)])
-            else:
-                out.append(tuple(a[cut + (k,)] for a in x))
-        return out
+        return [
+            x if t == 0 else x[k] if t == 1 else (x[0][k], x[1][k])
+            for x, t in zip(arrays, kinds)
+        ]
 
-    # ``held`` are the carried factors' layouts, under the step's own names.
-    carried, held = at(0), cell_layouts
+    # ``lays`` are the carried factors' layouts, under their own names.
+    carried, lays = [factor_arrays(p) for p in held], [factor_layout(p) for p in held]
     signatures: Dict[tuple, int] = {}
     plans: Dict[tuple, tuple] = {}
-    sig = intern_layouts(signatures, held)
-    for k in range(1, T):
-        key = (k % 2, sig)
+    sig = intern_layouts(signatures, lays)
+    for i, (k, mid, rvars) in enumerate(steps):
+        key = (k % len(sets), sig, rvars)
         hit = plans.get(key)
         if hit is None:
-            mid = names[k % 2]
-            plan = pair_plan(
-                node.op,
-                [rename_layout(lay, mid) for lay in held] + cells[k % 2],
-                list(mid.values()),
-                classify,
-            )
+            renamed = [rename_layout(lay, mid) for lay in lays]
+            plan = pair_plan(op, renamed + cells[k % len(sets)], rvars, classify)
             if plan.rest:
-                return factor_leaves(held, carried), k
+                return factor_leaves(lays, carried), i
             hit = plans[key] = (plan, intern_layouts(signatures, plan.out))
         plan, sig = hit
-        carried, held = plan.run(carried + at(k)), plan.out
-    return factor_leaves(held, carried), T
+        carried, lays = plan.run(carried + at(k)), plan.out
+    return factor_leaves(lays, carried), len(steps)
 
 
 def _cell(k: int, size: int) -> Term:

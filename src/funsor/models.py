@@ -1,24 +1,20 @@
 """Model builders: discrete chains, linear-Gaussian chains, switches, mixtures.
 
-The chain builders return closed lazy terms, so one model can be
-evaluated under several interpretations and scan strategies; the
-switching and mixture builders run their collapse loop eagerly, because
-the order in which mixtures are matched is part of the model.  The
-switching loop works on arrays, not terms: each step is one
-``optimize.PairPlan`` over names relative to the step, derived once per
-step signature and replayed, which runs the kernels the moment-matching
-rules would run, in their order, so its value is bit-identical to the
-same loop built from terms.  The mixture loop substitutes an affine
-index into its factors and stays on terms.
+The chain builders return closed lazy chain terms, whose initial factor
+is the prior, so one model can be evaluated under several
+interpretations and scan strategies.  The switching model is such a
+chain too; ``build_slds_marginal`` evaluates it under moment matching
+with the model's window.  The mixture builder runs its collapse loop
+eagerly, on terms, because the order in which mixtures are matched is
+part of the model.
 
 The helpers at the top convert moment-form conditionals
 ``N(out; M @ in + offset, noise)`` into the information-form blocks the
 quadratic factors store, together with the constant that makes the
-factor integrate to one over its output.
-
-Model data is checked here, once, where it enters: every covariance by
-``_expect_covariance``, naming its key in any error; the engine derives
-every other atom from the checked factors unchecked.
+factor integrate to one over its output.  Model data is checked here,
+once, where it enters: every covariance by ``_expect_covariance``,
+naming its key in any error; the engine derives every other atom from
+the checked factors unchecked.
 """
 from __future__ import annotations
 
@@ -28,12 +24,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .approx import MomentMatching, match_kind
+from .approx import MomentMatching
 from .domains import Bounded, RealArray, TypeContext
 from .errors import BoundsError, FunsorTypeError, RankDeficient
 from .gaussian import LOG_2PI, GaussianAtom, gaussian_log_normalizer, log_normalizer
 from .interp import (
     LAZY,
+    interpret,
     interpretation,
     lift,
     markov_term,
@@ -42,10 +39,10 @@ from .interp import (
     to_term,
     var,
 )
-from .ops import LOGADDEXP_REDUCE, TAKE
-from .optimize import intern_layouts, pair_plan, rename_layout
+from .markov import scan_mode
+from .ops import TAKE
 from .tensor import TensorAtom
-from .terms import TensorLeaf, Term
+from .terms import GaussianLeaf, TensorLeaf, Term
 
 
 def conditional_gaussian(M, offset, noise) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -198,31 +195,21 @@ class HmmSpec:
         _expect_shape("prior", self.prior, (k,))
 
 
-def hmm_factors(spec: HmmSpec, elim: str = "logaddexp") -> Tuple[Term, Term]:
-    """The prior factor and the chained product, which eliminates by ``elim``."""
+def build_hmm(spec: HmmSpec, elim: str = "logaddexp") -> Term:
+    """Closed lazy chain term for the log evidence, the prior as its ``init``.
+
+    ``elim`` folds the state variables, in the chain and at its ends:
+    ``logaddexp`` for the marginal likelihood, ``max`` for the best path score.
+    """
     log_trans = _log_rows(spec.transition, "transition")
     log_prior = _log_rows(spec.prior[None, :], "prior")[0]
     T, K = spec.emission_loglik.shape
     ctx = TypeContext([("t", Bounded(T)), ("prev", Bounded(K)), ("curr", Bounded(K))])
     body_data = log_trans[None, :, :] + spec.emission_loglik[:, None, :]
-    body = to_term(TensorAtom(ctx, np.broadcast_to(body_data, (T, K, K))))
-    chain = markov_term("t", [("prev", "curr")], body, elim)
-    prior = to_term(TensorAtom(TypeContext([("prev", Bounded(K))]), log_prior))
-    return prior, chain
-
-
-def build_hmm(spec: HmmSpec, elim: str = "logaddexp") -> Term:
-    """Closed lazy term for the chain's log evidence.
-
-    ``elim`` folds the state variables, in the chain and at its ends:
-    ``logaddexp`` for the marginal likelihood, ``max`` for the best path score.
-    """
     with interpretation(LAZY):
-        prior, chain = hmm_factors(spec, elim)
-        joint = lift("add", prior, chain)
-        out = reduce_term(elim, "prev", joint)
-        out = reduce_term(elim, "curr", out)
-    return out
+        body = to_term(TensorAtom(ctx, np.broadcast_to(body_data, (T, K, K))))
+        prior = to_term(TensorAtom(TypeContext([("prev", Bounded(K))]), log_prior))
+        return markov_term("t", [("prev", "curr")], body, elim, init=prior)
 
 
 # ---------------------------------------------------------------------------
@@ -277,48 +264,35 @@ class KalmanSpec:
             _expect_covariance("bias_cov", self.bias_cov, m)
 
 
-def kalman_factors(spec: KalmanSpec) -> Tuple[Term, Term, Optional[Term]]:
-    """Prior, chained product, and the shared-offset prior when present."""
+def kalman_factors(spec: KalmanSpec) -> Tuple[Term, Term]:
+    """The chain's initial factor (the prior, plus the shared offset's
+    prior when there is one) and the chained product."""
     n = spec.F.shape[0]
     T, m = spec.observations.shape
-    reals = TypeContext([("prev", RealArray((n,))), ("curr", RealArray((n,)))])
-    i_tr, p_tr, c_tr = conditional_gaussian(spec.F, np.zeros(n), spec.Q)
-    trans = _gaussian_factor(TypeContext(), reals, i_tr, p_tr, c_tr)
-    t_ctx = TypeContext([("t", Bounded(T))])
-    if spec.bias_cov is None:
-        i_ob, p_ob, c_ob = observation_factor(spec.H, spec.R, spec.observations)
-        obs_reals = TypeContext([("curr", RealArray((n,)))])
-        bias_prior = None
-    else:
-        stacked = np.concatenate([spec.H, np.eye(m)], axis=1)
-        i_ob, p_ob, c_ob = observation_factor(stacked, spec.R, spec.observations)
-        obs_reals = TypeContext(
-            [("curr", RealArray((n,))), ("bias", RealArray((m,)))]
-        )
-        i_b, p_b, c_b = dense_gaussian(np.zeros(m), spec.bias_cov)
-        bias_reals = TypeContext([("bias", RealArray((m,)))])
-        bias_prior = _gaussian_factor(TypeContext(), bias_reals, i_b, p_b, c_b)
-    obs = _gaussian_factor(t_ctx, obs_reals, i_ob, p_ob, c_ob)
-    body = lift("add", trans, obs)
-    chain = markov_term("t", [("prev", "curr")], body)
-    i_0, p_0, c_0 = dense_gaussian(spec.init_mean, spec.init_cov)
-    prev_reals = TypeContext([("prev", RealArray((n,)))])
-    prior = _gaussian_factor(TypeContext(), prev_reals, i_0, p_0, c_0)
-    return prior, chain, bias_prior
+    x, scalar = RealArray((n,)), TypeContext()
+    prev, curr = TypeContext([("prev", x)]), TypeContext([("curr", x)])
+    tr = conditional_gaussian(spec.F, np.zeros(n), spec.Q)
+    trans = _gaussian_factor(scalar, prev.union(curr), *tr)
+    init = _gaussian_factor(scalar, prev, *dense_gaussian(spec.init_mean, spec.init_cov))
+    H, obs_reals = spec.H, curr
+    if spec.bias_cov is not None:
+        H = np.concatenate([spec.H, np.eye(m)], axis=1)
+        bias = TypeContext([("bias", RealArray((m,)))])
+        obs_reals = obs_reals.union(bias)
+        bias_prior = dense_gaussian(np.zeros(m), spec.bias_cov)
+        init = lift("add", init, _gaussian_factor(scalar, bias, *bias_prior))
+    i_ob, p_ob, c_ob = observation_factor(H, spec.R, spec.observations)
+    obs = _gaussian_factor(TypeContext([("t", Bounded(T))]), obs_reals, i_ob, p_ob, c_ob)
+    return init, markov_term("t", [("prev", "curr")], lift("add", trans, obs))
 
 
 def build_kalman(spec: KalmanSpec) -> Term:
-    """Closed lazy term for the log evidence of the observations."""
+    """Closed lazy chain term for the log evidence of the observations; a
+    shared offset is reduced after the chain."""
     with interpretation(LAZY):
-        prior, chain, bias_prior = kalman_factors(spec)
-        joint = lift("add", prior, chain)
-        if bias_prior is not None:
-            joint = lift("add", joint, bias_prior)
-        out = reduce_term("logaddexp", "prev", joint)
-        out = reduce_term("logaddexp", "curr", out)
-        if bias_prior is not None:
-            out = reduce_term("logaddexp", "bias", out)
-    return out
+        init, chain = kalman_factors(spec)
+        out = markov_term(chain.timevar, chain.step, chain.body, init=init)
+        return out if spec.bias_cov is None else reduce_term("logaddexp", "bias", out)
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +307,8 @@ class SldsSpec:
     the initial switch state is drawn from its first row.  ``F`` holds
     one ``(n, n)`` dynamics matrix per switch state; ``Q``, ``H``, ``R``
     are shared.  The continuous initial state is standard normal unless
-    given.  ``window`` bounds how many time slices stay joint before the
-    oldest pair is collapsed.
+    given.  ``window`` is the moment-matching window: how many steps stay
+    joint before the oldest is collapsed.
     """
 
     transition: np.ndarray
@@ -364,88 +338,57 @@ class SldsSpec:
             raise BoundsError(f"window must be at least 1, got {self.window}")
 
 
-def build_slds_marginal(spec: SldsSpec, observations) -> Term:
-    """Windowed log evidence: old slices collapse by moment matching.
+def build_slds(spec: SldsSpec, observations) -> Term:
+    """Closed lazy chain term for the log evidence of the observations.
 
-    Factors enter one step at a time; once the window is full, the
-    oldest continuous state and then its switch state are reduced, so at
-    most ``window + 1`` slices are ever joint.  After the last step the
-    remaining continuous states and then the switch states are reduced.
-
-    The joint is carried as the arrays of one table and one quadratic
-    factor, over names relative to the step (``x@j`` is the continuous
-    state ``j`` steps back, ``s@j`` its switch state).  A step is one
-    ``PairPlan`` over ``[table, transition, dynamics constant,
-    observation constant, quadratic factor, dynamics, observation]``
-    that sums the tables and fuses the quadratic factors left to right,
-    then reduces as ``approx.match_kind`` says: it runs the kernels the
-    moment-matching rules run on the same loop built from terms, in
-    their order, so the value is bit-identical.  Its signature (the
-    carried layouts and the variables reduced) repeats after a few
-    steps, so each plan is derived once and replayed on raw arrays, with
-    views of the observations at the step; an atom is built for the
-    final table only.
+    ``init`` holds the first switch state's row of the transition matrix,
+    the prior and observation 0; the body pairs the states ``(x_prev,
+    x_curr)`` and ``(s_prev, s_curr)`` of steps ``t - 1`` and ``t``.  No
+    one of its tables (the transition, the dynamics and the observation
+    constants) spans the others, so they stay apart, and a scan step adds
+    them to the carried table in that order, as a step-by-step loop would.
     """
     observations = np.asarray(observations, dtype=np.float64)
     _expect_shape("observations", observations, (None, spec.H.shape[0]))
     log_trans = _log_rows(spec.transition, "transition")
-    K = spec.transition.shape[0]
-    n = spec.F.shape[-1]
-    T = observations.shape[0]
+    (K, n), T = spec.F.shape[:2], observations.shape[0]
     if T == 0:
         return to_term(0.0)
-    L = spec.window
     i_dyn, p_dyn, c_dyn = conditional_gaussian(spec.F, np.zeros((K, n)), spec.Q)
     i_0, p_0, c_0 = dense_gaussian(spec.init_mean, spec.init_cov)
     i_ob, p_ob, c_ob = observation_factor(spec.H, spec.R, observations)
-    x_n = RealArray((n,))
-    z_k = Bounded(K)
-    now = TypeContext([("s@0", z_k)])
-    scalar = TypeContext()
+    x0, x1 = (TypeContext([(v, RealArray((n,)))]) for v in ("x_prev", "x_curr"))
+    s0, s1 = (TypeContext([(v, Bounded(K))]) for v in ("s_prev", "s_curr"))
     # Each parameter set is checked once, where it enters.
-    init = GaussianAtom(scalar, TypeContext([("x@0", x_n)]), i_0, p_0)
-    dyn = GaussianAtom(now, TypeContext([("x@1", x_n), ("x@0", x_n)]), i_dyn, p_dyn)
+    prior = GaussianAtom(TypeContext(), x0, i_0, p_0)
+    dyn = GaussianAtom(s1, x0.union(x1), i_dyn, p_dyn)
     p_ob = np.broadcast_to(p_ob, (T, n, n))
-    obs = GaussianAtom(TypeContext([("t", Bounded(T))]), init.reals, i_ob, p_ob)
-    prior = (init.info_vec, init.precision)
-    dynamics = (dyn.info_vec, dyn.precision)
+    obs = GaussianAtom(TypeContext([("t", Bounded(T))]), x1, i_ob, p_ob)
+    i_ob, p_ob = obs.info_vec, obs.precision
 
-    # The first step starts the joint from the first switch state's
-    # table and the prior; later steps add the dynamics to the carried pair.
-    first = [now, scalar, scalar, (scalar, init.reals), (scalar, obs.reals)]
-    pair = TypeContext([("s@1", z_k), ("s@0", z_k)])
-    older = {f"{v}@{j}": f"{v}@{j + 1}" for j in range(L + 1) for v in "xs"}
-    oldest = [f"x@{L}", f"s@{L}"]
-    # Real variables go first so the trailing switch states reduce
-    # over a plain table once no quadratic factor mentions them.
-    tail = range(min(T, L) - 1, -1, -1)
-    tail = [f"x@{j}" for j in tail] + [f"s@{j}" for j in tail]
+    def plus(g: GaussianAtom, const) -> Term:
+        return GaussianLeaf(g) + TensorLeaf(TensorAtom._unchecked(g.batch, const))
 
-    signatures: dict = {}
-    plans: dict = {}
-    held, sig = [], intern_layouts(signatures, [])
-    for t in range(T):
-        key = (sig, t >= L, t == T - 1)
-        hit = plans.get(key)
-        if hit is None:
-            rvars = (oldest if t >= L else []) + (tail if t == T - 1 else [])
-            parts = first if t == 0 else [
-                held[0], pair, now, scalar,
-                held[1], (dyn.batch, dyn.reals), (scalar, obs.reals),
-            ]
-            plan = pair_plan(LOGADDEXP_REDUCE, parts, rvars, match_kind)
-            aged = [rename_layout(lay, older) for lay in plan.out]
-            hit = plans[key] = (plan, aged, intern_layouts(signatures, aged))
-        plan, held, sig = hit
-        obs_t = (obs.info_vec[t], obs.precision[t])
-        if t == 0:
-            arrays = [log_trans[0], c_0, c_ob[0], prior, obs_t]
-        else:
-            table, gauss = carried
-            arrays = [table, log_trans, c_dyn, c_ob[t], gauss, dynamics, obs_t]
-        carried = plan.run(arrays)
-    (out,), (total,) = plan.out, carried
-    return TensorLeaf(TensorAtom._unchecked(out, total))
+    with interpretation(LAZY):
+        obs_0 = GaussianAtom._unchecked(TypeContext(), x0, i_ob[0], p_ob[0])
+        init = TensorLeaf(TensorAtom._unchecked(s0, log_trans[0])) + plus(prior, c_0)
+        init = init + plus(obs_0, c_ob[0])
+        if T == 1:
+            return init.reduce("logaddexp", "x_prev").reduce("logaddexp", "s_prev")
+        steps = TypeContext([("t", Bounded(T - 1))])
+        obs_t = GaussianAtom._unchecked(steps, x1, i_ob[1:], p_ob[1:])
+        trans = TensorLeaf(TensorAtom._unchecked(s0.union(s1), log_trans))
+        # The transition spans the dynamics constant, so it meets it only
+        # beside the observation constant, which neither spans.
+        body = trans + (plus(dyn, c_dyn) + plus(obs_t, c_ob[1:]))
+        return markov_term("t", [("x_prev", "x_curr"), ("s_prev", "s_curr")], body, init=init)
+
+
+def build_slds_marginal(spec: SldsSpec, observations) -> Term:
+    """Windowed log evidence: ``build_slds`` under ``MomentMatching`` with
+    the model's window, in the sequential scan."""
+    with scan_mode("sequential"):
+        return interpret(MomentMatching(spec.window), build_slds(spec, observations))
 
 
 # ---------------------------------------------------------------------------

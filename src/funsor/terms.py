@@ -248,12 +248,17 @@ class MarkovProd(Term):
     """Product of a factor over a time axis, chaining matched variables.
 
     ``op`` eliminates each interior match, naming the semiring as ``Reduce``
-    does: ``logaddexp`` for marginals, ``max`` for best-path scores.
+    does: ``logaddexp`` for marginals, ``max`` for best-path scores.  The
+    value is over the first and the last matched names, unless ``init``
+    closes the chain: then ``op`` also reduces both ends out of
+    ``init + chain``, and only unmatched names stay free.
     """
 
-    __slots__ = ("timevar", "step", "body", "op")
+    __slots__ = ("timevar", "step", "body", "op", "init")
 
-    def __init__(self, timevar: str, step, body: Term, op: ReduceOp = LOGADDEXP_REDUCE):
+    def __init__(
+        self, timevar: str, step, body: Term, op: ReduceOp = LOGADDEXP_REDUCE, init=None
+    ):
         if not isinstance(op, ReduceOp) or op.name == "add":
             raise FunsorTypeError(f"not a chain elimination monoid: {op!r}")
         step = tuple(sorted(tuple(p) for p in step))
@@ -283,14 +288,24 @@ class MarkovProd(Term):
                 raise FunsorTypeError(
                     f"monoid {op.name} folds bounded variables only; {prev!r} is real", body
                 )
+        free = ctx.remove(timevar)
+        if init is not None:
+            banned = [timevar] + [c for _, c in step]
+            if not init.is_scalar_real() or any(n in init.free_vars for n in banned):
+                raise InvalidMatching(f"init must be scalar-real and free of {banned}")
+            # A shared name keeps one type; both ends are reduced.
+            free = free.union(init.free_vars)
+            for n in names:
+                free = free.remove(n)
         object.__setattr__(self, "timevar", timevar)
         object.__setattr__(self, "step", step)
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "op", op)
-        _set(self, ctx.remove(timevar), RealArray(()))
+        object.__setattr__(self, "init", init)
+        _set(self, free, RealArray(()))
 
     def _args(self):
-        return (self.timevar, self.step, self.body, self.op)
+        return (self.timevar, self.step, self.body, self.op, self.init)
 
 
 class Slice(Term):
@@ -435,7 +450,8 @@ def pretty(term: Term) -> str:
         pairs = ",".join(f"({p},{c})" for p, c in term.step)
         if term.op != LOGADDEXP_REDUCE:
             pairs += f";{term.op.name}"
-        return f"markovprod_{term.timevar}[{pairs}]({pretty(term.body)})"
+        init = "" if term.init is None else f"; init {pretty(term.init)}"
+        return f"markovprod_{term.timevar}[{pairs}]({pretty(term.body)}{init})"
     if isinstance(term, Slice):
         return (
             f"slice_{term.over}[{term.start}:{term.stop}:{term.stride}]"

@@ -433,6 +433,25 @@ class TestMonteCarloParticles:
         assert interpret(mc, term).atom.context == TypeContext()
         assert mc.draws == 0
 
+    def test_label_the_weights_lack_is_drawn_evenly(self):
+        """A mixture with no weight table over its label reduces to a
+        table, as under moment matching, and its particles estimate the
+        evidence without bias."""
+        with interpretation(LAZY):
+            term = reduce_term(
+                "logaddexp", "x", reduce_term("logaddexp", "c", GaussianLeaf(self.gauss))
+            )
+            exact = reduce_term(
+                "logaddexp", "c", reduce_term("logaddexp", "x", GaussianLeaf(self.gauss))
+            )
+        assert isinstance(interpret(MomentMatching(), term), TensorLeaf)
+        out = interpret(MonteCarlo(RngState(4), samples=4000), term)
+        assert isinstance(out, TensorLeaf)
+        probs = np.exp(out.atom.data)
+        se = probs.std() / np.sqrt(probs.size)
+        target = np.exp(float(interpret(EXACT, exact).atom.data))
+        assert abs(probs.mean() - target) < 3.0 * se
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_needs_a_sample(self, samples):
         with pytest.raises(BoundsError):

@@ -380,7 +380,8 @@ class TestRunErrors:
         self, tmp_path, capsys, monkeypatch
     ):
         rng = np.random.default_rng(15)
-        path = write_model(tmp_path, "hmm.json", hmm_doc(rng))
+        # A sequential HMM fires one rule; a Kalman chain fires several.
+        path = write_model(tmp_path, "kalman.json", kalman_doc(rng))
         monkeypatch.setenv("FUNSOR_FUEL", "2")
         code, payload, _ = run_json(capsys, ["run", path])
         assert code == 1

@@ -923,3 +923,51 @@ class TestParallelScanMemory:
             )
         np.testing.assert_allclose(got, np.logaddexp.reduce(alpha), rtol=1e-12)
         assert peak < 32 * 2**20, f"peak traced allocation {peak / 2**20:.1f} MiB"
+
+
+class TestClosedChain:
+    """``init`` closes a chain: both ends are reduced out of ``init + chain``."""
+
+    def pieces(self, T=6, K=3):
+        rng = np.random.default_rng([T, K])
+        names = [("t", T), ("prev", K), ("curr", K), ("z", 2)]
+        ctx = TypeContext([(n, Bounded(size)) for n, size in names])
+        body = TensorLeaf(TensorAtom(ctx, rng.normal(size=(T, K, K, 2))))
+        init_ctx = TypeContext([("prev", Bounded(K)), ("z", Bounded(2))])
+        return body, TensorLeaf(TensorAtom(init_ctx, rng.normal(size=(K, 2))))
+
+    @pytest.mark.parametrize("mode", SCAN_MODES)
+    @pytest.mark.parametrize("op", ["logaddexp", "max"])
+    def test_reduces_both_ends_of_the_open_chain(self, mode, op):
+        body, init = self.pieces()
+        with interpretation(LAZY):
+            closed = markov_term("t", [("prev", "curr")], body, op, init=init)
+            joint = lift("add", init, markov_term("t", [("prev", "curr")], body, op))
+            opened = reduce_term(op, "curr", reduce_term(op, "prev", joint))
+        assert closed.free_vars.names == ("z",)
+        assert "; init Tensor(" in pretty(closed)
+        with scan_mode(mode):
+            got, want = interpret(EXACT, closed).atom, interpret(EXACT, opened).atom
+        assert got.context == want.context
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-12)
+
+    def test_substitution_reaches_body_and_init(self):
+        body, init = self.pieces()
+        with interpretation(LAZY):
+            closed = markov_term("t", [("prev", "curr")], body, init=init)
+            pinned = subst_term(closed, {"z": 1})
+            direct = markov_term(
+                "t", [("prev", "curr")], subst_term(body, {"z": 1}),
+                init=subst_term(init, {"z": 1}),
+            )
+        for mode in SCAN_MODES:
+            with scan_mode(mode):
+                got = float(interpret(EXACT, pinned).atom.data)
+                assert got == float(interpret(EXACT, direct).atom.data)
+
+    @pytest.mark.parametrize("name,size", [("curr", 3), ("t", 6)])
+    def test_init_may_not_mention_last_names_or_time(self, name, size):
+        body, _ = self.pieces()
+        bad = TensorLeaf(TensorAtom(TypeContext([(name, Bounded(size))]), np.zeros(size)))
+        with pytest.raises(InvalidMatching):
+            MarkovProd("t", (("prev", "curr"),), body, LOGADDEXP_REDUCE, bad)

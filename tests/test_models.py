@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from funsor import models
+from funsor import markov, models
 from funsor.approx import MomentMatching, MonteCarlo
 from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import BoundsError, FunsorTypeError
@@ -568,7 +568,7 @@ class TestSlds:
         """Plan derivations and context constructions do not grow with
         the horizon: every step replays a plan derived for its signature."""
         spec, ys = random_slds(np.random.default_rng(25), 2, 2, 128, window=2)
-        derive = models.pair_plan
+        derive = markov.pair_plan
         init = TypeContext.__init__
         counts = {}
 
@@ -580,7 +580,7 @@ class TestSlds:
             counts["contexts"] += 1
             init(self, *args)
 
-        monkeypatch.setattr(models, "pair_plan", counting_derive)
+        monkeypatch.setattr(markov, "pair_plan", counting_derive)
         monkeypatch.setattr(TypeContext, "__init__", counting_init)
         seen = []
         for T in (32, 128):
@@ -825,3 +825,61 @@ class TestTrustBoundary:
         # The prior and the conditional factor, its constant, the weights,
         # and one table per datum.
         assert checked == {"TensorAtom": 2 + 5, "GaussianAtom": 2}
+
+
+class TestFilteringCarry:
+    """A closed chain's sequential scan starts from its initial factor and
+    carries a message over the current state, as the forward algorithm
+    and the Kalman filter do."""
+
+    @staticmethod
+    def gen():
+        import os
+        import sys
+
+        sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+        import gen
+
+        return gen
+
+    def test_hmm_steps_contract_a_vector(self, monkeypatch):
+        from funsor import optimize
+
+        gen = self.gen()
+        doc = gen.draw(gen.WORKLOADS["hmm_parallel"], 3, gen.TIMED, 0)
+        term = build_hmm(HmmSpec(doc["transition"], doc["emission_loglik"]))
+        real = optimize.contract_arrays
+        carried = []
+
+        def spy(op, layout, arrays):
+            carried.append(arrays[0].shape)
+            return real(op, layout, arrays)
+
+        monkeypatch.setattr(optimize, "contract_arrays", spy)
+        with scan_mode("sequential"):
+            got = value(term)
+        assert carried == [(64,)] * 128
+        np.testing.assert_allclose(
+            got, gen.hmm_forward(doc["transition"], doc["emission_loglik"]), rtol=1e-12
+        )
+
+    def test_long_switching_chain_fits_the_default_fuel(self, monkeypatch):
+        monkeypatch.delenv("FUNSOR_FUEL", raising=False)
+        gen = self.gen()
+        doc = gen.draw_slds(gen.rng_for(61, 0, 0), 2, 2, 1, 1000, 2)
+        keys = ("transition", "F", "Q", "H", "R", "window")
+        got = value(build_slds_marginal(SldsSpec(**{k: doc[k] for k in keys}), doc["observations"]))
+        want = gen.slds_filter(*(doc[k] for k in keys[:-1]), doc["observations"], 2)
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    def test_parallel_scan_refuses_a_window(self):
+        from funsor.errors import ScanUnsupported
+
+        spec, ys = random_slds(np.random.default_rng(62), 2, 2, 9, window=2)
+        term = models.build_slds(spec, ys)
+        with scan_mode("parallel"), pytest.raises(ScanUnsupported):
+            interpret(MomentMatching(window=2), term)
+        with scan_mode("sequential"):
+            assert value(build_slds_marginal(spec, ys)) == float(
+                interpret(MomentMatching(window=2), term).atom.data
+            )
