@@ -5,9 +5,10 @@ Model files carry a ``"model"`` discriminator naming the family;
 probabilities are written in linear space and converted to log
 internally, matrices as nested row-major lists.  The model builders
 check every array's shape, so a malformed file, like an unreadable one,
-prints ``{"error", "detail"}`` and exits 1.  Every chain is one ``interpret``
-call (a switching model's under ``MomentMatching(window)``, sequentially);
-``montecarlo`` draws its ``--samples`` particles in it.
+prints ``{"error", "detail"}`` and exits 1.  Every model is one lazy term
+and one ``interpret`` call under the requested interpretation and scan
+(by default moment matching for slds and gmm, else exact); ``montecarlo``
+draws its ``--samples`` particles in it.  A mixture left lazy is ``NoClosedForm``.
 """
 
 import argparse
@@ -19,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .approx import MomentMatching, MonteCarlo
-from .errors import BoundsError, FunsorError, FunsorTypeError
-from .interp import EXACT, interpret
+from .errors import BoundsError, FunsorError, FunsorTypeError, NoClosedForm
+from .interp import EXACT, flatten_product, interpret
 from .markov import SCAN_MODES, scan_mode
 from .models import (
     GmmSpec,
@@ -34,6 +35,7 @@ from .models import (
 )
 from .optimize import OPTIMIZE
 from .tensor import logsumexp
+from .terms import Reduce, TensorLeaf
 
 INTERPRETATIONS = ("exact", "optimize", "momentmatching", "montecarlo")
 SEMIRINGS = ("sumproduct", "maxproduct")
@@ -45,17 +47,15 @@ class RunConfig:
     """Validated options for a single ``funsor run`` invocation."""
 
     model_path: str
-    interpretation: str = "exact"
+    interpretation: str | None = None
     semiring: str = "sumproduct"
     scan: str = "sequential"
     seed: int = 0
     samples: int = 100
 
     def __post_init__(self):
-        if self.interpretation not in INTERPRETATIONS:
-            raise FunsorTypeError(
-                f"unknown interpretation {self.interpretation!r}"
-            )
+        if self.interpretation not in INTERPRETATIONS + (None,):
+            raise FunsorTypeError(f"unknown interpretation {self.interpretation!r}")
         if self.semiring not in SEMIRINGS:
             raise FunsorTypeError(f"unknown semiring {self.semiring!r}")
         if self.scan not in SCAN_MODES:
@@ -76,8 +76,8 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
-def _field(doc: dict, key: str, default=None):
-    value = doc.get(key, default)
+def _field(doc: dict, key: str, required: bool = False):
+    value = _require(doc, key) if required else doc.get(key)
     if value is None:
         return None
     try:
@@ -91,13 +91,8 @@ def _field(doc: dict, key: str, default=None):
     return arr
 
 
-def _array(doc: dict, key: str) -> np.ndarray:
-    _require(doc, key)
-    return _field(doc, key)
-
-
 def _arrays(doc: dict, *keys: str) -> list:
-    return [_array(doc, key) for key in keys]
+    return [_field(doc, key, required=True) for key in keys]
 
 
 def _load_doc(path: str) -> dict:
@@ -108,24 +103,26 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
-def _evaluate_chain(term, config: RunConfig, window: int = 1):
-    """Interpret a closed chain term, with moment matching's ``window``;
-    returns (log value, levels or None)."""
-    stats = {} if config.scan == "parallel" else None
+def _evaluate(term, config: RunConfig, window: int):
+    """Interpret a closed model term, with moment matching's ``window``;
+    returns (log value, levels or None); a lazy result is ``NoClosedForm``."""
+    stats = {}
     if config.interpretation == "montecarlo":
         interp = MonteCarlo(config.seed, config.samples)
+    elif config.interpretation == "momentmatching":
+        interp = MomentMatching(window)
     else:
-        interp = {
-            "exact": EXACT,
-            "optimize": OPTIMIZE,
-            "momentmatching": MomentMatching(window),
-        }[config.interpretation]
+        interp = OPTIMIZE if config.interpretation == "optimize" else EXACT
     with scan_mode(config.scan, stats=stats):
-        cells = interpret(interp, term).atom.data.reshape(-1)
+        out = interpret(interp, term)
+    if not isinstance(out, TensorLeaf):
+        lazy = [f"{r.op.name} over {r.var!r}" for r in flatten_product(out)
+                if isinstance(r, Reduce)]
+        raise NoClosedForm(f"{interp.name} leaves {' and '.join(lazy) or type(out).__name__} lazy")
     # One cell, or the particles Monte Carlo drew: their log-mean-exp.
+    cells = out.atom.data.reshape(-1)
     value = float(logsumexp(cells, 0) - np.log(cells.size))
-    levels = stats.get("levels") if stats is not None else None
-    return value, levels
+    return value, stats.get("levels")
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -141,40 +138,35 @@ def cmd_run(config: RunConfig) -> int:
             f"{family!r} has real-valued state"
         )
 
-    forced = family in ("slds", "gmm")
-    if forced and config.interpretation != "momentmatching":
-        print(f"note: {family} always evaluates under momentmatching", file=sys.stderr)
-    reported = "momentmatching" if forced else config.interpretation
-    levels = None
+    default = "momentmatching" if family in ("slds", "gmm") else "exact"
+    config, window = replace(config, interpretation=config.interpretation or default), 1
     start = time.perf_counter()
     if family == "hmm":
         spec = HmmSpec(*_arrays(doc, "transition", "emission_loglik"), _field(doc, "prior"))
         elim = "max" if config.semiring == "maxproduct" else "logaddexp"
-        value, levels = _evaluate_chain(build_hmm(spec, elim=elim), config)
+        term = build_hmm(spec, elim=elim)
     elif family == "kalman":
         spec = KalmanSpec(
             *_arrays(doc, "F", "Q", "H", "R", "observations"),
             *(_field(doc, k) for k in ("init_mean", "init_cov", "bias_cov")),
         )
-        value, levels = _evaluate_chain(build_kalman(spec), config)
+        term = build_kalman(spec)
     elif family == "slds":
         spec = SldsSpec(
             *_arrays(doc, "transition", "F", "Q", "H", "R"),
             *(_field(doc, k) for k in ("init_mean", "init_cov")),
             window=doc.get("window", 1),
         )
-        # Moment matching in the sequential scan, whatever the flags say.
-        fixed = replace(config, interpretation="momentmatching", scan="sequential")
-        term = build_slds(spec, _array(doc, "observations"))
-        value, _ = _evaluate_chain(term, fixed, spec.window)
+        term, window = build_slds(spec, *_arrays(doc, "observations")), spec.window
     else:
         keys = ("loadings", "offsets", "noises", "prior_mean", "prior_cov", "data")
-        value = float(build_gmm(GmmSpec.from_moments(*_arrays(doc, *keys))).atom.data)
+        term = build_gmm(GmmSpec.from_moments(*_arrays(doc, *keys)))
+    value, levels = _evaluate(term, config, window)
     wall_ms = (time.perf_counter() - start) * 1e3
 
     payload = {
         "model": family,
-        "interpretation": reported,
+        "interpretation": config.interpretation,
         "log_value": value if np.isfinite(value) else str(value),
         "wall_ms": wall_ms,
     }
@@ -193,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="evaluate one model file")
     run.add_argument("model_path", help="path to a JSON model file")
-    run.add_argument("--interp", choices=INTERPRETATIONS, default="exact")
+    run.add_argument("--interp", choices=INTERPRETATIONS,
+                     help="default: momentmatching for slds and gmm, else exact")
     run.add_argument("--semiring", choices=SEMIRINGS, default="sumproduct")
     run.add_argument("--scan", choices=SCAN_MODES, default="sequential")
     run.add_argument("--seed", type=int, default=0)

@@ -62,6 +62,10 @@ class ScanUnsupported(FunsorError):
     """The selected scan cannot evaluate a chain under this interpretation."""
 
 
+class NoClosedForm(FunsorError):
+    """An interpretation left a reduction lazy where a value was asked for."""
+
+
 class FuelExhausted(FunsorError):
     """Rewriting exceeded the configured number of rule applications."""
 

@@ -19,7 +19,7 @@ first.  A body of tables and quadratic factors folds on arrays: each
 step's ``PairPlan`` is derived once per signature and replayed on views
 of the body's arrays, so atoms are built for the result only.  The
 doubling scheme evaluates the two-ended chain, joining an odd level's
-last cell with a ``Cat`` term, then closes it; it cannot keep a window.
+last cell with a ``Cat`` term, then closes it; unlike the fold, it cannot filter.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from .approx import MomentMatching
 from .domains import Bounded, TypeContext
 from .errors import BoundsError, ScanUnsupported
 from .interp import (
@@ -96,9 +97,10 @@ def evaluate_markov(node: MarkovProd) -> Optional[Term]:
         return _sequential(node, T, pairs)
     if node.init is None:
         return _parallel(node, T, pairs)
-    window = current_interpretation().window
-    if window > 1:
-        raise ScanUnsupported(f"the parallel scan keeps no window ({window}); scan sequentially")
+    interp = current_interpretation()
+    switching = len({isinstance(types.typeof(c), Bounded) for _, c in pairs}) == 2
+    if interp.window > 1 or (switching and isinstance(interp, MomentMatching)):
+        raise ScanUnsupported(f"{interp.name} filters this chain in the sequential scan only")
     # Close both ends as the builders did, one reduction at a time.
     out = lift(ADD, node.init, _parallel(node, T, pairs))
     for name in [p for p, _ in pairs] + [c for _, c in pairs]:

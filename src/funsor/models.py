@@ -1,12 +1,11 @@
 """Model builders: discrete chains, linear-Gaussian chains, switches, mixtures.
 
-The chain builders return closed lazy chain terms, whose initial factor
-is the prior, so one model can be evaluated under several
-interpretations and scan strategies.  The switching model is such a
-chain too; ``build_slds_marginal`` evaluates it under moment matching
-with the model's window.  The mixture builder runs its collapse loop
-eagerly, on terms, because the order in which mixtures are matched is
-part of the model.
+Every builder returns a closed lazy term, so one model can be evaluated
+under several interpretations and scan strategies.  A chain's initial
+factor is the prior; the switching model is such a chain too, and
+``build_slds_marginal`` evaluates it under moment matching with the
+model's window.  The mixture absorbs its data one at a time, so moment
+matching collapses each datum's component label as it meets it.
 
 The helpers at the top convert moment-form conditionals
 ``N(out; M @ in + offset, noise)`` into the information-form blocks the
@@ -448,11 +447,12 @@ class GmmSpec:
 
 
 def build_gmm(spec: GmmSpec) -> Term:
-    """Log evidence of the data with mixtures collapsed by moment matching.
+    """Lazy term for the log evidence of the data.
 
     Data are absorbed one at a time: the component assignment reduces
-    against the running posterior over all component parameters, which
-    keeps every mixture branch a proper density before it is matched.
+    against the running posterior over all component parameters, so
+    under moment matching every mixture branch is a proper density
+    before it is matched.  Exact leaves these mixtures lazy.
     """
     K = spec.cond_info.shape[0]
     N, dx = spec.data.shape
@@ -468,7 +468,7 @@ def build_gmm(spec: GmmSpec) -> Term:
     c_z = -float(gaussian_log_normalizer(prior_atom).data)
     c_c = -log_normalizer(spec.cond_info[:, dz:], spec.cond_prec[:, dz:, dz:])
 
-    with interpretation(MomentMatching()):
+    with interpretation(LAZY):
         zs = var("zs", RealArray((K, dz)))
         c_ctx = TypeContext([("c", Bounded(K))])
         cond_reals = TypeContext([("z", RealArray((dz,))), ("x", RealArray((dx,)))])
@@ -485,5 +485,4 @@ def build_gmm(spec: GmmSpec) -> Term:
             factor = subst_term(cond, {"z": z_of_c, "x": to_term(x_j)})
             mixed = lift("add", joint, lift("add", weights, factor))
             joint = reduce_term("logaddexp", "c", mixed)
-        out = reduce_term("logaddexp", "zs", joint)
-    return out
+        return reduce_term("logaddexp", "zs", joint)

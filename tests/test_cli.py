@@ -2,16 +2,33 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from funsor.approx import MonteCarlo
 from funsor.cli import RunConfig, main
 from funsor.errors import BoundsError, FunsorTypeError
 from funsor.interp import EXACT, interpret
-from funsor.models import HmmSpec, KalmanSpec, build_hmm, build_kalman
+from funsor.markov import SCAN_MODES, scan_mode
+from funsor.models import (
+    GmmSpec,
+    HmmSpec,
+    KalmanSpec,
+    SldsSpec,
+    build_gmm,
+    build_hmm,
+    build_kalman,
+    build_slds,
+)
+from test_models import gmm_enumeration
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+
+import gen  # noqa: E402
 
 
 def write_model(tmp_path, name, doc):
@@ -87,7 +104,7 @@ def run_json(capsys, argv):
 class TestRunConfig:
     def test_defaults(self):
         config = RunConfig(model_path="m.json")
-        assert config.interpretation == "exact"
+        assert config.interpretation is None
         assert config.semiring == "sumproduct"
         assert config.scan == "sequential"
         assert config.seed == 0
@@ -259,18 +276,20 @@ class TestRunOtherFamilies:
         assert code == 1
         assert payload["error"] == "TypeError"
 
-    def test_slds_forces_moment_matching(self, tmp_path, capsys):
+    def test_slds_honours_interp(self, tmp_path, capsys):
+        """Without ``--interp`` a switching model runs under moment
+        matching; an explicit one is honoured and reported."""
         rng = np.random.default_rng(13)
         path = write_model(tmp_path, "slds.json", slds_doc(rng))
-        code, payload, err = run_json(capsys, ["run", path, "--interp", "exact"])
-        assert code == 0
-        assert payload["interpretation"] == "momentmatching"
-        assert "momentmatching" in err
-        code, _, err = run_json(
-            capsys, ["run", path, "--interp", "momentmatching"]
-        )
-        assert code == 0
-        assert err == ""
+        code, default, err = run_json(capsys, ["run", path])
+        assert code == 0 and err == ""
+        assert default["interpretation"] == "momentmatching"
+        _, matched, _ = run_json(capsys, ["run", path, "--interp", "momentmatching"])
+        assert matched["log_value"] == default["log_value"]
+        code, sampled, err = run_json(capsys, ["run", path, "--interp", "montecarlo"])
+        assert code == 0 and err == ""
+        assert sampled["interpretation"] == "montecarlo"
+        assert sampled["log_value"] != default["log_value"]
 
     def test_gmm_runs_deterministically(self, tmp_path, capsys):
         rng = np.random.default_rng(14)
@@ -279,9 +298,94 @@ class TestRunOtherFamilies:
         assert code == 0
         assert first["model"] == "gmm"
         assert first["interpretation"] == "momentmatching"
-        assert "momentmatching" in err
+        assert err == ""
         _, second, _ = run_json(capsys, ["run", path])
         assert first["log_value"] == second["log_value"]
+
+
+GMM_KEYS = ("loadings", "offsets", "noises", "prior_mean", "prior_cov", "data")
+SLDS_KEYS = ("transition", "F", "Q", "H", "R")
+
+
+def standard_error(term, seed, samples, scan="sequential"):
+    """The standard error of Monte Carlo's estimate of ``term``, from the
+    spread of the particles it draws with ``seed``."""
+    with scan_mode(scan):
+        cells = interpret(MonteCarlo(seed, samples), term).atom.data.reshape(-1)
+    w = np.exp(cells - cells.max())
+    return float(w.std() / (w.mean() * np.sqrt(w.size)))
+
+
+class TestEveryFamilyHonoursInterp:
+    """Switching models and mixtures run under the interpretation and the
+    scan asked for: Monte Carlo samples their switch states and component
+    labels, and Exact and Optimize, which cannot integrate a mixture,
+    exit 1 with a named error."""
+
+    SAMPLES = 20000
+
+    def test_gmm_montecarlo_matches_enumeration(self, tmp_path, capsys):
+        doc = gmm_doc(np.random.default_rng(40), N=6)
+        path = write_model(tmp_path, "gmm.json", doc)
+        arrays = [np.asarray(doc[k]) for k in GMM_KEYS]
+        exact = gmm_enumeration(*arrays)
+        term = build_gmm(GmmSpec.from_moments(*arrays))
+        values = set()
+        for seed in (0, 1, 2):
+            argv = ["run", path, "--interp", "montecarlo",
+                    "--samples", str(self.SAMPLES), "--seed", str(seed)]
+            code, payload, err = run_json(capsys, argv)
+            assert code == 0 and err == ""
+            se = standard_error(term, seed, self.SAMPLES)
+            assert abs(payload["log_value"] - exact) <= 4 * se
+            values.add(payload["log_value"])
+        assert len(values) == 3
+
+    @pytest.mark.parametrize("scan", SCAN_MODES)
+    def test_slds_montecarlo_matches_the_unwindowed_filter(self, scan, tmp_path, capsys):
+        """With a window as long as the chain the reference filter
+        collapses nothing, so it is the exact evidence."""
+        doc = slds_doc(np.random.default_rng(41), T=4)
+        doc["window"] = 4
+        path = write_model(tmp_path, "slds.json", doc)
+        arrays = [np.asarray(doc[k]) for k in SLDS_KEYS]
+        exact = gen.slds_filter(*arrays, doc["observations"], doc["window"])
+        term = build_slds(SldsSpec(*arrays), np.asarray(doc["observations"]))
+        for seed in (0, 1):
+            argv = ["run", path, "--interp", "montecarlo", "--scan", scan,
+                    "--samples", str(self.SAMPLES), "--seed", str(seed)]
+            code, payload, err = run_json(capsys, argv)
+            assert code == 0 and err == ""
+            se = standard_error(term, seed, self.SAMPLES, scan)
+            assert abs(payload["log_value"] - exact) <= 4 * se
+
+    @pytest.mark.parametrize("scan", SCAN_MODES)
+    @pytest.mark.parametrize("interp", ["exact", "optimize"])
+    @pytest.mark.parametrize("family", ["slds", "gmm"])
+    def test_a_lazy_mixture_is_no_closed_form(self, family, interp, scan, tmp_path, capsys):
+        doc = (slds_doc if family == "slds" else gmm_doc)(np.random.default_rng(42))
+        path = write_model(tmp_path, f"{family}.json", doc)
+        code, out, err = run_cli(capsys, ["run", path, "--interp", interp, "--scan", scan])
+        assert code == 1 and err == ""
+        assert len(out.splitlines()) == 1
+        payload = json.loads(out)
+        assert set(payload) == {"error", "detail"}
+        assert payload["error"] == "NoClosedForm"
+        assert payload["detail"].startswith(f"{interp} leaves logaddexp over ")
+
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_moment_matching_refuses_the_parallel_scan(self, window, tmp_path, capsys):
+        """The doubling scan's levels would collapse two-ended segments of
+        the switching chain, another approximation than the filter's."""
+        doc = slds_doc(np.random.default_rng(43))
+        doc["window"] = window
+        path = write_model(tmp_path, "slds.json", doc)
+        argv = ["run", path, "--interp", "momentmatching", "--scan", "parallel"]
+        code, payload, _ = run_json(capsys, argv)
+        assert code == 1
+        assert payload["error"] == "ScanUnsupported"
+        code, _, _ = run_json(capsys, argv[:-1] + ["sequential"])
+        assert code == 0
 
 
 def kalman_filter(F, Q, H, R, observations, bias_cov=None):

@@ -74,3 +74,18 @@ class TestValueSweepCompare:
         assert abs(float(a_dist) - 0.123456789012345) < 1e-12
         assert float(b_dist) == 0.5
         assert "1 of 2 invocations differ" in proc.stdout
+
+
+def test_gmm_reference_is_the_enumerated_evidence():
+    """The sweep's gmm reference agrees with the per-component enumeration
+    the model tests use."""
+    import numpy as np
+
+    sys.path.insert(0, os.path.dirname(SWEEP))
+    import value_sweep
+    from test_models import gmm_enumeration
+
+    doc = value_sweep.draw_gmm(value_sweep.gen.rng_for(0, 4, 8))
+    keys = ("loadings", "offsets", "noises", "prior_mean", "prior_cov", "data")
+    want = gmm_enumeration(*(np.asarray(doc[k]) for k in keys))
+    assert abs(value_sweep.gmm_evidence(doc) - want) <= 1e-10

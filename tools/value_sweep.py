@@ -14,8 +14,10 @@ model draws each.  Models come from ``perfbench/gen.py`` (gmm models are drawn h
 and each call runs in this process through ``funsor.cli.main``.  Values
 are stored as the CLI prints them, so JSON round-trips them exactly.
 
-Each payload also records ``gen.py``'s independent reference for the
-model as ``reference`` (gmm and max-product models have none).
+Each payload also records an independent reference for the model as
+``reference``: ``gen.py``'s for chains, and for gmm models the exact
+evidence summed over every component assignment (``gmm_evidence``).
+Max-product models have none.
 ``--compare`` compares the engine's part of the payloads only, so files
 written without references still compare, and prints each differing
 invocation's distance ``|value - ref|`` on both sides.
@@ -23,6 +25,7 @@ invocation's distance ``|value - ref|`` on both sides.
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -53,11 +56,33 @@ def draw_gmm(rng, K=3, N=5, dx=2, dz=2):
     }
 
 
+def gmm_evidence(doc):
+    """Exact log evidence of a gmm model, summed over all ``K ** N``
+    component assignments.
+
+    Given an assignment the stacked data are Gaussian: data of one
+    component share its latent vector, so they covary through
+    ``W P W^T``, and each datum adds its component's noise.
+    """
+    W, b, R, mu, P, ys = (np.asarray(doc[k]) for k in (
+        "loadings", "offsets", "noises", "prior_mean", "prior_cov", "data"))
+    K, N = W.shape[0], ys.shape[0]
+    logs = []
+    for cs in itertools.product(range(K), repeat=N):
+        mean = np.concatenate([W[c] @ mu + b[c] for c in cs])
+        cov = np.block([
+            [(ci == cj) * W[ci] @ P @ W[cj].T + (i == j) * R[ci] for j, cj in enumerate(cs)]
+            for i, ci in enumerate(cs)
+        ])
+        logs.append(gen._gauss_logpdf(ys.reshape(-1) - mean, cov) - N * np.log(K))
+    return gen._logsumexp(np.array(logs))
+
+
 def reference(doc, semiring):
-    """``gen.py``'s log evidence of ``doc``; None for gmm and max-product."""
-    if doc["model"] == "gmm" or semiring != "sumproduct":
+    """The log evidence of ``doc`` by a reference; None for max-product."""
+    if semiring != "sumproduct":
         return None
-    return gen.references([doc])[0]
+    return gmm_evidence(doc) if doc["model"] == "gmm" else gen.references([doc])[0]
 
 
 def models(T, draw):
