@@ -5,10 +5,10 @@ matched variable pairs and eliminates the interior matches with the
 monoid the term carries; its value is over the first and the last
 names, unless an initial factor closes it.  ``scan_mode`` picks the
 strategy on this thread: a left fold over time, or a pairwise doubling
-scheme of logarithmic depth.  Both take the evaluated body's factors at
-a time index or at a level's stride-2 slices (``substitute_atom``, which
-also relabels the matched names), and combine them in ``contract_pair``
-steps, reals first, which dispatch no rule and spend no fuel under a
+scheme of logarithmic depth.  Both combine in ``_join`` steps: the
+body's factors at a time index or a level's stride-2 slices, relabeled
+where the sides meet (``substitute_atom``), go into one ``contract_pair``
+step, reals first, which dispatches no rule and spends no fuel under a
 declared classifier.  Reductions the classifier leaves lazy, such as a
 mixture Monte Carlo samples, go through the rules.
 
@@ -18,8 +18,9 @@ filter, except under ``MomentMatching(window)``), then the rest, reals
 first.  A body of tables and quadratic factors folds on arrays: each
 step's ``PairPlan`` is derived once per signature and replayed on views
 of the body's arrays, so atoms are built for the result only.  The
-doubling scheme evaluates the two-ended chain, joining an odd level's
-last cell with a ``Cat`` term, then closes it; unlike the fold, it cannot filter.
+doubling scheme evaluates the two-ended chain, then closes it, so it cannot
+filter; an odd level joins its last cell apart from the pairs, which keep
+their sharing, in front of the cells after the level.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .domains import Bounded, TypeContext
 from .errors import BoundsError, ScanUnsupported
 from .interp import (
     _chain_add,
-    cat_term,
     current_interpretation,
     flatten_product,
     lift,
@@ -136,9 +136,7 @@ def _sequential(node: MarkovProd, T: int, pairs) -> Term:
     if classify is not None and all(is_atom_factor(p) for p in factors + held):
         held, done = _replay(node.op, tv, factors, held, steps, pairs, sets, classify)
     for k, mid, rvars in steps[done:]:
-        carried = _at(held, {}, mid, types)
-        now = _at(factors, {tv: _cell(k, T)}, {p: mid[c] for p, c in pairs}, types)
-        held = flatten_product(contract_pair(node.op, carried, now, rvars))
+        held = _join(node, pairs, held, factors, ({}, {tv: _cell(k, T)}), mid, rvars)
     return _chain_add(held)
 
 
@@ -218,31 +216,33 @@ def _at(factors, cells: Dict[str, Term], renames: Dict[str, str], types) -> List
     return out
 
 
+def _join(node, pairs, left, right, cells, mid, rvars) -> List[Term]:
+    """Join ``left``'s last names to ``right``'s first at ``mid``; one step reduces ``rvars``."""
+    a = _at(left, cells[0], {c: mid[c] for _, c in pairs}, node.body.free_vars)
+    b = _at(right, cells[1], {p: mid[c] for p, c in pairs}, node.body.free_vars)
+    return flatten_product(contract_pair(node.op, a, b, rvars))
+
+
 def _parallel(node: MarkovProd, T: int, pairs) -> Term:
-    body, tv = node.body, node.timevar
-    types = body.free_vars
-    factors = flatten_product(body)
-    size = T
-    levels = 0
+    tv, factors, size, levels = node.timevar, flatten_product(node.body), T, 0
+    # Every join reduces all of one name set, so one set serves the scan.
+    mid = {c: fresh_name(c) for _, c in pairs}
+    rvars, later = list(mid.values()), None  # ``later``: the cells after the level
+
+    def front(later):
+        # The current level's last cell, in front of ``later``.
+        cell = {tv: _cell(size - 1, size)}
+        if later is None:
+            return _at(factors, cell, {}, node.body.free_vars)
+        return _join(node, pairs, factors, later, (cell, {}), mid, rvars)
+
     while size > 1:
-        half = size // 2
-        xs = {c: fresh_name(c) for _, c in pairs}
-        halves = []
-        for k in (0, 1):
-            # Even cells' curr names and odd cells' prev names meet at ``xs``.
-            cells = {tv: Slice(tv, k, 2 * half - 1 + k, 2, size)}
-            renames = {pc[1 - k]: xs[pc[1]] for pc in pairs}
-            halves.append(_at(factors, cells, renames, types))
-        merged = flatten_product(contract_pair(node.op, *halves, list(xs.values())))
         if size % 2:
-            last = _at(factors, {tv: _cell(size - 1, size)}, {}, types)
-            # ``concatenate-factors`` joins the last cell to the pairs.
-            merged = flatten_product(
-                cat_term(tv, [_chain_add(merged), _chain_add(last)])
-            )
-        factors = merged
-        size = (size + 1) // 2
-        levels += 1
+            later = front(later)
+        # Even cells' last names and odd cells' first names meet.
+        halves = [{tv: Slice(tv, k, 2 * (size // 2) - 1 + k, 2, size)} for k in (0, 1)]
+        factors = _join(node, pairs, factors, factors, halves, mid, rvars)
+        size, levels = size // 2, levels + 1
     if _SCAN.stats is not None:
-        _SCAN.stats["levels"] = levels
-    return _chain_add(_at(factors, {tv: _cell(0, 1)}, {}, types))
+        _SCAN.stats["levels"] = levels + (later is not None)
+    return _chain_add(front(later))

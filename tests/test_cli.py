@@ -416,9 +416,10 @@ def kalman_filter(F, Q, H, R, observations, bias_cov=None):
 
 
 class TestOddLengthParallelChains:
-    """The doubling scan joins an odd level's last cell to the merged
-    pairs; with a bias the observation precision is one cell shared over
-    time, and the merged pairs' precisions meet the last cell's there."""
+    """The doubling scan joins an odd level's last cell, apart from the
+    merged pairs, in front of the cells after the level; with a bias the
+    observation precision is one cell shared over time, which the merged
+    pairs keep."""
 
     @pytest.mark.parametrize("T", [1, 2, 3, 5, 7, 13, 2047])
     def test_scans_agree_with_moment_filter(self, tmp_path, capsys, T):
@@ -679,7 +680,9 @@ class TestMalformedModelFiles:
         code, payload, _ = run_json(capsys, ["run", write_model(tmp_path, "hmm.json", doc)])
         assert code == 0
         spec = HmmSpec(transition=np.array(doc["transition"]), emission_loglik=emission)
-        expected = float(interpret(EXACT, build_hmm(spec)).atom.data)
+        # The CLI runs the sequential scan by default; the library, the parallel one.
+        with scan_mode("sequential"):
+            expected = float(interpret(EXACT, build_hmm(spec)).atom.data)
         assert math.isfinite(expected)
         assert payload["log_value"] == expected
 

@@ -219,9 +219,12 @@ class TestSequentialFold:
     that are not atoms go through substitution, and interpretations that
     claim reductions see every step."""
 
-    def test_lazy_factor_is_substituted_as_a_term(self):
+    @pytest.mark.parametrize("T", [5, 7, 13])
+    def test_lazy_factor_is_substituted_as_a_term(self, T):
+        """At 7 and 13 an odd level after the first joins its last cell in
+        front of the later cells, here on the term path."""
         rng = np.random.default_rng(16)
-        T, K = 5, 3
+        K = 3
         body_data = rng.normal(size=(T, K, K))
         tab = TensorLeaf(
             TensorAtom(
@@ -248,6 +251,56 @@ class TestSequentialFold:
                 assert not isinstance(out, TensorLeaf)
                 got = interpret(EXACT, subst_term(out, {"x": np.array([x])}))
             np.testing.assert_allclose(got.atom.data, want, rtol=1e-12)
+
+    def test_closed_chain_with_a_lazy_factor_filters_over_a_window(self):
+        """Under ``MomentMatching(2)`` the fold's term loop takes every
+        step of a closed switching chain with a lazy factor, and its first
+        step reduces nothing."""
+        from funsor.approx import MomentMatching
+
+        rng = np.random.default_rng([2, 9])
+        T, K, n = 9, 2, 2
+        tab = TensorAtom(
+            TypeContext([("t", Bounded(T)), ("sp", Bounded(K)), ("sc", Bounded(K))]),
+            np.log(rng.dirichlet(np.ones(K), size=(T, K))),
+        )
+        Qi = np.linalg.inv(0.5 * np.eye(n))
+        precs = []
+        for _ in range(K):
+            F = 0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0]
+            trans = np.block([[F.T @ Qi @ F, -F.T @ Qi], [-Qi @ F, Qi]])
+            precs.append(trans + np.diag([0.1] * n + [1.0] * n))
+        g = GaussianAtom(
+            TypeContext([("t", Bounded(T)), ("sc", Bounded(K))]),
+            TypeContext([("xp", RealArray((n,))), ("xc", RealArray((n,)))]),
+            rng.normal(size=(T, K, 2 * n)),
+            np.broadcast_to(np.stack(precs), (T, K, 2 * n, 2 * n)),
+        )
+        side = GaussianAtom(
+            TypeContext([("t", Bounded(T)), ("j", Bounded(2))]),
+            TypeContext([("y", RealArray((1,)))]),
+            rng.normal(size=(T, 2, 1)),
+            np.broadcast_to(2.0 * np.eye(1), (T, 2, 1, 1)),
+        )
+        init_tab = TensorAtom(
+            TypeContext([("sp", Bounded(K))]), np.log(rng.dirichlet(np.ones(K)))
+        )
+        init_g = GaussianAtom(
+            TypeContext(), TypeContext([("xp", RealArray((n,)))]), rng.normal(size=n), np.eye(n)
+        )
+        with interpretation(LAZY):
+            # A max over a label the quadratic factor is batched over stays lazy.
+            lazy = reduce_term("max", "j", GaussianLeaf(side))
+            body = lift("add", lift("add", to_term(tab), GaussianLeaf(g)), lazy)
+            init = lift("add", to_term(init_tab), GaussianLeaf(init_g))
+            closed = markov_term("t", [("sp", "sc"), ("xp", "xc")], body, init=init)
+        mm = MomentMatching(2)
+        with scan_mode("sequential"):
+            out = interpret(mm, closed)
+            assert not isinstance(out, TensorLeaf)
+            got = interpret(mm, subst_term(out, {"y": np.array([0.3])}))
+        # The value the fold gave before its steps became ``_join`` steps.
+        assert float(got.atom.data).hex() == "0x1.bd0d90434ec25p+3"
 
     def test_two_matched_pairs_agree_across_modes(self):
         rng = np.random.default_rng(17)
@@ -342,31 +395,39 @@ class TestSequentialFold:
 
 def term_parallel(node, T, pairs):
     """The doubling scan on terms: each level substitutes stride-2 slices
-    and fresh matched names into the whole body, reduces the names out of
-    the two halves in one ``contract_pair`` step in the order of
-    ``pairs`` (reals first), and joins an odd tail with ``Cat``.  The atom
-    fold must reproduce it bit for bit."""
-    from funsor.interp import cat_term, flatten_product, var
+    and fresh matched names into the whole body and reduces the names out
+    of the two halves in one ``contract_pair`` step, in the order of
+    ``pairs`` (reals first).  An odd level's last cell joins the same way
+    in front of the product of the cells after the level, and the first
+    cell joins in front of that product at the end.  The atom fold must
+    reproduce it bit for bit."""
+    from funsor.interp import flatten_product, var
     from funsor.optimize import contract_pair
     from funsor.terms import Slice, fresh_name
 
     body, tv = node.body, node.timevar
     types = body.free_vars
-    f, size = body, T
-    while size > 1:
-        half = size // 2
+
+    def join(left, right, at=({}, {})):
         xs = {c: fresh_name(c) for _, c in pairs}
-        even = {c: var(xs[c], types.typeof(c)) for _, c in pairs}
-        odd = {p: var(xs[c], types.typeof(c)) for p, c in pairs}
-        f_e = subst_term(f, {**even, tv: Slice(tv, 0, 2 * half - 1, 2, size)})
-        f_o = subst_term(f, {**odd, tv: Slice(tv, 1, 2 * half, 2, size)})
-        merged = contract_pair(
-            node.op, flatten_product(f_e), flatten_product(f_o), list(xs.values())
+        ends = {c: var(xs[c], types.typeof(c)) for _, c in pairs}
+        starts = {p: var(xs[c], types.typeof(c)) for p, c in pairs}
+        f_l = subst_term(left, {**ends, **at[0]})
+        f_r = subst_term(right, {**starts, **at[1]})
+        return contract_pair(
+            node.op, flatten_product(f_l), flatten_product(f_r), list(xs.values())
         )
+
+    f, size, later = body, T, None
+    while size > 1:
         if size % 2:
-            merged = cat_term(tv, [merged, subst_term(f, {tv: size - 1})])
-        f, size = merged, (size + 1) // 2
-    return subst_term(f, {tv: 0})
+            last = {tv: size - 1}
+            later = subst_term(f, last) if later is None else join(f, later, (last, {}))
+        half = size // 2
+        halves = [{tv: Slice(tv, k, 2 * half - 1 + k, 2, size)} for k in (0, 1)]
+        f, size = join(f, f, halves), half
+    f = subst_term(f, {tv: 0})
+    return f if later is None else join(f, later)
 
 
 def kalman_spec(rng, T, n=3, m=2):
@@ -672,24 +733,31 @@ class TestDeclaredClassifier:
 
 
 class TestParallelFold:
-    """The doubling scan slices the body's atoms at every level and joins
-    an odd tail through the concatenate-factors rule; it gives the term
+    """The doubling scan slices the body's atoms at every level; an odd
+    level joins its last cell, apart from the pairs, in front of the cells
+    after the level, with the step the pairs take.  It gives the term
     path's values exactly."""
 
-    @pytest.mark.parametrize("T", [2, 8, 5, 13])
+    @pytest.mark.parametrize("T", [2, 8, 5, 7, 13])
     @pytest.mark.parametrize("body", ["hmm", "kalman_bias", "two_pairs"])
     def test_atom_bodies_substitute_no_terms(self, body, T, monkeypatch):
+        from funsor import interp as interp_module
         from funsor import markov
         from funsor.optimize import OPTIMIZE
+        from funsor.terms import Cat
 
         calls = []
-        real = markov.subst_term
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def spy(real):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(markov, "subst_term", spy)
+            return counted
+
+        monkeypatch.setattr(markov, "subst_term", spy(markov.subst_term))
+        monkeypatch.setattr(interp_module, "cat_term", spy(interp_module.cat_term))
+        monkeypatch.setattr(Cat, "__init__", spy(Cat.__init__))
         node = fold_bodies(T)[body]
         for interp in (EXACT, OPTIMIZE):
             stats = {}
@@ -782,6 +850,26 @@ class TestParallelFold:
         assert stats["levels"] == 11
         assert batches[:3] == [(1024,), (512,), (256,)]
         assert factored and all(math.prod(cells) == 1 for cells in factored)
+
+    def test_odd_length_keeps_the_shared_precision(self, monkeypatch):
+        """At T=2047 every level is odd: its last cell joins apart from the
+        pairs, which keep their one precision, so the scan factors about
+        as many cells as at T=2048."""
+        from funsor.models import build_kalman
+
+        cholesky, factored = np.linalg.cholesky, {}
+
+        def spy(mats):
+            factored[T] += math.prod(mats.shape[:-2])
+            return cholesky(mats)
+
+        for T in (2047, 2048):
+            term = build_kalman(kalman_spec(np.random.default_rng(8), T))
+            factored[T] = 0
+            with monkeypatch.context() as m, scan_mode("parallel"):
+                m.setattr(np.linalg, "cholesky", spy)
+                interpret(EXACT, term)
+        assert 0 < factored[2047] <= 2 * factored[2048], factored
 
     def test_monte_carlo_matches_the_term_path(self, monkeypatch):
         from funsor import markov
