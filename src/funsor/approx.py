@@ -31,7 +31,6 @@ from .domains import Bounded, TypeContext
 from .errors import BoundsError, NameAbsent
 from .gaussian import (
     GaussianAtom,
-    _chol_solve,
     _cholesky_jitter,
     log_normalizer,
     normalizer,
@@ -128,10 +127,10 @@ def match(layout, weight: Optional[np.ndarray], info: np.ndarray, prec: np.ndarr
     d = info.shape[-1]
     i_full = np.broadcast_to(realign(info, g_align), bounds + (d,))
     p_full = np.broadcast_to(realign(prec, g_align), bounds + (d, d))
-    chol = _cholesky_jitter(p_full)
-    mu, logw = normalizer(chol, i_full)
-    eye = np.broadcast_to(np.eye(d), bounds + (d, d))
-    cov = _chol_solve(chol, eye)
+    inv, z, logw = normalizer(_cholesky_jitter(p_full), i_full)
+    inv_t = np.swapaxes(inv, -1, -2)
+    mu = (inv_t @ z[..., None])[..., 0]
+    cov = inv_t @ inv
     if weight is not None:
         logw = ADD.apply(realign(weight, w_align), logw)
     total = logsumexp(logw, axis)
@@ -150,9 +149,8 @@ def match(layout, weight: Optional[np.ndarray], info: np.ndarray, prec: np.ndarr
     try:
         prec2 = np.linalg.inv(cov2)
     except np.linalg.LinAlgError:
-        chol2 = _cholesky_jitter(cov2)
-        eye2 = np.broadcast_to(np.eye(d), cov2.shape)
-        prec2 = _chol_solve(chol2, eye2)
+        inv2 = np.linalg.inv(_cholesky_jitter(cov2))
+        prec2 = np.swapaxes(inv2, -1, -2) @ inv2
     prec2 = 0.5 * (prec2 + np.swapaxes(prec2, -1, -2))
     info2 = np.ascontiguousarray((prec2 @ mu2[..., None])[..., 0])
     w_out = pointwise(SUB, sub, bounds, [logw, log_normalizer(info2, prec2)])

@@ -11,7 +11,7 @@ Precision matrices must be symmetric (tolerance 1e-8) and positive
 semidefinite.  Semidefiniteness is checked with a jittered Cholesky
 factorization: on failure the factorization is retried once with
 ``1e-10 * mean(diag) * I`` added, and a second failure raises
-``RankDeficient``.  The same policy drives every solve.
+``RankDeficient``.  The same policy drives every elimination.
 
 Batched matrix products and matrix-vector products use ``@`` on stacked
 arrays (BLAS); affine substitution forms ``M' P M`` and ``M' (i - P m)``
@@ -30,15 +30,18 @@ contexts and an array core: ``embed_layout`` and ``embed`` (under
 ``gaussian_fuse``), ``marginal_layout`` and ``marginalize`` (under
 ``gaussian_marginalize``), and ``log_normalizer``.  The atom kernels
 derive the layout and run the core, so a replay of the cores on raw
-arrays computes what they compute.  Every log normalizer, including
-``marginalize``'s weight and those of moment matching and sampling,
-comes from one core, ``normalizer``, given a Cholesky factor.
+arrays computes what they compute.  Every elimination is whitened: the
+Cholesky factor ``L`` of the eliminated block is inverted once, and the
+rest is matrix products.  Every log normalizer, including
+``marginalize``'s weight and those of moment matching, comes from one
+core, ``normalizer``, given ``L``.
 
 A precision that repeats along a batch axis stays a stride-0 view, as
 model builders and ``gaussian_expand_batch`` make it.  Precision-only
-terms (Cholesky factors, symmetrization, the constructor's checks,
-``embed``'s sums, the Schur complement) are computed once per distinct
-cell (``_distinct``) and broadcast back.  The information vector is never shared.
+terms (Cholesky factors and their inverses, symmetrization, the
+constructor's checks, ``embed``'s sums, the Schur complement) are
+computed once per distinct cell (``_distinct``) and broadcast back.
+The information vector is never shared.
 """
 from __future__ import annotations
 
@@ -67,14 +70,13 @@ from .tensor import (
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def _distinct(mats: np.ndarray, like: Optional[np.ndarray] = None) -> np.ndarray:
-    """``mats`` cut to length 1 along each batch axis that ``like`` (by
-    default ``mats``) repeats along: stride 0 and length above 1.  ``mats``
-    itself when there is none; the last two axes are the matrices."""
-    like = mats if like is None else like
-    if 0 not in like.strides[:-2]:
+def _distinct(mats: np.ndarray) -> np.ndarray:
+    """``mats`` cut to length 1 along each batch axis it repeats along:
+    stride 0 and length above 1.  ``mats`` itself when there is none; the
+    last two axes are the matrices."""
+    if 0 not in mats.strides[:-2]:
         return mats
-    cut = [s == 0 and n > 1 for s, n in zip(like.strides, like.shape[:-2])]
+    cut = [s == 0 and n > 1 for s, n in zip(mats.strides, mats.shape[:-2])]
     if not any(cut):
         return mats
     return mats[tuple(slice(None, 1 if c else None) for c in cut)]
@@ -114,16 +116,8 @@ def _cholesky_jitter(mats: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def _chol_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``A x = rhs`` given ``A = chol @ chol.T`` (batched)."""
-    y = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(np.swapaxes(chol, -1, -2), y)
-
-
 def _chol_logdet(chol: np.ndarray) -> np.ndarray:
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    with np.errstate(divide="ignore"):
-        return 2.0 * np.sum(np.log(diag), axis=-1)
+    return 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
 
 
 def _block_offsets(reals: TypeContext) -> Dict[str, Tuple[int, int]]:
@@ -346,16 +340,22 @@ def gaussian_log_normalizer(g: GaussianAtom) -> TensorAtom:
 
 def log_normalizer(info: np.ndarray, prec: np.ndarray) -> np.ndarray:
     """The array core of ``gaussian_log_normalizer``."""
-    return normalizer(_cholesky_jitter(_distinct(prec)), info)[1]
+    return normalizer(_cholesky_jitter(_distinct(prec)), info)[2]
 
 
-def normalizer(chol: np.ndarray, info: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The mean ``P^-1 i`` and the log integral of ``i'x - x'Px/2``,
-    given the Cholesky factor ``chol`` of ``P`` (batched)."""
-    mean = _chol_solve(chol, info[..., None])[..., 0]
-    quad = np.sum(info * mean, axis=-1)
-    logdet = _chol_logdet(chol)
-    return mean, 0.5 * info.shape[-1] * LOG_2PI - 0.5 * logdet + 0.5 * quad
+def normalizer(chol: np.ndarray, info: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Whiten ``i'x - x'Px/2`` by the Cholesky factor ``chol = L`` of ``P``.
+
+    Returns ``L^-1``, inverted once per distinct cell of ``chol``, the
+    whitened information ``z = L^-1 i``, and the log integral
+    ``d/2 log 2pi - sum log diag L + z'z/2`` (batched).  A caller that
+    needs the mean ``P^-1 i`` takes it as ``L^-T z``.
+    """
+    cells = _distinct(chol)
+    inv = np.linalg.inv(cells)
+    z = (inv @ info[..., None])[..., 0]
+    logdet = _chol_logdet(cells)
+    return inv, z, 0.5 * info.shape[-1] * LOG_2PI - 0.5 * logdet + 0.5 * np.sum(z * z, axis=-1)
 
 
 def marginal_layout(reals: TypeContext, name: str):
@@ -374,21 +374,19 @@ def marginalize(u: np.ndarray, v: np.ndarray, info: np.ndarray, prec: np.ndarray
     """The array core of ``gaussian_marginalize`` for a nonempty ``u``.
 
     Returns the log-normalizer over ``v`` and the Schur-complement
-    remainder over ``u``, its precision symmetrized as ``__init__`` does.
-    The precision-only terms cut the ``p_uv`` the per-cell product uses, so
-    numpy picks its matmul kernel from the same memory layout for both.
+    remainder over ``u`` in whitened form: with ``W = L^-1 P_vu`` and
+    ``z = L^-1 i_v``, the remainder is ``i_u - W'z`` and ``P_uu - W'W``,
+    its precision symmetrized as ``__init__`` does.  ``W`` is computed
+    once per distinct cell.
     """
-    i_u = info[..., u]
-    i_v = info[..., v]
     cells = _distinct(prec)
     p_uu = cells[..., u[:, None], u[None, :]]
-    p_uv = prec[..., u[:, None], v[None, :]]
+    p_vu = cells[..., v[:, None], u[None, :]]
     p_vv = cells[..., v[:, None], v[None, :]]
-    chol = _cholesky_jitter(p_vv)
-    x, w = normalizer(chol, i_v)
-    i_new = i_u - (p_uv @ x[..., None])[..., 0]
-    p_uv = _distinct(p_uv, prec)
-    p_new = p_uu - p_uv @ _chol_solve(chol, np.swapaxes(p_uv, -1, -2))
+    inv, z, w = normalizer(_cholesky_jitter(p_vv), info[..., v])
+    wt = np.swapaxes(inv @ p_vu, -1, -2)
+    i_new = info[..., u] - (wt @ z[..., None])[..., 0]
+    p_new = p_uu - wt @ np.swapaxes(wt, -1, -2)
     p_new = _spread((p_new + np.swapaxes(p_new, -1, -2)) / 2.0, prec.shape[:-2])
     return w, i_new, p_new
 

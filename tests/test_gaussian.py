@@ -9,7 +9,7 @@ multivariate-normal algebra and trapezoid quadrature for integrals.
 import numpy as np
 import pytest
 
-from funsor.approx import moment_match
+from funsor.approx import MomentMatching, match, match_layout, moment_match
 from funsor.domains import Bounded, RealArray, TypeContext
 from funsor.errors import ContextMismatch, FunsorTypeError, RankDeficient
 from funsor.gaussian import (
@@ -34,8 +34,12 @@ from funsor.gaussian import (
     log_normalizer,
     marginal_layout,
     marginalize,
+    normalizer,
     reorder_like,
 )
+from funsor.interp import EXACT, interpret
+from funsor.markov import SCAN_MODES, scan_mode
+from funsor.models import KalmanSpec, SldsSpec, build_kalman, build_slds
 from funsor.tensor import TensorAtom, align_array, index_tensor
 
 
@@ -764,3 +768,162 @@ class TestSharedCells:
                 GaussianAtom(SHARED_BATCH, SHARED_REALS, info, p)
             errors.append((type(exc.value), str(exc.value)))
         assert errors[0] == errors[1]
+
+
+# The whitened cores against dense references built from the inverse of
+# the full precision, on batches (5, 3) whose precision is either full or
+# one cell per ``k`` repeated along ``t`` as a stride-0 view.
+CORE_BATCH = TypeContext([("t", Bounded(5)), ("k", Bounded(3))])
+CORE_CASES = [(d, shared) for d in (1, 2, 3, 4) for shared in (False, True)]
+
+
+def core_params(rng, d, shared):
+    cells = (1, 3) if shared else (5, 3)
+    a = rng.normal(size=cells + (d, d))
+    prec = np.broadcast_to(a @ np.swapaxes(a, -1, -2) + 0.5 * d * np.eye(d), (5, 3, d, d))
+    return rng.normal(size=(5, 3, d)), prec
+
+
+def dense_moments(info, prec):
+    """Covariance, mean and log normalizer per cell, from ``inv(prec)``."""
+    cov = np.linalg.inv(prec)
+    mean = (cov @ info[..., None])[..., 0]
+    logdet = np.linalg.slogdet(cov)[1]
+    quad = np.sum(info * mean, axis=-1)
+    return cov, mean, 0.5 * info.shape[-1] * np.log(2 * np.pi) + 0.5 * logdet + 0.5 * quad
+
+
+def assert_relative(got, want):
+    """Agreement within 1e-12 of the largest reference entry."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def spy_inv(monkeypatch):
+    shapes = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: shapes.append(m.shape) or inv(m))
+    return shapes
+
+
+class TestWhitenedCores:
+    """Every elimination inverts its Cholesky factor once per distinct cell
+    and multiplies; its results agree with dense inverses."""
+
+    @pytest.mark.parametrize("d, shared", CORE_CASES)
+    def test_normalizer(self, d, shared, monkeypatch):
+        info, prec = core_params(np.random.default_rng([d, shared]), d, shared)
+        cov, mean, w = dense_moments(info, prec)
+        chol = _cholesky_jitter(prec)
+        shapes = spy_inv(monkeypatch)
+        inv, z, got_w = normalizer(chol, info)
+        assert shapes == [((1 if shared else 5), 3, d, d)]
+        assert_relative(got_w, w)
+        assert_relative((np.swapaxes(inv, -1, -2) @ z[..., None])[..., 0], mean)
+        assert_relative(np.swapaxes(inv, -1, -2) @ inv, cov[: len(inv)])
+        assert_relative(log_normalizer(info, prec), w)
+        assert len(shapes) == 2 and shapes[1] == shapes[0]
+
+    @pytest.mark.parametrize("d, shared", CORE_CASES)
+    def test_marginalize(self, d, shared, monkeypatch):
+        """The remainder is the marginal over the kept block: its
+        covariance is that block of the full covariance, and the weight
+        is what the full normalizer has left over."""
+        info, prec = core_params(np.random.default_rng([d, shared, 1]), d + 2, shared)
+        reals = TypeContext([("x", RealArray((d,))), ("y", RealArray((2,)))])
+        u, v = marginal_layout(reals, "x")
+        cov, mean, w_full = dense_moments(info, prec)
+        p_want = np.linalg.inv(cov[..., u[:, None], u[None, :]])
+        i_want = (p_want @ mean[..., u, None])[..., 0]
+        w_want = w_full - dense_moments(i_want, p_want)[2]
+        shapes = spy_inv(monkeypatch)
+        w, i_new, p_new = marginalize(u, v, info, prec)
+        assert shapes == [((1 if shared else 5), 3, d, d)]
+        assert_relative(w, w_want)
+        assert_relative(i_new, i_want)
+        assert_relative(p_new, p_want)
+        assert np.array_equal(p_new, np.swapaxes(p_new, -1, -2))
+        assert (p_new.strides[0] == 0) == shared
+
+    @pytest.mark.parametrize("d, shared", CORE_CASES)
+    def test_match(self, d, shared, monkeypatch):
+        """Moment matching over ``k``: covariances from the one inverse of
+        each component's Cholesky factor, the matched precision from
+        ``inv`` of the matched covariance."""
+        rng = np.random.default_rng([d, shared, 2])
+        info, prec = core_params(rng, d, shared)
+        weight = rng.normal(size=(5, 3))
+        cov, mean, w = dense_moments(info, prec)
+        logw = weight + w
+        total = np.logaddexp.reduce(logw, axis=1)
+        p = np.exp(logw - total[:, None])
+        mu2 = np.sum(p[..., None] * mean, axis=1)
+        diff = mean - mu2[:, None]
+        cov2 = np.sum(p[..., None, None] * (cov + diff[..., :, None] * diff[..., None, :]), axis=1)
+        p_want = np.linalg.inv(cov2)
+        i_want = (p_want @ mu2[..., None])[..., 0]
+        w_want = total - dense_moments(i_want, p_want)[2]
+        _, layout = match_layout(CORE_BATCH, CORE_BATCH, "k")
+        shapes = spy_inv(monkeypatch)
+        got_w, i_new, p_new = match(layout, weight, info, prec)
+        assert shapes[0] == ((1 if shared else 5), 3, d, d)
+        assert_relative(got_w, w_want)
+        assert_relative(i_new, i_want)
+        assert_relative(p_new, p_want)
+        assert np.array_equal(p_new, np.swapaxes(p_new, -1, -2))
+
+
+def small_kalman(rng, T):
+    n, m = 3, 2
+    a = rng.normal(size=(m, m))
+    return KalmanSpec(
+        F=0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0],
+        Q=0.5 * np.eye(n),
+        H=rng.normal(size=(m, n)),
+        R=0.3 * np.eye(m),
+        observations=rng.normal(size=(T, m)),
+        bias_cov=a @ a.T + 0.5 * np.eye(m),
+    )
+
+
+def small_slds(rng, T):
+    K, n = 2, 2
+    a = rng.normal(size=(n, n))
+    spec = SldsSpec(
+        transition=rng.dirichlet(np.ones(K), size=K),
+        F=0.5 * rng.normal(size=(K, n, n)),
+        Q=a @ a.T + 0.5 * np.eye(n),
+        H=rng.normal(size=(1, n)),
+        R=np.array([[0.4]]),
+        window=2,
+    )
+    return spec, rng.normal(size=(T, 1))
+
+
+class TestNoLinearSolves:
+    """Evaluating a built model factors and multiplies: no elimination
+    calls ``np.linalg.solve``."""
+
+    def spy(self, monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: calls.append(a.shape) or solve(a, b)
+        )
+        return calls
+
+    @pytest.mark.parametrize("mode", SCAN_MODES)
+    def test_kalman(self, mode, monkeypatch):
+        term = build_kalman(small_kalman(np.random.default_rng(3), 13))
+        calls = self.spy(monkeypatch)
+        with scan_mode(mode):
+            got = interpret(EXACT, term)
+        assert np.isfinite(got.atom.data) and calls == []
+
+    def test_slds(self, monkeypatch):
+        spec, ys = small_slds(np.random.default_rng(4), 13)
+        term = build_slds(spec, ys)
+        calls = self.spy(monkeypatch)
+        with scan_mode("sequential"):
+            got = interpret(MomentMatching(spec.window), term)
+        assert np.isfinite(got.atom.data) and calls == []

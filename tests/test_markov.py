@@ -299,8 +299,9 @@ class TestSequentialFold:
             out = interpret(mm, closed)
             assert not isinstance(out, TensorLeaf)
             got = interpret(mm, subst_term(out, {"y": np.array([0.3])}))
-        # The value the fold gave before its steps became ``_join`` steps.
-        assert float(got.atom.data).hex() == "0x1.bd0d90434ec25p+3"
+        # The value the fold gave before its steps became ``_join`` steps,
+        # as the whitened eliminations round it.
+        assert float(got.atom.data).hex() == "0x1.bd0d90434ec23p+3"
 
     def test_two_matched_pairs_agree_across_modes(self):
         rng = np.random.default_rng(17)
@@ -670,10 +671,11 @@ class TestDeclaredClassifier:
     """Chain steps run as plans under the classifier the interpretation
     declares, and through the rules when it declares none."""
 
-    # The values the rules gave before moment matching replayed its steps.
+    # The values the rules gave before moment matching replayed its steps,
+    # as the whitened eliminations round them.
     SWITCHING = {
-        "sequential": "0x1.0f08622a23bf2p+4",
-        "parallel": "0x1.10c3ac3bd4686p+4",
+        "sequential": "0x1.0f08622a23bf3p+4",
+        "parallel": "0x1.10c3ac3bd4687p+4",
     }
 
     @pytest.mark.parametrize("mode", SCAN_MODES)

@@ -168,3 +168,31 @@ def test_long_monte_carlo_chain_fits_the_default_fuel(monkeypatch):
         got = interpret(mc, term).atom.data
     assert np.isfinite(got)
     assert mc.draws == 0
+
+
+def growing_kalman(f, q, T):
+    """A 2-D state with ``F = f I``, ``Q = q I``, ``R = 0.1 I`` and
+    ``H = [1, 0]``, simulated from seed 0 in the reference's convention:
+    ``x_0 ~ N(0, I)``, and ``y_t`` observes ``x_{t+1}``."""
+    rng = np.random.default_rng(0)
+    F, Q, H, R = f * np.eye(2), q * np.eye(2), np.array([[1.0, 0.0]]), 0.1 * np.eye(1)
+    x, ys = rng.normal(size=2), np.empty((T, 1))
+    for t in range(T):
+        x = F @ x + math.sqrt(q) * rng.normal(size=2)
+        ys[t] = H @ x + math.sqrt(0.1) * rng.normal(size=1)
+    return {"model": "kalman", "F": F, "Q": Q, "H": H, "R": R, "observations": ys}
+
+
+@pytest.mark.parametrize("scan", SCANS)
+@pytest.mark.parametrize("f, q", [(0.9, 1e-8), (1.02, 1e-6)])
+def test_nearly_noiseless_kalman(tmp_path, f, q, scan):
+    """Nearly deterministic dynamics: the well-conditioned rows of the
+    accuracy sweep, whose observations stay below 30 in magnitude, agree
+    with the moment-form filter within 1e-6 nats per step.  Rows whose
+    observations reach 3e4 lose whole nats to cancellation and are not
+    gated here."""
+    T = 256
+    doc = growing_kalman(f, q, T)
+    ref = float(gen.kalman_filter(doc["F"], doc["Q"], doc["H"], doc["R"], doc["observations"]))
+    got = run(tmp_path, doc, "--scan", scan)
+    assert abs(got - ref) <= 1e-6 * T, (got, ref)

@@ -75,6 +75,35 @@ class TestValueSweepCompare:
         assert float(b_dist) == 0.5
         assert "1 of 2 invocations differ" in proc.stdout
 
+    def test_summary_per_group(self, tmp_path):
+        """The last lines summarize each (family, interpretation, scan)
+        group: moves, their direction against the reference, the largest
+        move and each side's largest distance to the reference."""
+        flags = " --interp exact --scan "
+        a = {
+            "kalman T=8 draw=0" + flags + "sequential": {"log_value": -10.5, "reference": -10.0},
+            "kalman T=8 draw=1" + flags + "sequential": {"log_value": -20.0, "reference": -20.25},
+            "kalman T=8 draw=2" + flags + "sequential": {"log_value": -30.0, "reference": -30.0},
+            "kalman T=8 draw=0" + flags + "parallel": {"log_value": -1.0, "reference": -1.0},
+            "hmm T=8 draw=0" + flags + "parallel": {"log_value": -2.0},
+        }
+        b = json.loads(json.dumps(a))
+        b["kalman T=8 draw=0" + flags + "sequential"]["log_value"] = -10.25
+        b["kalman T=8 draw=1" + flags + "sequential"]["log_value"] = -20.0 + 0.125
+        b["hmm T=8 draw=0" + flags + "parallel"] = {"error": "boom"}
+        proc = compare(tmp_path, a, b)
+        assert proc.returncode == 1
+        lines = proc.stdout.splitlines()
+        assert lines[-4] == "3 of 5 invocations differ"
+        assert lines[-3:] == [
+            "hmm exact parallel: 1 of 1 moved, 0 closer, 0 farther;"
+            " max |b - a| None; max |value - ref| None -> None",
+            "kalman exact parallel: 0 of 1 moved, 0 closer, 0 farther;"
+            " max |b - a| None; max |value - ref| 0.0 -> 0.0",
+            "kalman exact sequential: 2 of 3 moved, 1 closer, 1 farther;"
+            " max |b - a| 0.25; max |value - ref| 0.5 -> 0.375",
+        ]
+
 
 def test_gmm_reference_is_the_enumerated_evidence():
     """The sweep's gmm reference agrees with the per-component enumeration

@@ -24,7 +24,11 @@ evidence summed over every component assignment (``gmm_evidence``).
 Max-product models have none.
 ``--compare`` compares the engine's part of the payloads only, so files
 written without references still compare, and prints each differing
-invocation's distance ``|value - ref|`` on both sides.
+invocation's distance ``|value - ref|`` on both sides.  It ends with one
+summary line per (family, interpretation, scan) group: how many
+invocations moved, how many of those moved closer to their reference and
+how many farther, the largest move ``|b - a|``, and the largest
+``|value - ref|`` over the group on each side.
 """
 import argparse
 import contextlib
@@ -147,11 +151,67 @@ def engine(payload):
     return {k: v for k, v in payload.items() if k != "reference"} if payload else payload
 
 
-def distance(payload, ref):
-    """``|value - ref|`` of a recorded payload, or None without a value."""
+def value(payload):
+    """A recorded payload's log value, or None without one."""
     if not payload or "log_value" not in payload:
         return None
-    return abs(float(payload["log_value"]) - ref)
+    return float(payload["log_value"])
+
+
+def distance(payload, ref):
+    """``|value - ref|`` of a recorded payload, or None without a value."""
+    v = value(payload)
+    return None if v is None else abs(v - ref)
+
+
+def reference_of(sides):
+    """The reference either side of an invocation records, or None."""
+    return next((p["reference"] for p in sides if p and "reference" in p), None)
+
+
+def group(key):
+    """The (family, interpretation, scan) an invocation's key names."""
+    words = key.split()
+    flag = lambda name: words[words.index(name) + 1] if name in words else "-"  # noqa: E731
+    return words[0], flag("--interp"), flag("--scan")
+
+
+def _max(values):
+    """The largest of ``values`` that is not NaN; None for none."""
+    values = [v for v in values if v == v]
+    return max(values) if values else None
+
+
+def summary(a, b, diffs):
+    """One line per (family, interpretation, scan) group of the keys."""
+    groups = {}
+    for k in set(a) | set(b):
+        groups.setdefault(group(k), []).append(k)
+    lines = []
+    for name, keys in sorted(groups.items()):
+        closer = farther = 0
+        moves, dists = [], ([], [])
+        for k in keys:
+            sides = (a.get(k), b.get(k))
+            ref = reference_of(sides)
+            dist = [None if ref is None else distance(p, ref) for p in sides]
+            for side, d in zip(dists, dist):
+                if d is not None:
+                    side.append(d)
+            pair = [value(p) for p in sides]
+            if k not in diffs or None in pair:
+                continue
+            moves.append(abs(pair[1] - pair[0]))
+            if None not in dist:
+                closer += dist[1] < dist[0]
+                farther += dist[1] > dist[0]
+        moved = sum(k in diffs for k in keys)
+        lines.append(
+            f"{' '.join(name)}: {moved} of {len(keys)} moved, {closer} closer,"
+            f" {farther} farther; max |b - a| {_max(moves)!r};"
+            f" max |value - ref| {_max(dists[0])!r} -> {_max(dists[1])!r}"
+        )
+    return lines
 
 
 def compare(a_path, b_path):
@@ -163,11 +223,13 @@ def compare(a_path, b_path):
     for k in diffs:
         sides = (a.get(k), b.get(k))
         print(f"{k}\n  {engine(sides[0])}\n  {engine(sides[1])}")
-        ref = next((p["reference"] for p in sides if p and "reference" in p), None)
+        ref = reference_of(sides)
         if ref is not None:
             a_dist, b_dist = (distance(p, ref) for p in sides)
             print(f"  |value - ref|: {a_dist!r} {b_dist!r} (ref {ref!r})")
     print(f"{len(diffs)} of {len(set(a) | set(b))} invocations differ")
+    for line in summary(a, b, set(diffs)):
+        print(line)
     return 1 if diffs else 0
 
 
