@@ -17,9 +17,9 @@ The default interpretation is Exact, which evaluates products,
 substitutions and reductions of the atomic factors in closed form and
 leaves everything else lazy.  A sum of tables that no one of them spans
 stays unfused, built eagerly or lazily alike, since fusing it would
-build a table larger than any of them; a ``logaddexp`` or ``max``
-reduction over it hands the tables to the contraction planner.  Beside
-other factors such tables also stay apart until a reduction fuses them.
+build a table larger than any of them; a reduction contracts the ones
+over its variable in one ``contract_pair`` step and keeps the others
+apart.  Beside other factors they stay apart until a reduction fuses them.
 
 One routine, ``substitute_atom``, applies bindings to a table, a
 quadratic factor or a point mass: relabels, then index values and
@@ -48,6 +48,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -892,14 +893,14 @@ def _h_reduce_product(node: Reduce) -> Optional[Term]:
                 return None
             else:
                 out_parts.append(lift(MUL, float(n), p))
-        out = out_parts[0]
-        for p in out_parts[1:]:
-            out = lift(ADD, out, p)
-        return out
+        return reduce(partial(lift, ADD), out_parts)
     if _spread_tables(parts):
-        from .optimize import contract
+        from .optimize import contract_pair
 
-        return contract(node.op, [v], parts)
+        # One step on the tables that mention ``v``; the others stay apart.
+        over = [p for p in parts if v in p.free_vars]
+        apart = [p for p in parts if v not in p.free_vars]
+        return reduce(partial(lift, ADD), apart, contract_pair(node.op, over, [], [v]))
 
     nf = normal_form_from_parts(parts)
     named = [d for d in nf.deltas if d.name == v]

@@ -9,22 +9,22 @@ product of its bounded sizes times the squared flattened real dimension
 plus one, matching how large the dense and quadratic blocks get.
 
 ``contract_pair`` is the one contraction step.  Both chain scans take
-one per step or level; ``contract`` plans Exact's reductions over tables
-it leaves unfused and Optimize's joint reductions, and runs each plan as
-a sequence of them under the caller's interpretation.  A pairwise step
-on tables and quadratic factors is a ``PairPlan``: derived from the
-factors' layouts alone, with each reduction classified as the
-interpretation declares, and run on their arrays.  Its table steps run
-``tensor_contract``'s array core.  The fold replays it per step
-signature, and the rules run it as a one-step plan.  Two tables contract
-as a plan under every interpretation, one without a classifier too.
-Exact plans one reduction at a time; Optimize's whole-term rule gathers
-directly nested sums over a lazily built product into one joint plan
-instead of collapsing them innermost-first.
+one per step or level, Exact one per reduction over tables that no one
+of them spans, and ``contract`` runs Optimize's joint plans as a
+sequence of them under the caller's interpretation; only Optimize
+plans.  A step on tables and quadratic factors is a ``PairPlan``:
+derived from the factors' layouts alone, with each reduction classified
+as the interpretation declares, and run on their arrays.  Its tables
+fuse in one ``contract_arrays`` call, which also sums the step's
+variables when every factor is a table, and its quadratic factors in one
+``embed`` call.  The fold replays it per step signature, and the rules
+run it as a one-step plan.  Tables contract as a plan under every
+interpretation, one without a classifier too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .approx import match, match_layout
@@ -175,29 +175,31 @@ class PairPlan:
 
     Derived by ``pair_plan`` from the layouts of the parts alone.  ``run``
     takes the parts' arrays (``factor_arrays``) and runs the kernels'
-    array cores in the order the kernels run them: tables summed left to
-    right by ``tensor_contract``'s core, ``contract_arrays`` (which
-    reduces the step's variables when the parts are two tables),
-    quadratic factors fused left to right, then each remaining reduction
-    in closed form or, for the ``"match"`` kind, by moment matching.  It
-    returns the arrays of the result, whose layouts are ``out`` (a table
-    first, then a quadratic factor).  ``rest`` lists the variables from
-    the first one the classifier leaves lazy on.
+    array cores: the tables in one ``contract_arrays`` call, which sums
+    them left to right (and the step's variables when every part is a
+    table), the quadratic factors in one ``embed`` call, then each
+    remaining reduction in closed form or, for the ``"match"`` kind, by
+    moment matching.  ``tables`` and ``gaussians`` hold the parts'
+    positions and their fused layout, None for a lone part passed
+    through.  ``run`` returns the arrays of the result, whose layouts are
+    ``out`` (a table first, then a quadratic factor).  ``rest`` lists the
+    variables from the first one the classifier leaves lazy on.
     """
 
     op: ReduceOp
-    tables: List = field(default_factory=list)
-    gaussians: List = field(default_factory=list)
+    tables: Tuple = ((), None)
+    gaussians: Tuple = ((), None)
     reductions: List = field(default_factory=list)
     rest: List[str] = field(default_factory=list)
     out: List = field(default_factory=list)
 
     def run(self, arrays: Sequence) -> List:
-        t = g = None
-        for k, lay in self.tables:
-            t = arrays[k] if lay is None else contract_arrays(self.op, lay, [t, arrays[k]])
-        for k, lay in self.gaussians:
-            g = arrays[k] if lay is None else embed(lay, [g, arrays[k]])
+        def fused(core, ks, lay):
+            if ks:
+                return arrays[ks[0]] if lay is None else core(lay, [arrays[k] for k in ks])
+
+        t = fused(partial(contract_arrays, self.op), *self.tables)
+        g = fused(embed, *self.gaussians)
         for kind, how, lay in self.reductions:
             if kind == "fold":
                 t = fold_axis(self.op, t, how)
@@ -222,29 +224,26 @@ class PairPlan:
 def pair_plan(op: ReduceOp, parts: Sequence, rvars: Sequence[str], classify) -> PairPlan:
     """Derive the ``PairPlan`` of a step from its parts' layouts.
 
-    ``parts`` are ``factor_layout``s.  Two tables contract as they are
-    summed, as ``tensor_contract`` does, whatever ``classify`` says;
-    otherwise the step is the closed form of ``normal_form_from_parts``
-    followed by one reduction per variable.  ``classify`` says how each
-    variable is reduced, with ``reduction_kind``'s signature: Exact's kinds
-    (``reduction_kind``), or also ``"match"`` (``approx.match_kind``), a
-    mixture collapsed by ``moment_match`` onto its weight table.
+    ``parts`` are ``factor_layout``s.  When every part is a table, the
+    step is one contraction that sums ``rvars``, as ``tensor_contract``
+    does, whatever ``classify`` says; otherwise it is the closed form of
+    ``normal_form_from_parts`` followed by one reduction per variable.
+    ``classify`` says how each variable is reduced, with
+    ``reduction_kind``'s signature: Exact's kinds (``reduction_kind``), or
+    also ``"match"`` (``approx.match_kind``), a mixture collapsed by
+    ``moment_match`` onto its weight table.
     """
-    plan = PairPlan(op)
-    tabular = [isinstance(c, TypeContext) for c in parts]
-    summed = tuple(rvars) if len(parts) == 2 and all(tabular) else ()
-    t = g = None
-    for k, lay in enumerate(parts):
-        if tabular[k]:
-            t, step = (lay, None) if t is None else contract_layout([t, lay], summed)
-            plan.tables.append((k, step))
-        elif g is None:
-            g = lay
-            plan.gaussians.append((k, None))
-        else:
-            fused = (g[0].union(lay[0]), g[1].union(lay[1]))
-            g, step = fused, embed_layout([g, lay], *fused)
-            plan.gaussians.append((k, step))
+    tk = [k for k, lay in enumerate(parts) if isinstance(lay, TypeContext)]
+    gk = [k for k in range(len(parts)) if k not in tk]
+    summed = () if gk else tuple(rvars)
+    t, g = (parts[ks[0]] if ks else None for ks in (tk, gk))
+    plan = PairPlan(op, (tk, None), (gk, None))
+    if len(tk) > 1 or summed:
+        t, step = contract_layout([parts[k] for k in tk], summed)
+        plan.tables = (tk, step)
+    if len(gk) > 1:
+        g = tuple(reduce(TypeContext.union, c) for c in zip(*[parts[k] for k in gk]))
+        plan.gaussians = (gk, embed_layout([parts[k] for k in gk], *g))
     rest = [v for v in rvars if v not in summed]
     while rest:
         v = rest[0]
@@ -299,18 +298,18 @@ def contract_pair(
 
     ``a`` and ``b`` are flat factor lists, as ``flatten_product`` returns
     them.  When every factor is a table or a quadratic factor, and either
-    the current interpretation declares a classifier or the factors are
-    two real scalar tables (which contract exactly under every
-    interpretation, without building their union table), the step's
-    ``PairPlan`` runs the rules' kernels' array cores in the rules'
-    order, without building or dispatching the intermediate terms.  The
-    rules reduce the rest: other factors, and what the classifier leaves.
+    the current interpretation declares a classifier or every factor is a
+    real scalar table (which contract exactly under every interpretation,
+    without building their union table), the step's ``PairPlan`` runs the
+    kernels' array cores without building or dispatching the intermediate
+    terms.  The rules reduce the rest: other factors, and what the
+    classifier leaves.
     """
     parts = [*a, *b]
     rest = list(rvars)
     classify = current_interpretation().classify
-    two_tables = len(parts) == 2 and all(isinstance(p, TensorLeaf) for p in parts)
-    if (classify is not None or two_tables) and all(is_atom_factor(p) for p in parts):
+    tables = all(isinstance(p, TensorLeaf) for p in parts)
+    if (classify is not None or tables) and all(is_atom_factor(p) for p in parts):
         plan = pair_plan(op, [factor_layout(p) for p in parts], rvars, classify)
         out = _chain_add(plan.run_leaves(parts))
         rest = plan.rest

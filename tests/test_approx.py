@@ -138,6 +138,43 @@ class TestMomentMatch:
         np.testing.assert_allclose(m_none.precision, m_zero.precision, rtol=1e-12)
         np.testing.assert_allclose(r_none.data, r_zero.data, rtol=1e-12)
 
+    def test_singular_matched_covariance_is_jittered(self, monkeypatch):
+        """Two sharp components whose means lie on a line match to a
+        covariance that is exactly rank one in floating point
+        (``[[1, 1], [1, 1]]``: the components' 1e-20 variances round away),
+        so ``np.linalg.inv`` raises; the jittered factor inverts it instead.
+        """
+        import funsor.approx as approx
+
+        c = TypeContext([("c", Bounded(2))])
+        sharp = 1e20
+        gauss = GaussianAtom(
+            c,
+            TypeContext([("x", RealArray((2,)))]),
+            sharp * np.array([[-1.0, -1.0], [1.0, 1.0]]),
+            sharp * np.broadcast_to(np.eye(2), (2, 2, 2)),
+        )
+        weight = TensorAtom(c, np.log([0.5, 0.5]))
+        factored = []
+        real = approx._cholesky_jitter
+
+        def spy(mats):
+            factored.append(mats.shape)
+            return real(mats)
+
+        monkeypatch.setattr(approx, "_cholesky_jitter", spy)
+        matched, reduced = moment_match(weight, gauss, "c")
+        assert factored == [(2, 2, 2), (2, 2)]  # the components, then cov2
+        np.testing.assert_array_equal(matched.info_vec, [0.0, 0.0])
+        np.testing.assert_array_equal(matched.precision, matched.precision.T)
+        along, across = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+        # Variance 2 along the line; the jitter bounds the precision across it.
+        np.testing.assert_allclose(along @ matched.precision @ along / 2, 0.5, rtol=1e-5)
+        assert across @ matched.precision @ across / 2 > 1e9
+        mix_mass = np.logaddexp.reduce(weight.data + gaussian_log_normalizer(gauss).data)
+        matched_mass = float(reduced.data) + float(gaussian_log_normalizer(matched).data)
+        np.testing.assert_allclose(matched_mass, mix_mass, rtol=1e-12)
+
     def test_batched_matches_per_slice(self):
         rng = np.random.default_rng(4)
         info = rng.normal(size=(2, 3, 1))
@@ -236,6 +273,10 @@ class TestMomentMatchingInterpretation:
         np.testing.assert_allclose(
             parts["TensorLeaf"].atom.data, reduced.data, rtol=1e-12
         )
+
+    def test_window_below_one_is_refused(self):
+        with pytest.raises(BoundsError, match="window must be at least 1, got 0"):
+            MomentMatching(window=0)
 
     def test_pure_discrete_falls_back_to_exact(self):
         rng = np.random.default_rng(12)

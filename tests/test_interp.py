@@ -39,6 +39,7 @@ from funsor.interp import (
 from funsor.tensor import TensorAtom, align_atoms, index_tensor, scalar_tensor
 from funsor.terms import (
     Apply,
+    Cat,
     DeltaLeaf,
     GaussianLeaf,
     Reduce,
@@ -738,6 +739,28 @@ class TestAtomSubstitution:
             )
             got = [at_point(out, {"t": k, "x": x}) for k in range(3)]
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_index_into_a_lazy_cat_picks_the_part(self):
+        """A ``Cat`` with a lazy part stays lazy under Exact; a ground
+        position substitutes into the one part that holds it, and the
+        other bindings follow into that part."""
+        rng = np.random.default_rng(46)
+        a, b = rng.normal(size=2), rng.normal(size=3)
+        x = var("x", RealArray(()))
+        first = table([("t", Bounded(2))], a)
+        with interpretation(EXACT):
+            second = lift("add", lift("mul", x, x), table([("j", Bounded(3))], b))
+            out = cat_term("t", [first, second])
+            assert isinstance(out, Cat) and out.part_counts() == (2, 1)
+            for k in range(2):
+                got = subst_term(out, {"t": k})
+                assert isinstance(got, TensorLeaf) and got.atom.context.names == ()
+                assert got.atom.data == a[k]
+            got = subst_term(out, {"t": 2})
+            assert got == second
+            got = subst_term(out, {"t": 2, "x": 0.5})
+        assert isinstance(got, TensorLeaf) and got.atom.context.names == ("j",)
+        np.testing.assert_array_equal(got.atom.data, 0.25 + b)
 
 
 class TestPlateReduction:

@@ -9,8 +9,9 @@ import math
 import numpy as np
 import pytest
 
+from funsor import markov
 from funsor.domains import Bounded, RealArray, TypeContext
-from funsor.errors import FunsorTypeError, InvalidMatching
+from funsor.errors import BoundsError, FunsorTypeError, InvalidMatching
 from funsor.gaussian import GaussianAtom
 from funsor.interp import (
     EXACT,
@@ -170,6 +171,13 @@ class TestScanModeContext:
         with scan_mode("parallel", stats=stats):
             interpret(EXACT, MarkovProd("t", (("prev", "curr"),), body))
         assert stats["levels"] == 2
+
+    def test_unknown_mode_is_refused_and_leaves_the_mode(self):
+        with scan_mode("sequential"):
+            with pytest.raises(BoundsError, match="diagonal"):
+                with scan_mode("diagonal"):
+                    pass
+            assert markov._SCAN.mode == "sequential"
 
 
 class TestGaussianChain:
