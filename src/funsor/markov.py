@@ -5,30 +5,31 @@ matched variable pairs and eliminates the interior matches with the
 monoid the term carries; its value is over the first and the last
 names, unless an initial factor closes it.  ``scan_mode`` picks the
 strategy on this thread: a left fold over time, or a pairwise doubling
-scheme of logarithmic depth.  Both combine in ``_join`` steps: the
-body's factors at a time index or a level's stride-2 slices, relabeled
-where the sides meet (``substitute_atom``), go into one ``contract_pair``
-step, reals first, which dispatches no rule and spends no fuel under a
-declared classifier.  Reductions the classifier leaves lazy, such as a
-mixture Monte Carlo samples, go through the rules.
+scheme of logarithmic depth.  Both combine in steps that relabel the two
+sides where they meet and reduce the matched names in one ``PairPlan``,
+reals first, which dispatches no rule and spends no fuel under a
+declared classifier.  Under one, a body of tables and quadratic factors
+runs on arrays in both scans: a step takes views at a time index or, on
+a doubling level, stride-2 slices, and relabels their layouts (``_cut``);
+atoms are built for the result only.  Other bodies, and a step the
+classifier leaves partly lazy (a mixture Monte Carlo samples), take the
+term path: ``substitute_atom`` relabels and indexes atoms, and
+``contract_pair`` and the rules reduce them.
 
 The fold filters a closed chain: it starts from the initial factor and
 reduces each state ``window`` cells after it enters (1, the exact
 filter, except under ``MomentMatching(window)``), then the rest, reals
-first.  A body of tables and quadratic factors folds on arrays: each
-step's ``PairPlan`` is derived once per signature and replayed on views
-of the body's arrays, so atoms are built for the result only.  The
-doubling scheme evaluates the two-ended chain, then closes it, so it cannot
-filter; an odd level joins its last cell apart from the pairs, which keep
-their sharing, in front of the cells after the level.
+first; it derives a step's plan once per signature and replays it.  The
+doubling scheme derives one per level.  It evaluates the two-ended chain,
+then closes it, so it cannot filter; an odd level joins its last cell
+apart from the pairs, which keep their sharing, in front of the cells
+after the level.
 """
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from .approx import MomentMatching
 from .domains import Bounded, TypeContext
@@ -149,31 +150,9 @@ def _replay(op, tv: str, factors, held, steps, pairs, sets, classify):
     Returns the carried factors and how many steps ran; the term path
     takes the rest, from a step ``classify`` leaves lazy.
     """
-    # Per factor: its arrays, with the time axis moved first (kind 1 for a
-    # table, 2 for a quadratic factor) or untimed (kind 0), and its cell's layout.
-    arrays, kinds, cell_layouts = [], [], []
-    for p in factors:
-        lay, x, kind = factor_layout(p), factor_arrays(p), 0
-        table = isinstance(lay, TypeContext)
-        batch = lay if table else lay[0]
-        if tv in batch:
-            axis, kind = batch.names.index(tv), 1 if table else 2
-            first = [np.moveaxis(a, axis, 0) for a in ([x] if table else x)]
-            x = first[0] if table else tuple(first)
-            batch = batch.remove(tv)
-        arrays.append(x)
-        kinds.append(kind)
-        cell_layouts.append(batch if table else (batch, lay[1]))
-    cells = [
-        [rename_layout(lay, {p: mid[c] for p, c in pairs}) for lay in cell_layouts]
-        for mid in sets
-    ]
-
-    def at(k):
-        return [
-            x if t == 0 else x[k] if t == 1 else (x[0][k], x[1][k])
-            for x, t in zip(arrays, kinds)
-        ]
+    body = [factor_layout(p) for p in factors], [factor_arrays(p) for p in factors]
+    cuts = [_cut(tv, body[0], {p: mid[c] for p, c in pairs}) for mid in sets]
+    axes, cells = cuts[0][0], [lays for _, lays in cuts]
 
     # ``lays`` are the carried factors' layouts, under their own names.
     carried, lays = [factor_arrays(p) for p in held], [factor_layout(p) for p in held]
@@ -190,8 +169,33 @@ def _replay(op, tv: str, factors, held, steps, pairs, sets, classify):
                 return factor_leaves(lays, carried), i
             hit = plans[key] = (plan, intern_layouts(signatures, plan.out))
         plan, sig = hit
-        carried, lays = plan.run(carried + at(k)), plan.out
+        carried, lays = plan.run(carried + _take(body[1], axes, k)), plan.out
     return factor_leaves(lays, carried), len(steps)
+
+
+def _cut(tv: str, layouts, renames: Dict[str, str], count: Optional[int] = None):
+    """Per ``factor_layout``: the selector prefix of ``tv``'s axis (None
+    without ``tv``), and the layout relabeled by ``renames`` with ``tv``
+    dropped or, given ``count``, re-bounded to that many cells."""
+    axes, out = [], []
+    for lay in layouts:
+        table = isinstance(lay, TypeContext)
+        batch = lay if table else lay[0]
+        axes.append((slice(None),) * batch.names.index(tv) if tv in batch else None)
+        batch = TypeContext([
+            (renames.get(n, n), Bounded(count) if n == tv else t)
+            for n, t in batch.entries if n != tv or count
+        ])
+        out.append(batch if table else (batch, rename_layout(lay[1], renames)))
+    return axes, out
+
+
+def _take(arrays, axes, key) -> List:
+    """Each factor's arrays at ``key`` on the axis ``_cut`` found."""
+    return [
+        x if a is None else (x[0][a + (key,)], x[1][a + (key,)]) if isinstance(x, tuple)
+        else x[a + (key,)] for x, a in zip(arrays, axes)
+    ]
 
 
 def _cell(k: int, size: int) -> Term:
@@ -224,25 +228,49 @@ def _join(node, pairs, left, right, cells, mid, rvars) -> List[Term]:
 
 
 def _parallel(node: MarkovProd, T: int, pairs) -> Term:
-    tv, factors, size, levels = node.timevar, flatten_product(node.body), T, 0
+    tv, types, factors = node.timevar, node.body.free_vars, flatten_product(node.body)
     # Every join reduces all of one name set, so one set serves the scan.
     mid = {c: fresh_name(c) for _, c in pairs}
-    rvars, later = list(mid.values()), None  # ``later``: the cells after the level
+    rvars = list(mid.values())
+    ends = ({c: mid[c] for _, c in pairs}, {p: mid[c] for p, c in pairs})
+    classify = current_interpretation().classify
+    if classify is not None and all(is_atom_factor(p) for p in factors):
+        factors = [factor_layout(p) for p in factors], [factor_arrays(p) for p in factors]
 
-    def front(later):
-        # The current level's last cell, in front of ``later``.
-        cell = {tv: _cell(size - 1, size)}
-        if later is None:
-            return _at(factors, cell, {}, node.body.free_vars)
-        return _join(node, pairs, factors, later, (cell, {}), mid, rvars)
+    def join(size, a, i, b=None, j=None):
+        """``a`` at cell ``i`` (an index or a stride-2 slice) of ``size``,
+        alone or joined to ``b`` at cell ``j`` (None: ``b`` is untimed).
+        Factors held as ``(layouts, arrays)`` join by a ``PairPlan``; term
+        lists, and a step it leaves partly lazy, take the term path."""
+        if isinstance(a, tuple) and not isinstance(b, list):
+            count = len(range(i.start, i.stop, 2)) if isinstance(i, slice) else None
+            axes, la = _cut(tv, a[0], {} if b is None else ends[0], count)
+            if b is None:
+                return la, _take(a[1], axes, i)
+            bx, lb = _cut(tv, b[0], ends[1], count)
+            plan = pair_plan(node.op, la + lb, rvars, classify)
+            if not plan.rest:
+                return plan.out, plan.run(_take(a[1], axes, i) + _take(b[1], bx, j))
+        a, b = (factor_leaves(*f) if isinstance(f, tuple) else f for f in (a, b))
+        cells = [
+            {} if k is None else {tv: _cell(k, size)} if isinstance(k, int)
+            else {tv: Slice(tv, k.start, k.stop, 2, size)}
+            for k in (i, j)
+        ]
+        if b is None:
+            return _at(a, cells[0], {}, types)
+        return _join(node, pairs, a, b, cells, mid, rvars)
 
+    # The level loop; ``later`` holds the cells after the level.
+    size, levels, later = T, 0, None
     while size > 1:
         if size % 2:
-            later = front(later)
+            later = join(size, factors, size - 1, later)
         # Even cells' last names and odd cells' first names meet.
-        halves = [{tv: Slice(tv, k, 2 * (size // 2) - 1 + k, 2, size)} for k in (0, 1)]
-        factors = _join(node, pairs, factors, factors, halves, mid, rvars)
-        size, levels = size // 2, levels + 1
+        h = size // 2
+        factors = join(size, factors, slice(0, 2 * h, 2), factors, slice(1, 2 * h, 2))
+        size, levels = h, levels + 1
     if _SCAN.stats is not None:
         _SCAN.stats["levels"] = levels + (later is not None)
-    return _chain_add(front(later))
+    out = join(1, factors, 0, later)
+    return _chain_add(factor_leaves(*out) if isinstance(out, tuple) else out)

@@ -9,17 +9,18 @@ product of its bounded sizes times the squared flattened real dimension
 plus one, matching how large the dense and quadratic blocks get.
 
 ``contract_pair`` is the one contraction step.  Both chain scans take
-one per step or level, Exact one per reduction over tables that no one
-of them spans, and ``contract`` runs Optimize's joint plans as a
+one per step or level on terms, Exact one per reduction over tables that
+no one of them spans, and ``contract`` runs Optimize's joint plans as a
 sequence of them under the caller's interpretation; only Optimize
 plans.  A step on tables and quadratic factors is a ``PairPlan``:
 derived from the factors' layouts alone, with each reduction classified
 as the interpretation declares, and run on their arrays.  Its tables
 fuse in one ``contract_arrays`` call, which also sums the step's
 variables when every factor is a table, and its quadratic factors in one
-``embed`` call.  The fold replays it per step signature, and the rules
-run it as a one-step plan.  Tables contract as a plan under every
-interpretation, one without a classifier too.
+``embed`` call.  The fold replays it per step signature, the doubling
+scan derives one per level, and the rules run it as a one-step plan.
+Tables contract as a plan under every interpretation, one without a
+classifier too.
 """
 from __future__ import annotations
 

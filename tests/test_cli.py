@@ -448,6 +448,34 @@ class TestOddLengthParallelChains:
         assert abs(values["parallel"] - want) <= 1e-6
 
 
+class TestSwitchingChainParallelScan:
+    """On a switching chain the doubling scan's first level leaves the
+    switch mixture lazy under Exact and Optimize, so its step hands the
+    factors to the term path; Monte Carlo samples that mixture.  The values
+    are pinned from the scan on terms at every level."""
+
+    MONTE_CARLO = {7: -12.097223019786979, 8: -15.545498907872048, 13: -35.71227706427142}
+
+    @pytest.mark.parametrize("T", [7, 8, 13])
+    def test_outputs_are_pinned(self, T, tmp_path, capsys):
+        doc = slds_doc(np.random.default_rng(900 + T), T=T)
+        path = write_model(tmp_path, "slds.json", doc)
+        for interp in ("exact", "optimize"):
+            argv = ["run", path, "--interp", interp, "--scan", "parallel"]
+            code, payload, _ = run_json(capsys, argv)
+            assert code == 1
+            assert payload == {
+                "error": "NoClosedForm",
+                "detail": f"{interp} leaves logaddexp over 's_curr' lazy",
+            }
+        argv = ["run", path, "--interp", "montecarlo", "--scan", "parallel", "--samples", "4"]
+        code, payload, _ = run_json(capsys, argv)
+        assert code == 0
+        assert payload["log_value"] == self.MONTE_CARLO[T]
+        # The switching chain links T - 1 cells.
+        assert payload["levels"] == math.ceil(math.log2(T - 1))
+
+
 class TestRunErrors:
     def test_missing_file(self, capsys):
         code, payload, _ = run_json(capsys, ["run", "/nonexistent/model.json"])

@@ -485,6 +485,50 @@ def fold_bodies(T):
     }
 
 
+def untimed_bodies(T, K=3, n=2, m=2):
+    """Chains in which one kind of factor has no time axis: a constant
+    switching table beside a timed Gaussian over a real the chain does not
+    link, and Kalman dynamics whose observation factor over the shared
+    ``bias`` is the same at every step, beside a timed table.  Every level
+    keeps the untimed kind untimed."""
+    rng = np.random.default_rng(50 + T)
+    tab = TensorAtom(
+        TypeContext([("ap", Bounded(K)), ("ac", Bounded(K))]), rng.normal(size=(K, K))
+    )
+    Qi = np.linalg.inv(0.5 * np.eye(n))
+    F = 0.8 * np.eye(n)
+    prec = np.block([[F.T @ Qi @ F, -F.T @ Qi], [-Qi @ F, Qi]])
+    g = GaussianAtom(
+        TypeContext([("t", Bounded(T))]),
+        TypeContext([("z", RealArray((n,)))]),
+        rng.normal(size=(T, n)),
+        np.broadcast_to(np.eye(n), (T, n, n)),
+    )
+    trans = GaussianAtom(
+        TypeContext(),
+        TypeContext([("prev", RealArray((n,))), ("curr", RealArray((n,)))]),
+        rng.normal(size=2 * n),
+        prec,
+    )
+    a = rng.normal(size=(n + m, n + m))
+    obs = GaussianAtom(
+        TypeContext(),
+        TypeContext([("curr", RealArray((n,))), ("bias", RealArray((m,)))]),
+        rng.normal(size=n + m),
+        a @ a.T + np.eye(n + m),
+    )
+    steps = TensorAtom(TypeContext([("t", Bounded(T))]), rng.normal(size=T))
+    with interpretation(LAZY):
+        mixed = lift("add", to_term(tab), GaussianLeaf(g))
+        kalman = lift(
+            "add", lift("add", GaussianLeaf(trans), GaussianLeaf(obs)), to_term(steps)
+        )
+    return {
+        "untimed_table": MarkovProd("t", (("ap", "ac"),), mixed),
+        "kalman_untimed_bias": MarkovProd("t", (("prev", "curr"),), kalman),
+    }
+
+
 def term_sequential(node):
     """The fold on terms: each step substitutes a time index and fresh
     matched names into the evaluated body and reduces the names through
@@ -743,7 +787,7 @@ class TestDeclaredClassifier:
 
 
 class TestParallelFold:
-    """The doubling scan slices the body's atoms at every level; an odd
+    """The doubling scan slices the body's arrays at every level; an odd
     level joins its last cell, apart from the pairs, in front of the cells
     after the level, with the step the pairs take.  It gives the term
     path's values exactly."""
@@ -774,6 +818,61 @@ class TestParallelFold:
             with scan_mode("parallel", stats=stats):
                 interpret(interp, node)
             assert calls == [], interp
+            assert stats["levels"] == math.ceil(math.log2(T))
+
+    @pytest.mark.parametrize("T", [2, 5, 7, 8, 13])
+    @pytest.mark.parametrize("body", ["hmm", "kalman_bias", "two_pairs"])
+    def test_atom_levels_build_no_atoms_between_levels(self, body, T, monkeypatch):
+        """Levels cut and relabel the arrays and layouts themselves; atoms
+        are built for the result only."""
+        from funsor import interp as interp_module
+        from funsor import tensor
+        from funsor.approx import MomentMatching
+        from funsor.optimize import OPTIMIZE
+
+        calls = []
+
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(markov, "_at", spy("_at", markov._at))
+        for name in ("substitute_atom", "tensor_slice"):
+            real = getattr(tensor if name == "tensor_slice" else interp_module, name)
+            for module in (tensor, interp_module, markov):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, spy(name, real))
+        node = fold_bodies(T)[body]
+        for interp in (EXACT, OPTIMIZE, MomentMatching()):
+            stats = {}
+            with scan_mode("parallel", stats=stats):
+                interpret(interp, node)
+            assert calls == [], interp.name
+            assert stats["levels"] == math.ceil(math.log2(T))
+
+    @pytest.mark.parametrize("T", [7, 8, 13])
+    @pytest.mark.parametrize("body", ["untimed_table", "kalman_untimed_bias"])
+    def test_untimed_factors_pass_levels_whole(self, body, T, monkeypatch):
+        """A level's table built only from untimed tables (or its Gaussian
+        from untimed Gaussians) has no time axis; later levels take it
+        whole, as the term path does."""
+        from funsor.approx import MomentMatching
+        from funsor.optimize import OPTIMIZE
+
+        node = untimed_bodies(T)[body]
+        for interp in (EXACT, OPTIMIZE, MomentMatching()):
+            stats = {}
+            with scan_mode("parallel", stats=stats), monkeypatch.context() as m:
+                m.setattr(markov, "_at", None)
+                got = interpret(interp, node)
+                m.undo()
+                with monkeypatch.context() as m:
+                    m.setattr(markov, "_parallel", term_parallel)
+                    want = interpret(interp, node)
+            assert got == want, interp.name
             assert stats["levels"] == math.ceil(math.log2(T))
 
     @pytest.mark.parametrize("T", [2, 5, 13])

@@ -9,13 +9,13 @@ running the sweep once against each source tree and diffing the files::
 
 The grid covers hmm (sumproduct and maxproduct), kalman with and without
 a shared observation bias, slds and gmm, under every interpretation and
-both scan modes, at even and odd chain lengths (8, 9, 13 and 33), for
-three model draws each.  The doubling scan joins the last cell of an odd
-level apart from its pairs: on hmm and kalman chains, at 9 and 33 only
-the first level is odd, at 13 a later level is too (an slds chain has
-one cell fewer).  Models come from ``perfbench/gen.py`` (gmm
-models are drawn here), and each call runs in this process through
-``funsor.cli.main``.  Values are stored as the CLI prints them, so JSON
+both scan modes, at even and odd chain lengths (8, 9, 13, 33 and 255),
+for three model draws each.  The doubling scan joins the last cell of an
+odd level apart from its pairs: on hmm and kalman chains, at 9 and 33
+only the first level is odd, at 13 a later level is too, and at 255
+every level is (an slds chain has one cell fewer).  Models come from
+``perfbench/gen.py`` (gmm models are drawn here), and each call runs in
+this process through ``funsor.cli.main``.  Values are stored as the CLI prints them, so JSON
 round-trips them exactly.
 
 Each payload also records an independent reference for the model as
@@ -47,7 +47,7 @@ import numpy as np  # noqa: E402
 
 INTERPS = ("exact", "optimize", "momentmatching", "montecarlo")
 SCANS = ("sequential", "parallel")
-LENGTHS = (8, 9, 13, 33)
+LENGTHS = (8, 9, 13, 33, 255)
 DRAWS = (0, 1, 2)
 SAMPLES = 4
 
